@@ -149,6 +149,8 @@ def _cmd_kfpasf(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    if args.replicas < 1:
+        raise InvalidArgumentError(f"--replicas must be >= 1, got {args.replicas}")
     summaries = []
     name = None
     for replica in range(args.replicas):

@@ -42,6 +42,10 @@ class SeparationSpec:
         return self.rho_tilde * self.period * self.sampling_time
 
     def validate(self, allow_out_of_band: bool = False) -> None:
+        for name in ("rho_tilde", "sampling_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
         if self.period < 1:
             raise InvalidArgumentError(f"period must be >= 1, got {self.period}")
         if self.sampling_time <= 0:

@@ -4,10 +4,20 @@ The covariance update uses the plain (I - gC)P form followed by
 re-symmetrization, and the gain is obtained by solving the innovation system
 rather than forming an explicit inverse. Beliefs are values; predict/update
 return new ones.
+
+With a scalar measurement (m = 1) the innovation covariance is a number s
+and its Cholesky factor is d = sqrt(s), so the gain has a closed form that
+skips the per-step eigvalsh, Cholesky and two solves. It is rounded the way
+the general path's two solves round with NumPy's bundled OpenBLAS: with
+several right-hand sides (n > 1) the triangular solve multiplies by the
+reciprocal of the diagonal, g' = (CP * r) * r with r = 1/d; with one (n = 1)
+it divides, g' = (CP / d) / d. So the closed form is bitwise equal to the
+general path, and a property test holds it to that on the installed BLAS.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +66,9 @@ class SystemModel:
                 raise InvalidArgumentError(f"{name} must be symmetric")
             if np.min(np.linalg.eigvalsh(mat)) < -_PSD_TOL:
                 raise InvalidArgumentError(f"{name} must be positive semidefinite")
+        eye = np.eye(n)
+        eye.flags.writeable = False
+        object.__setattr__(self, "_eye", eye)  # for the per-step (I - gC)P
         obs = np.vstack([self.C @ np.linalg.matrix_power(self.A, k) for k in range(n)])
         if np.linalg.matrix_rank(obs) < n:
             warnings.warn("model is not observable", stacklevel=2)
@@ -85,6 +98,15 @@ class KalmanBelief:
         object.__setattr__(self, "P", _symmetrize(np.asarray(self.P, dtype=float)))
 
 
+def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str) -> KalmanBelief:
+    """KalmanBelief from a float 1-D x_hat and an already symmetrized P,
+    skipping the conversions of the public constructor (re-symmetrizing a
+    symmetrized P is the identity)."""
+    belief = object.__new__(KalmanBelief)
+    belief.__dict__.update(x_hat=x_hat, P=P, t=t, phase=phase)
+    return belief
+
+
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
@@ -102,7 +124,7 @@ def kf_predict(belief: KalmanBelief, model: SystemModel, u=None) -> KalmanBelief
         raise InvalidArgumentError("belief dimension does not match model")
     x = model.A @ belief.x_hat + model.B @ u
     P = _symmetrize(model.A @ belief.P @ model.A.T + model.Q)
-    return KalmanBelief(x_hat=x, P=P, t=belief.t + 1, phase=PREDICTED)
+    return _belief(x, P, belief.t + 1, PREDICTED)
 
 
 def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief, np.ndarray]:
@@ -110,6 +132,8 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
 
     The gain solves S g' = C P (S = C P C' + R) by Cholesky, falling back to
     LU when S is only semidefinite; a reciprocal condition below 1e-12 raises.
+    A scalar S (m = 1) takes the closed form of the module docstring and
+    raises when S <= 0.
     """
     if belief.phase != PREDICTED:
         raise InvalidArgumentError("kf_update expects a predicted belief")
@@ -117,16 +141,39 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
     if y.shape != (model.m,):
         raise InvalidArgumentError(f"y must have shape ({model.m},)")
     P = belief.P
+    if model.m == 1:
+        g = _scalar_gain(P, model)
+    else:
+        g = _general_gain(P, model)
+    x = belief.x_hat + g @ (y - model.C @ belief.x_hat)
+    P_new = _symmetrize((model._eye - g @ model.C) @ P)
+    return _belief(x, P_new, belief.t, UPDATED), g
+
+
+def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
+    CP = model.C @ P
+    s = float((CP @ model.C.T + model.R)[0, 0])
+    s = 0.5 * (s + s)  # the symmetrization of the general path
+    # NaN passes on, as in the general path: the estimate turns non-finite
+    if s <= 0.0:
+        raise SingularInnovationError(
+            f"innovation covariance is singular (s = {s:.3e})"
+        )
+    d = math.sqrt(s)  # the Cholesky factor; rounding as in the module docstring
+    if CP.shape[1] == 1:
+        return ((CP / d) / d).T
+    r = 1.0 / d
+    return ((CP * r) * r).T
+
+
+def _general_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
     S = _symmetrize(model.C @ P @ model.C.T + model.R)
     eigs = np.linalg.eigvalsh(S)
     if eigs[-1] <= 0.0 or eigs[0] / eigs[-1] < 1e-12:
         raise SingularInnovationError(
             f"innovation covariance is singular (rcond {eigs[0] / max(eigs[-1], 1e-300):.3e})"
         )
-    g = _solve_spd(S, model.C @ P).T
-    x = belief.x_hat + g @ (y - model.C @ belief.x_hat)
-    P_new = _symmetrize((np.eye(model.n) - g @ model.C) @ P)
-    return KalmanBelief(x_hat=x, P=P_new, t=belief.t, phase=UPDATED), g
+    return _solve_spd(S, model.C @ P).T
 
 
 def _solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:

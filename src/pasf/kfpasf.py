@@ -86,18 +86,22 @@ class KfPasfState:
         xp_upd = theta_p + bank.Sp * upd.x_hat
         xa_upd = theta_a + bank.Sa * upd.x_hat
 
-        if not np.all(np.isfinite(upd.x_hat)):
+        if not np.isfinite(upd.x_hat).all():
             self._poisoned = True
             raise PoisonedStateError("estimate diverged to non-finite values")
 
         self.core.push(upd.x_hat, xp_upd, xa_upd)
         self.belief = upd
-        return KfPasfStep(
+        # KfPasfStep checks nothing, and its frozen __init__ would cost a
+        # setattr call per field
+        rec = object.__new__(KfPasfStep)
+        rec.__dict__.update(
             t=upd.t,
             x_pred=pred.x_hat, xp_pred=xp_pred, xa_pred=xa_pred,
             x_upd=upd.x_hat, xp_upd=xp_upd, xa_upd=xa_upd,
             P=upd.P, gain=gain,
         )
+        return rec
 
     def reconfigure(self, new_spec: SeparationSpec, allow_out_of_band: bool = False,
                     **fir_kwargs) -> None:

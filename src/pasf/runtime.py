@@ -102,10 +102,12 @@ class SeparatorCore:
     def theta(self) -> tuple[np.ndarray, np.ndarray]:
         """Delayed-history sums for the current step (call before push)."""
         b = self.bank
-        lags = (self.t - self._strides) % self.capacity
-        hin = self.in_buf[lags]
-        tp = np.sum(b.Gp * self.p_buf[lags] + b.Hp * hin, axis=0)
-        ta = np.sum(b.Ga * self.a_buf[lags] + b.Ha * hin, axis=0)
+        lags = self.t - self._strides
+        lags %= self.capacity
+        hin = self.in_buf.take(lags, axis=0)
+        # np.sum's own reduction, without its Python-level dispatch
+        tp = np.add.reduce(b.Gp * self.p_buf.take(lags, axis=0) + b.Hp * hin, axis=0)
+        ta = np.add.reduce(b.Ga * self.a_buf.take(lags, axis=0) + b.Ha * hin, axis=0)
         return tp, ta
 
     def push(self, x, xp, xa) -> None:
@@ -161,7 +163,7 @@ class PasfState:
             raise InvalidArgumentError(
                 f"expected input of shape ({self.bank.n},), got {xv.shape}"
             )
-        if not np.all(np.isfinite(xv)):
+        if not np.isfinite(xv).all():
             self._poisoned = True
             raise PoisonedStateError("non-finite input sample")
         tp, ta = self.core.theta()

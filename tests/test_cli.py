@@ -12,11 +12,23 @@ import pytest
 from pasf.csvio import export_csv, read_csv
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, cwd=None):
+    # the package under test is the source tree, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "pasf.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
+
+
+def _assert_validation_error(res):
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: validation:")
+    assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def test_design_iir_writes_coefficient_files(tmp_path):
@@ -41,6 +53,18 @@ def test_design_iir_out_of_band_is_validation_error(tmp_path):
                   "--sampling-time", "0.001", "--order", "1")
     assert res.returncode == 1
     assert res.stderr.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("rho_tilde, sampling_time",
+                         [("nan", "0.001"), ("inf", "0.001"), ("1.0", "nan")])
+def test_design_iir_non_finite_spec_is_validation_error(tmp_path, rho_tilde,
+                                                        sampling_time):
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-iir",
+                  "--rho-tilde", rho_tilde, "--period", "1000",
+                  "--sampling-time", sampling_time, "--order", "1")
+    _assert_validation_error(res)
+    assert not out.exists()
 
 
 def test_bode_csv_round_trip(tmp_path):
@@ -115,6 +139,15 @@ def test_scenario_unknown_name_is_validation_failure(tmp_path):
     res = run_cli("--out-dir", str(tmp_path), "scenario", "sec99")
     assert res.returncode == 1
     assert res.stderr.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_scenario_replicas_below_one_is_validation_error(tmp_path, replicas):
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", "sec54",
+                  "--replicas", replicas)
+    _assert_validation_error(res)
+    assert not out.exists()
 
 
 def test_kfpasf_csv_layout(tmp_path):

@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pasf.errors import InvalidArgumentError, SingularInnovationError
+from pasf import kalman
+from pasf.design import SeparationSpec, design_iir
+from pasf.errors import (
+    InvalidArgumentError,
+    PoisonedStateError,
+    SingularInnovationError,
+)
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
+from pasf.kfpasf import KfPasfState, zero_histories
 
 
 def _scalar_model(a=1.0, q=0.01, r=1.0):
@@ -156,3 +166,56 @@ def test_unobservable_model_warns():
     with pytest.warns(UserWarning):
         SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]],
                     Q=np.zeros((2, 2)), R=[[1.0]])
+
+
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _scalar_measurement_update(draw):
+    """A predicted belief with a random SPD P and a model with one output."""
+    n = draw(st.integers(1, 4))
+    M = draw(hnp.arrays(float, (n, n), elements=_entries))
+    ridge = draw(hnp.arrays(float, n, elements=st.floats(1e-6, 1e3)))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    P = scale * (M @ M.T + np.diag(ridge))
+    C = draw(hnp.arrays(float, (1, n), elements=st.floats(-10, 10)))
+    r = draw(st.floats(1e-9, 1e3))
+    x_hat = draw(hnp.arrays(float, n, elements=_entries))
+    y = draw(_entries)
+    model = SystemModel(A=np.eye(n), B=np.zeros((n, 1)), C=C,
+                        Q=np.zeros((n, n)), R=[[r]])
+    return model, KalmanBelief(x_hat=x_hat, P=P, phase="predicted"), [y]
+
+
+@pytest.mark.filterwarnings("ignore:model is not observable")
+@settings(max_examples=300, deadline=None)
+@given(_scalar_measurement_update())
+def test_scalar_innovation_closed_form_equals_cholesky_path_bitwise(case):
+    model, pred, y = case
+    assert model.m == 1
+    upd, g = kf_update(pred, model, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kalman, "_scalar_gain", kalman._general_gain)
+        ref, g_ref = kf_update(pred, model, y)
+    assert np.array_equal(g, g_ref)
+    assert np.array_equal(upd.x_hat, ref.x_hat)
+    assert np.array_equal(upd.P, ref.P)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0])
+def test_scalar_nonpositive_innovation_raises(p):
+    model = _scalar_model(q=0.0, r=0.0)
+    pred = KalmanBelief(x_hat=[0.0], P=[[p]], phase="predicted")
+    with pytest.raises(SingularInnovationError):
+        kf_update(pred, model, [0.0])
+
+
+def test_nan_covariance_poisons_the_estimator():
+    model = _scalar_model(q=0.0, r=1.0)
+    p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), [[np.nan]])
+    with pytest.raises(PoisonedStateError):
+        state.step([0.0], [1.0])
+    with pytest.raises(PoisonedStateError):
+        state.step([0.0], [1.0])

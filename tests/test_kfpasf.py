@@ -1,12 +1,15 @@
 """Estimator integration: hand-checked steps, consistency, KF equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pasf.design import SeparationSpec, design_iir
 from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
-from pasf.kfpasf import kfpasf_init, kfpasf_step, zero_histories
+from pasf.kfpasf import KfPasfState, kfpasf_init, kfpasf_step, zero_histories
+from pasf.scenarios import build_sec54
 
 
 def _scalar_setup(P0=1.0):
@@ -160,3 +163,40 @@ def test_reconfigure_keeps_histories():
     state.reconfigure(SeparationSpec(2.0, 2, 0.5))
     assert np.array_equal(state.core.p_buf, buf_before)
     assert state.bank.Sp[0] != p.feedforward[0]
+
+
+@pytest.mark.parametrize("field", ["rho_tilde", "sampling_time"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
+    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
+    spec = SeparationSpec(1.0, 2, 0.5)
+    p, a = design_iir(spec, 1)
+    state = kfpasf_init(model, p, a, zero_histories(model, 1, 2), [[1.0]])
+    state.step([1.0], [1.0])
+    bank = state.bank
+    with pytest.raises(InvalidArgumentError):
+        state.reconfigure(dataclasses.replace(spec, **{field: value}),
+                          allow_out_of_band=True)
+    assert state.bank is bank
+    assert np.all(np.isfinite(state.step([1.0], [1.0]).xp_upd))
+
+
+def test_scalar_measurement_step_runs_without_dense_linalg(monkeypatch):
+    """The m = 1 estimator step needs no eigvalsh, Cholesky or solve; a
+    fallback to the general innovation path raises here."""
+    scn = build_sec54()
+    model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
+    p, a = design_iir(SeparationSpec(10.0, scn.period, scn.sampling_time), 1,
+                      allow_out_of_band=True)
+    state = KfPasfState(model, p, a, zero_histories(model, 1, scn.period), scn.P0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the scalar path")
+
+    for name in ("eigvalsh", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rng = np.random.default_rng(54)
+    for u, y in rng.standard_normal((2000, 2)):
+        rec = state.step([u], [y])
+    assert rec.t == 2000
+    assert np.all(np.isfinite(rec.x_upd))

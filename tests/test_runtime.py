@@ -1,19 +1,32 @@
 """Streaming separator behavior: steady states, linearity, reconfiguration."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pasf.baselines import CombSpec, comb_pair
-from pasf.design import SeparationSpec, design_iir
+from pasf.design import (
+    APERIODIC_PASS,
+    PERIODIC_PASS,
+    FilterCoefficients,
+    SeparationSpec,
+    design_iir,
+)
 from pasf.errors import (
     InvalidArgumentError,
     PoisonedStateError,
     UnsupportedReconfigurationError,
 )
 from pasf.response import eval_response
-from pasf.runtime import PasfState, pasf_reconfigure, pasf_step
+from pasf.runtime import (
+    PasfState,
+    SeparatorBank,
+    SeparatorCore,
+    pasf_reconfigure,
+    pasf_step,
+)
 
 
 def _pair(rho_tilde=0.5 / (20 * 0.01), period=20, t_samp=0.01, order=1):
@@ -177,6 +190,51 @@ def test_reconfigure_rejects_period_change():
     bad = SeparationSpec(spec.rho_tilde, spec.period + 1, spec.sampling_time)
     with pytest.raises(UnsupportedReconfigurationError):
         state.reconfigure(bad)
+
+
+@pytest.mark.parametrize("field", ["rho_tilde", "sampling_time"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
+    (p, a), spec = _pair()
+    state = PasfState(p, a)
+    state.step(1.0)
+    bank = state.bank
+    with pytest.raises(InvalidArgumentError):
+        state.reconfigure(dataclasses.replace(spec, **{field: value}),
+                          allow_out_of_band=True)
+    assert state.bank is bank
+    xp, xa = state.step(1.0)
+    assert math.isfinite(xp) and math.isfinite(xa)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 50])
+@pytest.mark.parametrize("dims", [1, 3])
+def test_theta_bitwise_equals_sum_formulation(order, dims):
+    """theta accumulates over the order axis exactly as np.sum does."""
+    rng = np.random.default_rng(100 * order + dims)
+    period = 3
+
+    def channels(kind):
+        return [
+            FilterCoefficients(kind, "iir", order, period, 0.01,
+                               feedback=rng.standard_normal(order),
+                               feedforward=rng.standard_normal(order + 1))
+            for _ in range(dims)
+        ]
+
+    core = SeparatorCore(SeparatorBank(channels(PERIODIC_PASS),
+                                       channels(APERIODIC_PASS)))
+    b = core.bank
+    for _ in range(2 * core.capacity + period):  # wraps the ring twice
+        lags = (core.t - core._strides) % core.capacity
+        hin = core.in_buf[lags]
+        tp, ta = core.theta()
+        assert np.array_equal(
+            tp, np.sum(b.Gp * core.p_buf[lags] + b.Hp * hin, axis=0))
+        assert np.array_equal(
+            ta, np.sum(b.Ga * core.a_buf[lags] + b.Ha * hin, axis=0))
+        scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
+        core.push(*(rng.standard_normal((3, dims)) * scales))
 
 
 def test_poisoned_state_refuses_until_reset():
