@@ -94,6 +94,8 @@ class FilterCoefficients:
                 f"feedforward must have exactly {self.order + 1} entries, "
                 f"got {len(ff)}"
             )
+        if not (np.isfinite(fb).all() and np.isfinite(ff).all()):
+            raise InvalidArgumentError("filter taps must be finite")
         if self.realization == "fir" and np.any(fb != 0.0):
             raise InvalidArgumentError("FIR realization requires zero feedback")
 

@@ -2,11 +2,11 @@
 
 Each step runs the standard predict/update recursion on the periodic/aperiodic
 state and splits both the predicted and updated estimates into quasi-periodic
-and quasi-aperiodic parts. The split adds the delayed-history terms (computed
-once per step from the N*period-deep buffers of past UPDATED estimates) to the
-instantaneous diagonal feedthrough of the current estimate; the same history
-terms serve the predicted and the updated split. Buffers then advance with the
-updated triple.
+and quasi-aperiodic parts. The split adds the delayed-history terms (read once
+per step from the separator core's per-period table over the N*period-deep
+buffers of past UPDATED estimates) to the instantaneous diagonal feedthrough of
+the current estimate; the same history terms serve the predicted and the
+updated split. Buffers then advance with the updated triple.
 """
 
 from __future__ import annotations

@@ -10,6 +10,24 @@ Each step computes
 with the i = 0 input term applied directly. The vector form runs n independent
 scalar channels (diagonal coefficient matrices). Instances are single-threaded;
 stepping mutates the buffers.
+
+Every delayed term reads a sample at least one period old, so the sums theta
+(everything but the i = 0 term) of the steps t0 .. t0+period-1 depend only on
+samples pushed before t0: the whole period is known at its first step.
+``SeparatorCore`` computes it there in one vectorized pass into a
+(period, n) table per output, and ``theta()`` returns one row per step. The
+table is rebuilt when t leaves its period, and from the current t after
+``swap_bank``, ``inject`` or ``reset``.
+
+The table is bitwise equal to summing each step on its own because it keeps
+that sum's reduction order. NumPy sums a per-step (order, 1) array as one
+contiguous row, pairwise; it sums an (order, n) array with n > 1 in sequence
+over the outer order axis. So a build gathers (rows, order) blocks and
+reduces their contiguous last axis when n == 1, and gathers (order, n, rows)
+blocks and reduces their outer order axis when n > 1. It runs in row slices
+of at most ``_BUILD_PRODUCTS`` products per output, so its temporaries stay
+well under a megabyte at any period (FIR50, n = 3, period 1000 would
+otherwise allocate several 1.2 MB arrays per pass).
 """
 
 from __future__ import annotations
@@ -30,7 +48,8 @@ class SeparatorBank:
 
     Built from one shared (periodic, aperiodic) pair replicated across
     channels, or from per-channel pairs. Arrays: Gp/Hp/Ga/Ha have shape
-    (order, n), Sp/Sa shape (n,).
+    (order, n), Sp/Sa shape (n,); G/H stack Gp and Ga, Hp and Ha as
+    (2, order, n).
     """
 
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None):
@@ -48,6 +67,9 @@ class SeparatorBank:
         self.Ga = np.stack([-c.feedback for c in a_list], axis=1)
         self.Ha = np.stack([c.feedforward[1:] for c in a_list], axis=1)
         self.Sa = np.array([c.feedforward[0] for c in a_list])
+        # (2, order, n): the periodic and aperiodic stacks side by side
+        self.G = np.stack([self.Gp, self.Ga])
+        self.H = np.stack([self.Hp, self.Ha])
 
     def dc_gains(self) -> tuple[np.ndarray, np.ndarray]:
         gp = np.array([c.dc_gain for c in self.p_coeffs])
@@ -78,19 +100,31 @@ def _normalize_pairs(p_coeffs, a_coeffs, dims):
     return p_list, a_list
 
 
+# Products per output in one row slice of a theta-table build: bounds the
+# build's temporaries.
+_BUILD_PRODUCTS = 8192
+
+
 class SeparatorCore:
-    """Ring buffers plus the delayed-term sums shared by the runtime and the
-    estimator integration."""
+    """Ring buffers plus the per-period table of delayed-history sums shared
+    by the runtime and the estimator integration."""
 
     def __init__(self, bank: SeparatorBank, t0: int = 0):
         self.bank = bank
         self.capacity = bank.order * bank.period
         self.t = t0
         n = bank.n
-        self.in_buf = np.zeros((self.capacity, n))
-        self.p_buf = np.zeros((self.capacity, n))
-        self.a_buf = np.zeros((self.capacity, n))
+        # input, periodic and aperiodic histories, (capacity, n) each
+        self._hist = np.zeros((3, self.capacity, n))
+        self.in_buf, self.p_buf, self.a_buf = self._hist
         self._strides = bank.period * np.arange(1, bank.order + 1)
+        self._width = max(1, _BUILD_PRODUCTS // (bank.order * n))
+        self._channels = np.arange(n)[:, None]
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Empty the table window, so the next theta() builds from its t."""
+        self._start = self._end = self.t
 
     def inject(self, in_hist, p_hist, a_hist, roll: int = 0) -> None:
         """Fill buffers from oldest-first histories covering the capacity."""
@@ -98,17 +132,48 @@ class SeparatorCore:
                           (self.a_buf, a_hist)):
             h = np.asarray(hist, dtype=float).reshape(self.capacity, self.bank.n)
             buf[:] = np.roll(h, roll, axis=0)
+        self._invalidate()
+
+    def reset(self) -> None:
+        """Zero all buffers and restart at t = 0."""
+        self._hist[:] = 0.0
+        self.t = 0
+        self._invalidate()
 
     def theta(self) -> tuple[np.ndarray, np.ndarray]:
-        """Delayed-history sums for the current step (call before push)."""
+        """Delayed-history sums for the current step (call before push).
+
+        The arrays are views of the table's rows: read them, do not write them.
+        """
+        t = self.t
+        if not self._start <= t < self._end:
+            self._build()
+        i = t - self._start
+        return self._tp[i], self._ta[i]
+
+    def _build(self) -> None:
+        """Tabulate theta for the steps t .. t+period-1 from the buffers."""
         b = self.bank
-        lags = self.t - self._strides
-        lags %= self.capacity
-        hin = self.in_buf.take(lags, axis=0)
-        # np.sum's own reduction, without its Python-level dispatch
-        tp = np.add.reduce(b.Gp * self.p_buf.take(lags, axis=0) + b.Hp * hin, axis=0)
-        ta = np.add.reduce(b.Ga * self.a_buf.take(lags, axis=0) + b.Ha * hin, axis=0)
-        return tp, ta
+        n = b.n
+        start = self.t
+        flat = self._hist.reshape(3, -1)
+        table = np.empty((2, b.period, n))
+        for r0 in range(0, b.period, self._width):
+            r1 = min(r0 + self._width, b.period)
+            lags = np.arange(start + r0, start + r1) - self._strides[:, None]
+            lags %= self.capacity
+            if n == 1:  # (rows, order) blocks, pairwise along the order axis
+                idx, G, H, axis = lags.T, b.G[:, None, :, 0], b.H[:, None, :, 0], 2
+            else:       # (order, n, rows) blocks, in sequence over the order axis
+                idx = lags[:, None, :] * n + self._channels
+                G, H, axis = b.G[..., None], b.H[..., None], 1
+            hist = flat.take(idx, axis=1)
+            prod = G * hist[1:]
+            prod += H * hist[0]
+            sums = np.add.reduce(prod, axis=axis)
+            table[:, r0:r1] = sums.reshape(2, n, -1).transpose(0, 2, 1)
+        self._tp, self._ta = table
+        self._start, self._end = start, start + b.period
 
     def push(self, x, xp, xa) -> None:
         slot = self.t % self.capacity
@@ -124,6 +189,7 @@ class SeparatorCore:
                 "reconfiguration cannot change period, order, or channel count"
             )
         self.bank = bank
+        self._invalidate()
 
 
 class PasfState:
@@ -215,10 +281,7 @@ class PasfState:
 
     def reset(self) -> None:
         """Zero all buffers and clear the poisoned flag."""
-        self.core.in_buf[:] = 0.0
-        self.core.p_buf[:] = 0.0
-        self.core.a_buf[:] = 0.0
-        self.core.t = 0
+        self.core.reset()
         self._poisoned = False
 
 

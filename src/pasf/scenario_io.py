@@ -192,7 +192,8 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     sections = _sections(text)
     if "scenario" not in sections:
         raise InvalidArgumentError("scenario file needs a [scenario] section")
-    meta = _kv(sections["scenario"])
+    # filter is the one repeatable key; it is read in file order below
+    meta = _kv(e for e in sections["scenario"] if e[1] != "filter")
     signals = _SignalTable(sections, seed)
 
     def need(key):

@@ -98,6 +98,11 @@ class Scenario:
             raise InvalidArgumentError("rho schedule boundary beyond duration")
         if not self.filters:
             raise InvalidArgumentError("scenario needs at least one filter choice")
+        labels = [f.label for f in self.filters] + [c.label for c in self.combs]
+        if len(set(labels)) != len(labels):
+            # each label names a run's output file, column and result
+            raise InvalidArgumentError(
+                f"filter and comb labels must be unique, got {labels}")
         if self.kind in ("estimation", "control"):
             for name in ("A", "B", "C", "Q", "R", "P0", "input_u"):
                 if getattr(self, name) is None:

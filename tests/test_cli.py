@@ -5,11 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pasf.csvio import export_csv, read_csv
+from pasf.csvio import export_csv, format_value, read_csv
+from pasf.design import SeparationSpec, design_iir
+from pasf.response import bode_table, default_grid
+from pasf.scenarios import FilterChoice, build_sec52, run_estimation
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -93,6 +97,69 @@ def test_csv_export_empty_and_round_trip(tmp_path):
         # 12 significant digits survive the round trip
         assert rx == float(f"{x:.12g}")
         assert ry == float(f"{y:.12g}")
+
+
+def _format_value_csv(header, rows) -> bytes:
+    """The per-value reference that export_csv's row template must match."""
+    lines = [",".join(header)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _row_sets():
+    """Rows with the column types of each export_csv caller, plus random,
+    extreme and non-finite values."""
+    rng = np.random.default_rng(7)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2e-308,
+                        1e300, -1e-300, 1e16, 0.1, 1.0 / 3.0, 123456789012.5])
+    mixed = np.concatenate([special, rng.standard_normal(300)
+                            * 10.0 ** rng.uniform(-300, 300, 300)])
+    rng.shuffle(mixed)
+    t = np.arange(len(mixed))
+    scn = replace(build_sec52(), duration_s=0.05, interference_window_s=None)
+    run = run_estimation(scn, FilterChoice("iir", 1), seed=0)
+    p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 1)
+    bode = bode_table(p, default_grid(p, n_points=50))
+    return {
+        "scenario": (run.csv_header(), list(run.csv_rows())),
+        "interference": (["t", "time_s", "a", "b"],
+                         list(zip(t, t * 0.001, mixed, mixed[::-1]))),
+        "replicas": (["replica", "seed", "x", "y"],
+                     [[i, 2 ** 40 + i, float(v), float(-v)]
+                      for i, v in enumerate(mixed)]),
+        "separate": (["t", "x", "xp", "xa"],
+                     [(int(i), v, float(v) / 3.0, float(-v)) for i, v in zip(t, mixed)]),
+        "bode": (["omega_rad_s", "gain_db", "phase_deg"], list(bode.rows())),
+        "extremes": (["a", "b", "c"], [tuple(mixed[i:i + 3])
+                                       for i in range(len(mixed) - 2)]),
+    }
+
+
+@pytest.mark.parametrize("caller", ["scenario", "interference", "replicas",
+                                    "separate", "bode", "extremes"])
+def test_export_csv_bytes_equal_format_value(tmp_path, caller):
+    header, rows = _row_sets()[caller]
+    path = tmp_path / "out.csv"
+    export_csv(path, header, iter(rows))
+    assert path.read_bytes() == _format_value_csv(header, rows)
+
+
+def test_separate_rejects_non_finite_coefficient_file(tmp_path):
+    run_cli("--out-dir", str(tmp_path), "design-iir",
+            "--rho-tilde", "2.5", "--period", "20",
+            "--sampling-time", "0.01", "--order", "1")
+    p_file = tmp_path / "iir1_p.txt"
+    head, feedback, feedforward = p_file.read_text().splitlines()
+    p_file.write_text("\n".join([head, "nan", feedforward]) + "\n")
+    export_csv(tmp_path / "in.csv", ["t", "x"], [(0, 1.0), (1, 2.0)])
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "separate",
+                  "--coeffs-p", str(p_file),
+                  "--coeffs-a", str(tmp_path / "iir1_a.txt"),
+                  "--input", str(tmp_path / "in.csv"))
+    _assert_validation_error(res)
+    assert "finite" in res.stderr
+    assert not out.exists()
 
 
 def test_separate_stream(tmp_path):

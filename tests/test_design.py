@@ -286,3 +286,22 @@ def test_coefficient_invariants_enforced():
         FilterCoefficients(kind="periodic-pass", realization="iir", order=2,
                            period=5, sampling_time=0.1,
                            feedback=np.zeros(2), feedforward=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("taps", ["feedback", "feedforward"])
+def test_non_finite_taps_rejected(bad, taps):
+    p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 2)
+    values = {"feedback": p.feedback.copy(), "feedforward": p.feedforward.copy()}
+    values[taps][1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        FilterCoefficients(kind=p.kind, realization=p.realization, order=2,
+                           period=5, sampling_time=0.1, **values)
+    # the coefficient-file reader goes through the same check
+    text = format_coefficients(p).splitlines()
+    line = 1 if taps == "feedback" else 2
+    fields = text[line].split()
+    fields[1] = str(bad)
+    text[line] = " ".join(fields)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        parse_coefficients("\n".join(text))

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasf.baselines import CombSpec, comb_pair
 from pasf.design import (
@@ -207,34 +210,153 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
     assert math.isfinite(xp) and math.isfinite(xa)
 
 
+def _random_channels(rng, kind, order, period, dims, realization="iir"):
+    # small feedback taps keep the recursion bounded
+    return [
+        FilterCoefficients(kind, realization, order, period, 0.01,
+                           feedback=(np.zeros(order) if realization == "fir"
+                                     else rng.standard_normal(order) * 0.3 / order),
+                           feedforward=rng.standard_normal(order + 1))
+        for _ in range(dims)
+    ]
+
+
+def _random_bank(rng, order, period, dims):
+    return SeparatorBank(_random_channels(rng, PERIODIC_PASS, order, period, dims),
+                         _random_channels(rng, APERIODIC_PASS, order, period, dims))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 50])
 @pytest.mark.parametrize("dims", [1, 3])
 def test_theta_bitwise_equals_sum_formulation(order, dims):
-    """theta accumulates over the order axis exactly as np.sum does."""
+    """Each theta row equals the per-step np.sum over the order axis, raw
+    bits included (so the sign of zero counts), at periods 1, 2, 3 and 7 and
+    across a coefficient swap, an inject and a reset in the middle of a
+    period."""
     rng = np.random.default_rng(100 * order + dims)
-    period = 3
+    for period in (1, 2, 3, 7):
+        core = SeparatorCore(_random_bank(rng, order, period, dims))
+        cap = core.capacity
+        mid = period // 2
+        # A reset inside the first period returns t into the warm table's
+        # window. After it t = step - r; a swap or an inject restarts the
+        # table at its own t, so each falls mid-table at a multiple of mid.
+        r = max(mid, 1)
+        events = [(0, "inject"), (r, "reset"), (r + cap + mid, "swap"),
+                  (r + 2 * cap + 2 * mid, "inject"), (r + 3 * cap + 3 * mid, "reset")]
+        for step in range(4 * cap + 2 * period):  # wraps the ring three times
+            for event in [e for at, e in events if at == step]:
+                if event == "swap":
+                    core.swap_bank(_random_bank(rng, order, period, dims))
+                elif event == "inject":
+                    core.inject(*rng.standard_normal((3, cap, dims)))
+                else:
+                    core.reset()
+            b = core.bank
+            lags = (core.t - core._strides) % cap
+            hin = core.in_buf[lags]
+            tp, ta = core.theta()
+            assert np.array_equal(_bits(tp), _bits(
+                np.sum(b.Gp * core.p_buf[lags] + b.Hp * hin, axis=0)))
+            assert np.array_equal(_bits(ta), _bits(
+                np.sum(b.Ga * core.a_buf[lags] + b.Ha * hin, axis=0)))
+            scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
+            values = rng.standard_normal((3, dims)) * scales
+            values[rng.random((3, dims)) < 0.2] = -0.0
+            core.push(*values)
 
-    def channels(kind):
-        return [
-            FilterCoefficients(kind, "iir", order, period, 0.01,
-                               feedback=rng.standard_normal(order),
-                               feedforward=rng.standard_normal(order + 1))
-            for _ in range(dims)
-        ]
 
-    core = SeparatorCore(SeparatorBank(channels(PERIODIC_PASS),
-                                       channels(APERIODIC_PASS)))
-    b = core.bank
-    for _ in range(2 * core.capacity + period):  # wraps the ring twice
-        lags = (core.t - core._strides) % core.capacity
-        hin = core.in_buf[lags]
-        tp, ta = core.theta()
-        assert np.array_equal(
-            tp, np.sum(b.Gp * core.p_buf[lags] + b.Hp * hin, axis=0))
-        assert np.array_equal(
-            ta, np.sum(b.Ga * core.a_buf[lags] + b.Ha * hin, axis=0))
-        scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
-        core.push(*(rng.standard_normal((3, dims)) * scales))
+class _PerStepOracle:
+    """The per-step separator formula, summed at every step."""
+
+    def __init__(self, bank):
+        self.bank = bank
+        self.cap = bank.order * bank.period
+        self.bufs = np.zeros((3, self.cap, bank.n))
+        self.strides = bank.period * np.arange(1, bank.order + 1)
+        self.t = 0
+
+    def step(self, x):
+        b = self.bank
+        lags = (self.t - self.strides) % self.cap
+        hin, hp, ha = self.bufs[:, lags]
+        xp = np.sum(b.Gp * hp + b.Hp * hin, axis=0) + b.Sp * x
+        xa = np.sum(b.Ga * ha + b.Ha * hin, axis=0) + b.Sa * x
+        self.bufs[:, self.t % self.cap] = x, xp, xa
+        self.t += 1
+        return xp, xa
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(order=st.integers(1, 50), dims=st.integers(1, 3),
+       period=st.integers(1, 12), fir=st.booleans(),
+       swaps=st.lists(st.integers(0, 2000), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
+                                                  swaps, seed):
+    rng = np.random.default_rng(seed)
+    realization = "fir" if fir else "iir"
+
+    def pair():
+        return (_random_channels(rng, PERIODIC_PASS, order, period, dims, realization),
+                _random_channels(rng, APERIODIC_PASS, order, period, dims, realization))
+
+    state = PasfState(*pair())
+    oracle = _PerStepOracle(state.bank)
+    steps = 2 * order * period + period + 1
+    swap_at = {s % steps for s in swaps}
+    for t in range(steps):
+        if t in swap_at:
+            state.swap_coefficients(*pair())
+            oracle.bank = state.bank
+        x = rng.standard_normal(dims) * 10.0 ** rng.uniform(-3, 3)
+        xp, xa = state.step(x)
+        op, oa = oracle.step(x)
+        assert np.array_equal(_bits(xp), _bits(op))
+        assert np.array_equal(_bits(xa), _bits(oa))
+
+
+def test_theta_table_built_once_per_period_and_after_each_swap(monkeypatch):
+    builds = []
+    build = SeparatorCore._build
+    monkeypatch.setattr(SeparatorCore, "_build",
+                        lambda core: builds.append(core.t) or build(core))
+    thetas = []
+    theta = SeparatorCore.theta
+    monkeypatch.setattr(SeparatorCore, "theta",
+                        lambda core: thetas.append(core.t) or theta(core))
+    (p, a), spec = _pair(period=7)
+    state = PasfState(p, a)
+    for t in range(35):
+        if t == 10:  # mid-period
+            state.reconfigure(dataclasses.replace(spec, rho_tilde=2.0))
+        if t == 24:  # at the start of a table period: no extra build
+            state.reconfigure(spec)
+        state.step(1.0)
+    assert builds == [0, 7, 10, 17, 24, 31]
+    assert thetas == list(range(35))  # still one per-step call per sample
+
+
+def test_theta_table_build_memory_is_bounded():
+    """One FIR50, dims-3, period-1000 build stays well under the 1.2 MB of a
+    single unsliced (period, order, dims) product array."""
+    rng = np.random.default_rng(5)
+    order, period, dims = 50, 1000, 3
+    core = SeparatorCore(SeparatorBank(
+        _random_channels(rng, PERIODIC_PASS, order, period, dims, "fir"),
+        _random_channels(rng, APERIODIC_PASS, order, period, dims, "fir")))
+    core.inject(*rng.standard_normal((3, core.capacity, dims)))
+    tracemalloc.start()
+    try:
+        core.theta()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_poisoned_state_refuses_until_reset():

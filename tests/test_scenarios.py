@@ -1,5 +1,6 @@
 """Scenario definitions, runners, and the text-file grammar."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -41,8 +42,8 @@ def test_rho_schedule_lookup():
     assert series[99_999] == 0.01
 
 
-def test_sec51_full_run_row_count_and_switches():
-    out = run_scenario("sec51", seed=0, out_dir="/tmp/pasf_test_sec51",
+def test_sec51_full_run_row_count_and_switches(tmp_path):
+    out = run_scenario("sec51", seed=0, out_dir=str(tmp_path),
                        plot_script=False)
     run = out["results"]["iir1"]
     scn = build_sec51()
@@ -52,8 +53,8 @@ def test_sec51_full_run_row_count_and_switches():
     assert np.all(np.isfinite(run.xp_upd)) and np.all(np.isfinite(run.xa_upd))
 
 
-def test_sec53_outputs_and_interference_file():
-    out = run_scenario("sec53", seed=0, out_dir="/tmp/pasf_test_sec53",
+def test_sec53_outputs_and_interference_file(tmp_path):
+    out = run_scenario("sec53", seed=0, out_dir=str(tmp_path),
                        plot_script=True)
     names = sorted(f.split("/")[-1] for f in out["files"])
     assert names == [
@@ -65,12 +66,10 @@ def test_sec53_outputs_and_interference_file():
         "sec53_pasf_n3.csv",
     ]
     # the emitted plot script only references files that were written
-    import os
-    import re
-
-    script = open([f for f in out["files"] if f.endswith(".gp")][0]).read()
+    with open([f for f in out["files"] if f.endswith(".gp")][0]) as fh:
+        script = fh.read()
     for ref in re.findall(r'"([^"]+\.csv)"', script):
-        assert os.path.exists(os.path.join("/tmp/pasf_test_sec53", ref)), ref
+        assert (tmp_path / ref).exists(), ref
 
 
 def test_scaled_estimation_run_tracks_truth():
@@ -136,6 +135,22 @@ def test_scenario_file_round_trip():
     assert np.all(np.isfinite(run.x_upd))
 
 
+def test_scenario_file_filter_key_repeats_in_file_order():
+    two = SCENARIO_TEXT.replace("filter = iir 2\n",
+                                "filter = iir 2\nfilter = fir 4 short\n")
+    scn = parse_scenario(two)
+    assert [(f.realization, f.order, f.label) for f in scn.filters] == [
+        ("iir", 2, "iir2"), ("fir", 4, "short")]
+    # every other key still may appear only once
+    with pytest.raises(InvalidArgumentError, match="duplicate key 'period'"):
+        parse_scenario(two.replace("period = 50\n", "period = 50\nperiod = 60\n"))
+    # two runs with one label would write one output file twice
+    with pytest.raises(InvalidArgumentError, match="unique"):
+        parse_scenario(two.replace("fir 4 short", "iir 2"))
+    with pytest.raises(InvalidArgumentError, match="unique"):
+        parse_scenario(SEPARATION_TEXT.replace("[comb mycomb]", "[comb pasf]"))
+
+
 def test_scenario_file_errors_have_line_numbers():
     with pytest.raises(InvalidArgumentError) as err:
         parse_scenario("[scenario]\nbroken line\n")
@@ -179,12 +194,12 @@ q = 0:1.717 2:100
 """
 
 
-def test_separation_scenario_file():
+def test_separation_scenario_file(tmp_path):
     scn = parse_scenario(SEPARATION_TEXT, seed=0)
     assert scn.kind == "separation"
     assert scn.combs[0].label == "mycomb"
     assert len(scn.combs[0].schedule) == 2
-    out = run_scenario(scn, seed=0, out_dir="/tmp/pasf_test_sepdemo",
+    out = run_scenario(scn, seed=0, out_dir=str(tmp_path),
                        plot_script=False)
     assert "pasf" in out["results"] and "mycomb" in out["results"]
 
