@@ -20,7 +20,7 @@ from .design import (
     save_coefficients,
 )
 from .kalman import KalmanBelief, SystemModel, kf_predict, kf_update
-from .kfpasf import KfPasfState, KfPasfStep, kfpasf_init, kfpasf_step, zero_histories
+from .kfpasf import KfPasfState, KfPasfStep, zero_histories
 from .lifting import LiftedIndex, lift, split_index, unlift
 from .metrics import (
     SpectrumClassification,
@@ -30,7 +30,7 @@ from .metrics import (
     synthesize_banded,
 )
 from .response import BodeTable, bode_table, eval_response
-from .runtime import PasfState, pasf_reconfigure, pasf_step
-from .signals import NoiseSpec, eval_signal, eval_signal_array, gaussian_stream
+from .runtime import PasfState
+from .signals import NoiseSpec, eval_signal, eval_signal_array
 
 __version__ = "0.1.0"

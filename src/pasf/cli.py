@@ -105,15 +105,15 @@ def _cmd_separate(args) -> int:
         raise InvalidArgumentError(
             f"input CSV must have header t,x; got {header}"
         )
-    state = PasfState(p, a)
-    rows = []
-    for t, x in data[:, :2]:
-        xp, xa = state.step(x)
-        rows.append((int(t), x, xp, xa))
+    t, x = data[:, 0], data[:, 1]
+    if not np.isfinite(t).all():
+        raise InvalidArgumentError("input CSV column t must be finite")
+    xp, xa = PasfState(p, a).run(x)
+    rows = zip(map(int, t.tolist()), x.tolist(), xp.tolist(), xa.tolist())
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, "separated.csv")
     export_csv(path, ["t", "x", "xp", "xa"], rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({len(data)} rows)")
     return 0
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PasfError
+from .errors import InvalidArgumentError, PasfError
 
 
 class CsvIoError(PasfError):
@@ -45,18 +45,42 @@ def export_csv(path, header, rows) -> None:
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read back a numeric CSV written by export_csv."""
+    """Read back a numeric CSV written by export_csv.
+
+    A row whose field count differs from the header's, or a field that is not
+    a number, is an ``InvalidArgumentError`` naming its line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise CsvIoError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    rows = [ln for ln in lines if ln]
+    if not rows:
         raise CsvIoError(f"{path} is empty")
-    header = lines[0].split(",")
-    data = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
-    )
+    header = rows[0].split(",")
+    try:
+        data = np.array(
+            [[float(v) for v in ln.split(",")] for ln in rows[1:]], dtype=float
+        )
+    except ValueError:
+        data = None
+    if data is None or data.size and data.shape[1] != len(header):
+        raise InvalidArgumentError(f"{path}: {_first_bad_row(lines, len(header))}")
     if data.size == 0:
         data = data.reshape(0, len(header))
     return header, data
+
+
+def _first_bad_row(lines, width) -> str:
+    numbered = [(no, ln) for no, ln in enumerate(lines, 1) if ln]
+    for no, ln in numbered[1:]:
+        fields = ln.split(",")
+        if len(fields) != width:
+            return f"line {no} has {len(fields)} fields, the header {width}"
+        for v in fields:
+            try:
+                float(v)
+            except ValueError:
+                return f"line {no}: {v!r} is not a number"
+    return "rows do not match the header"

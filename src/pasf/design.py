@@ -451,16 +451,27 @@ def parse_coefficients(text: str) -> FilterCoefficients:
     if len(head) != 5:
         raise InvalidArgumentError(f"malformed coefficient header: {lines[0]!r}")
     kind, realization, order, period, t = head
-    feedback = np.array([float(v) for v in lines[1].split()])
-    feedforward = np.array([float(v) for v in lines[2].split()])
+    try:
+        order, period, t = int(order), int(period), float(t)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"coefficient header needs an integer order and period and a "
+            f"numeric sampling time: {lines[0]!r}") from None
+    taps = []
+    for name, line in (("feedback", lines[1]), ("feedforward", lines[2])):
+        try:
+            taps.append(np.array([float(v) for v in line.split()]))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"non-numeric {name} tap: {line!r}") from None
     return FilterCoefficients(
         kind=kind,
         realization=realization,
-        order=int(order),
-        period=int(period),
-        sampling_time=float(t),
-        feedback=feedback,
-        feedforward=feedforward,
+        order=order,
+        period=period,
+        sampling_time=t,
+        feedback=taps[0],
+        feedforward=taps[1],
     )
 
 

@@ -124,15 +124,6 @@ class KfPasfState:
         self.core.swap_bank(SeparatorBank(p, a, dims=self.model.n))
 
 
-def kfpasf_init(model: SystemModel, p_coeffs, a_coeffs, initial_expectations,
-                P0) -> KfPasfState:
-    return KfPasfState(model, p_coeffs, a_coeffs, initial_expectations, P0)
-
-
-def kfpasf_step(state: KfPasfState, u, y) -> KfPasfStep:
-    return state.step(u, y)
-
-
 def zero_histories(model: SystemModel, order: int, period: int):
     """All-zero initial expectations of the required depth."""
     depth = order * period

@@ -28,9 +28,24 @@ blocks and reduces their outer order axis when n > 1. It runs in row slices
 of at most ``_BUILD_PRODUCTS`` products per output, so its temporaries stay
 well under a megabyte at any period (FIR50, n = 3, period 1000 would
 otherwise allocate several 1.2 MB arrays per pass).
+
+A one-channel separator built from a bare coefficient pair steps in Python
+floats: the input is coerced once, theta's row is read with ``.item()``,
+``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats and
+stored in 1-d views of the histories. That is bitwise equal to the NumPy
+form, because CPython and NumPy both round each binary64 ``*`` and ``+`` on
+its own and neither fuses them into one multiply-add. Per-channel lists and
+n > 1 take the NumPy form.
+
+``PasfState.run(xs, switches)`` is the one loop over a stream: it applies
+each scheduled reconfiguration or coefficient swap before its sample and
+calls ``step`` once per sample. Every separation pass of the scenario
+runners and the CLI ``separate`` command goes through it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,7 +64,8 @@ class SeparatorBank:
     Built from one shared (periodic, aperiodic) pair replicated across
     channels, or from per-channel pairs. Arrays: Gp/Hp/Ga/Ha have shape
     (order, n), Sp/Sa shape (n,); G/H stack Gp and Ga, Hp and Ha as
-    (2, order, n).
+    (2, order, n). sp/sa are the first channel's direct terms as Python
+    floats, for the scalar step.
     """
 
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None):
@@ -67,6 +83,7 @@ class SeparatorBank:
         self.Ga = np.stack([-c.feedback for c in a_list], axis=1)
         self.Ha = np.stack([c.feedforward[1:] for c in a_list], axis=1)
         self.Sa = np.array([c.feedforward[0] for c in a_list])
+        self.sp, self.sa = self.Sp[0].item(), self.Sa[0].item()
         # (2, order, n): the periodic and aperiodic stacks side by side
         self.G = np.stack([self.Gp, self.Ga])
         self.H = np.stack([self.Hp, self.Ha])
@@ -117,6 +134,8 @@ class SeparatorCore:
         # input, periodic and aperiodic histories, (capacity, n) each
         self._hist = np.zeros((3, self.capacity, n))
         self.in_buf, self.p_buf, self.a_buf = self._hist
+        # first-channel columns: a 1-d store is cheaper than a row broadcast
+        self._columns = tuple(self._hist[:, :, 0])
         self._strides = bank.period * np.arange(1, bank.order + 1)
         self._width = max(1, _BUILD_PRODUCTS // (bank.order * n))
         self._channels = np.arange(n)[:, None]
@@ -182,6 +201,15 @@ class SeparatorCore:
         self.a_buf[slot] = xa
         self.t += 1
 
+    def push_scalar(self, x: float, xp: float, xa: float) -> None:
+        """push() for a one-channel core, from Python floats."""
+        slot = self.t % self.capacity
+        c_in, c_p, c_a = self._columns
+        c_in[slot] = x
+        c_p[slot] = xp
+        c_a[slot] = xa
+        self.t += 1
+
     def swap_bank(self, bank: SeparatorBank) -> None:
         old = self.bank
         if bank.period != old.period or bank.order != old.order or bank.n != old.n:
@@ -224,31 +252,73 @@ class PasfState:
         """Advance one sample; returns (periodic, aperiodic) outputs."""
         if self._poisoned:
             raise PoisonedStateError("separator is poisoned; call reset() first")
+        core = self.core
+        bank = core.bank
+        if self._scalar:
+            if type(x) is not float:
+                x = self._scalar_input(x)
+            if not math.isfinite(x):
+                raise self._poison()
+            tp, ta = core.theta()
+            xp = tp.item() + bank.sp * x
+            xa = ta.item() + bank.sa * x
+            core.push_scalar(x, xp, xa)
+            return xp, xa
+        xv = self._input(x)
+        if not np.isfinite(xv).all():
+            raise self._poison()
+        tp, ta = core.theta()
+        xp = tp + bank.Sp * xv
+        xa = ta + bank.Sa * xv
+        core.push(xv, xp, xa)
+        return xp, xa
+
+    def _input(self, x) -> np.ndarray:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if xv.shape != (self.bank.n,):
             raise InvalidArgumentError(
                 f"expected input of shape ({self.bank.n},), got {xv.shape}"
             )
-        if not np.isfinite(xv).all():
-            self._poisoned = True
-            raise PoisonedStateError("non-finite input sample")
-        tp, ta = self.core.theta()
-        xp = tp + self.bank.Sp * xv
-        xa = ta + self.bank.Sa * xv
-        self.core.push(xv, xp, xa)
-        if self._scalar:
-            return float(xp[0]), float(xa[0])
-        return xp, xa
+        return xv
 
-    def run(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Filter a whole sequence; returns stacked (periodic, aperiodic)."""
+    def _scalar_input(self, x) -> float:
+        if isinstance(x, float):  # np.float64
+            return float(x)
+        return float(self._input(x)[0])
+
+    def _poison(self) -> PoisonedStateError:
+        self._poisoned = True
+        return PoisonedStateError("non-finite input sample")
+
+    def run(self, xs, switches=(), allow_out_of_band: bool = False):
+        """Filter a whole sequence; returns stacked (periodic, aperiodic).
+
+        ``switches`` lists ``(index, change)`` pairs sorted by index; the
+        change is applied before sample ``index`` (after the last sample
+        when ``index == len(xs)``). A ``SeparationSpec`` goes through
+        ``reconfigure`` with ``allow_out_of_band``, a ``(periodic,
+        aperiodic)`` coefficient pair through ``swap_coefficients``. Every
+        sample is one ``step`` call, so the outputs are those of stepping
+        and switching by hand.
+        """
         xs = np.asarray(xs, dtype=float)
+        at = [index for index, _ in switches]
+        if at != sorted(at) or (at and not 0 <= at[0] <= at[-1] <= len(xs)):
+            raise InvalidArgumentError(
+                f"switch indices must be sorted within 0..{len(xs)}, got {at}")
         out_p = np.empty_like(xs)
         out_a = np.empty_like(xs)
-        for i in range(len(xs)):
-            p, a = self.step(xs[i])
-            out_p[i] = p
-            out_a[i] = a
+        samples = xs.tolist()
+        step = self.step
+        done = 0
+        for index, change in (*switches, (len(xs), None)):
+            for i in range(done, index):
+                out_p[i], out_a[i] = step(samples[i])
+            done = index
+            if isinstance(change, SeparationSpec):
+                self.reconfigure(change, allow_out_of_band)
+            elif change is not None:
+                self.swap_coefficients(*change)
         return out_p, out_a
 
     def reconfigure(self, new_spec: SeparationSpec, allow_out_of_band: bool = False):
@@ -283,16 +353,6 @@ class PasfState:
         """Zero all buffers and clear the poisoned flag."""
         self.core.reset()
         self._poisoned = False
-
-
-def pasf_step(state: PasfState, x):
-    return state.step(x)
-
-
-def pasf_reconfigure(state: PasfState, new_spec: SeparationSpec,
-                     allow_out_of_band: bool = False) -> PasfState:
-    state.reconfigure(new_spec, allow_out_of_band)
-    return state
 
 
 def periodic_warm_history(bank: SeparatorBank, periodic_tail: np.ndarray):

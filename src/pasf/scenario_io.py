@@ -292,27 +292,61 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             if not sec_name.startswith("comb "):
                 continue
             label = sec_name.split(None, 1)[1]
-            ck = _kv(entries)
-            variant = int(ck["variant"][1])
-            if variant in (1, 2):
-                spec = CombSpec(variant, period, sampling_time,
-                                b=float(ck.get("b", (0, "0"))[1]),
-                                g=float(ck.get("g", (0, "0"))[1]))
-                combs.append(CombBaseline(label, ((0.0, spec),)))
-            else:
-                gain = float(ck["gain"][1])
-                pieces = []
-                for part in ck["q"][1].split():
-                    start, q = part.split(":")
-                    pieces.append((float(start),
-                                   CombSpec(3, period, sampling_time,
-                                            gain_mag=gain, q=float(q))))
-                combs.append(CombBaseline(label, tuple(sorted(pieces))))
+            combs.append(_comb_baseline(label, _kv(entries), period, sampling_time))
         fields["combs"] = tuple(combs)
 
     scn = Scenario(**fields)
     scn.validate()
     return scn
+
+
+def _comb_baseline(label: str, ck: dict, period: int,
+                   sampling_time: float) -> CombBaseline:
+    """One ``[comb LABEL]`` section: variant 1 or 2 with optional b and g, or
+    variant 3 with a gain and a ``START:Q`` schedule of quality factors."""
+    where = f"[comb {label}]"
+
+    def entry(key, default=None):
+        if key in ck:
+            return ck[key]
+        if default is None:
+            raise InvalidArgumentError(f"{where} missing {key!r}")
+        return 0, default
+
+    def number(key, convert=float, default=None):
+        no, text = entry(key, default)
+        try:
+            return convert(text)
+        except ValueError:
+            raise ScenarioParseError(
+                no, f"{where} {key} must be a number, got {text!r}") from None
+
+    variant = number("variant", int)
+    if variant in (1, 2):
+        spec = CombSpec(variant, period, sampling_time,
+                        b=number("b", default="0"), g=number("g", default="0"))
+        return CombBaseline(label, ((0.0, spec),))
+    if variant != 3:
+        raise ScenarioParseError(ck["variant"][0],
+                                 f"{where} variant must be 1, 2 or 3, got {variant}")
+    gain = number("gain")
+    no, text = entry("q")
+    pieces = {}
+    for part in text.split():
+        start, colon, q = part.partition(":")
+        try:
+            start, q = float(start), float(q)
+        except ValueError:
+            colon = ""
+        if not colon or not np.isfinite(start):
+            raise ScenarioParseError(
+                no, f"{where} q piece must be START:Q with numbers, got {part!r}")
+        if start in pieces:
+            raise ScenarioParseError(no, f"{where} q piece start {start:g} repeats")
+        pieces[start] = CombSpec(3, period, sampling_time, gain_mag=gain, q=q)
+    if not pieces:
+        raise ScenarioParseError(no, f"{where} q needs at least one START:Q piece")
+    return CombBaseline(label, tuple(sorted(pieces.items())))
 
 
 def _ref(token: str) -> str:

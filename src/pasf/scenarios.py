@@ -470,27 +470,23 @@ def interference_trace(run: EstimationRun) -> np.ndarray:
     """Feed the first updated quasi-periodic estimate back through the
     matching aperiodic-pass filter; the output is the interference."""
     scn = run.scenario
-    T = scn.sampling_time
     rho = run.rho
-    p, a = design_pair(run.choice, rho[0], scn.period, T)
+    p, a = design_pair(run.choice, rho[0], scn.period, scn.sampling_time)
+    history = None
     if run.pre_tail is not None:
-        bank = SeparatorBank(p, a, dims=scn.A.shape[0])
-        gp, _ = bank.dc_gains()
-        tail = (run.pre_tail[:, 0] * gp[0]).reshape(-1, 1)
-        state = PasfState(p, a, history=periodic_warm_history(
-            SeparatorBank(p, a), tail))
-    else:
-        state = PasfState(p, a)
-    stream = run.xp_upd[:, 0]
-    out = np.empty(len(stream))
-    current = rho[0]
-    for i in range(len(stream)):
-        if rho[i] != current:
-            state.reconfigure(SeparationSpec(rho[i], scn.period, T),
-                              allow_out_of_band=True)
-            current = rho[i]
-        _, out[i] = state.step(stream[i])
+        tail = (run.pre_tail[:, 0] * p.dc_gain).reshape(-1, 1)
+        history = periodic_warm_history(SeparatorBank(p, a), tail)
+    state = PasfState(p, a, history=history)
+    _, out = state.run(run.xp_upd[:, 0], _rho_switches(scn, rho),
+                       allow_out_of_band=True)
     return out
+
+
+def _rho_switches(scn: Scenario, rho: np.ndarray) -> list:
+    """(index, spec) wherever the per-sample rho series changes value."""
+    at = np.flatnonzero(rho[1:] != rho[:-1]) + 1
+    return [(int(i), SeparationSpec(rho[i], scn.period, scn.sampling_time))
+            for i in at]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +506,37 @@ class SeparationRun:
     interference: np.ndarray
 
 
-def _comb_state_at(baseline: CombBaseline, tt: float) -> CombSpec:
-    spec = baseline.schedule[0][1]
-    for start, s in baseline.schedule:
-        if tt >= start:
-            spec = s
-    return spec
+def _comb_switches(baseline: CombBaseline, tt: np.ndarray) -> list:
+    """(index, coefficient pair) wherever the piece in force at sample times
+    ``tt`` changes to a different spec."""
+    starts = np.searchsorted(tt, [start for start, _ in baseline.schedule])
+    in_force = {}
+    for i, (_, spec) in zip(starts.tolist(), baseline.schedule):
+        in_force[i] = spec  # of pieces starting at one sample, the last holds
+    switches = []
+    current = baseline.schedule[0][1]
+    for i, spec in in_force.items():
+        if i < len(tt) and spec != current:
+            switches.append((i, comb_pair(spec)))
+            current = spec
+    return switches
+
+
+def _scheduled_separator(scn: Scenario, source, rho: np.ndarray):
+    """A fresh separator for a filter choice or a comb baseline, and the
+    switches of its schedule."""
+    T = scn.sampling_time
+    if isinstance(source, FilterChoice):
+        state = PasfState(*design_pair(source, rho[0], scn.period, T))
+        return state, _rho_switches(scn, rho)
+    state = PasfState(*comb_pair(source.schedule[0][1]))
+    return state, _comb_switches(source, np.arange(1, len(rho) + 1) * T)
 
 
 def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
+    """Separate the scenario's signal with each filter and comb, then pass
+    each quasi-periodic output through a fresh copy of its separator: the
+    aperiodic output of that second pass is the interference trace."""
     scn.validate()
     steps = scn.steps
     T = scn.sampling_time
@@ -529,66 +547,14 @@ def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
     rho = rho_series(scn.rho_schedule, steps, T)
 
     runs = []
-    for choice in scn.filters:
-        p, a = design_pair(choice, rho[0], scn.period, T)
-        state = PasfState(p, a)
-        xp = np.empty(steps)
-        xa = np.empty(steps)
-        current = rho[0]
-        for i in range(steps):
-            if rho[i] != current:
-                state.reconfigure(SeparationSpec(rho[i], scn.period, T),
-                                  allow_out_of_band=True)
-                current = rho[i]
-            xp[i], xa[i] = state.step(x_pa[i])
-        interf = _second_pass(scn, choice, None, xp, rho)
-        runs.append(SeparationRun(scn, choice.label, x_pa, truth_p, truth_a,
-                                  xp, xa, interf))
-
-    for baseline in scn.combs:
-        tt = np.arange(1, steps + 1) * T
-        state = PasfState(*comb_pair(baseline.schedule[0][1]))
-        xp = np.empty(steps)
-        xa = np.empty(steps)
-        current = baseline.schedule[0][1]
-        for i in range(steps):
-            spec = _comb_state_at(baseline, tt[i])
-            if spec != current:
-                state.swap_coefficients(*comb_pair(spec))
-                current = spec
-            xp[i], xa[i] = state.step(x_pa[i])
-        interf = _second_pass(scn, None, baseline, xp, rho)
-        runs.append(SeparationRun(scn, baseline.label, x_pa, truth_p, truth_a,
+    for source in (*scn.filters, *scn.combs):
+        state, switches = _scheduled_separator(scn, source, rho)
+        xp, xa = state.run(x_pa, switches, allow_out_of_band=True)
+        state, switches = _scheduled_separator(scn, source, rho)
+        _, interf = state.run(xp, switches, allow_out_of_band=True)
+        runs.append(SeparationRun(scn, source.label, x_pa, truth_p, truth_a,
                                   xp, xa, interf))
     return runs
-
-
-def _second_pass(scn, choice, baseline, stream, rho) -> np.ndarray:
-    """Separate a quasi-periodic stream again; the aperiodic output is the
-    interference trace."""
-    steps = len(stream)
-    T = scn.sampling_time
-    out = np.empty(steps)
-    if choice is not None:
-        state = PasfState(*design_pair(choice, rho[0], scn.period, T))
-        current = rho[0]
-        for i in range(steps):
-            if rho[i] != current:
-                state.reconfigure(SeparationSpec(rho[i], scn.period, T),
-                                  allow_out_of_band=True)
-                current = rho[i]
-            _, out[i] = state.step(stream[i])
-    else:
-        tt = np.arange(1, steps + 1) * T
-        state = PasfState(*comb_pair(baseline.schedule[0][1]))
-        current = baseline.schedule[0][1]
-        for i in range(steps):
-            spec = _comb_state_at(baseline, tt[i])
-            if spec != current:
-                state.swap_coefficients(*comb_pair(spec))
-                current = spec
-            _, out[i] = state.step(stream[i])
-    return out
 
 
 # ---------------------------------------------------------------------------

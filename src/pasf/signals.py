@@ -45,10 +45,6 @@ class GaussianStream:
         return self.spec.mean + math.sqrt(self.spec.variance) * z
 
 
-def gaussian_stream(spec: NoiseSpec) -> GaussianStream:
-    return GaussianStream(spec)
-
-
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------

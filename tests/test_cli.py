@@ -10,9 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pasf import cli
 from pasf.csvio import export_csv, format_value, read_csv
-from pasf.design import SeparationSpec, design_iir
+from pasf.design import SeparationSpec, design_iir, save_coefficients
 from pasf.response import bode_table, default_grid
+from pasf.runtime import PasfState
 from pasf.scenarios import FilterChoice, build_sec52, run_estimation
 
 
@@ -179,6 +181,112 @@ def test_separate_stream(tmp_path):
     assert data.shape == (100, 4)
     # first-order pair is complementary: xp + xa = x
     assert np.max(np.abs(data[:, 2] + data[:, 3] - data[:, 1])) < 1e-9
+
+
+def _separate_inputs(tmp_path, rows):
+    """Coefficient files for a period-20 IIR1 pair and an input CSV whose
+    lines after the header are ``rows``, verbatim."""
+    p, a = design_iir(SeparationSpec(2.5, 20, 0.01), 1)
+    save_coefficients(p, tmp_path / "p.txt")
+    save_coefficients(a, tmp_path / "a.txt")
+    (tmp_path / "in.csv").write_text("t,x\n" + "".join(r + "\n" for r in rows))
+    return ("separate", "--coeffs-p", str(tmp_path / "p.txt"),
+            "--coeffs-a", str(tmp_path / "a.txt"),
+            "--input", str(tmp_path / "in.csv"))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,1.0", "1,abc"], "line 3: 'abc' is not a number"),
+    (["0,1.0", "1,2.0,3.0"], "line 3 has 3 fields, the header 2"),
+    (["0,1.0,2.0", "1,2.0,3.0"], "line 2 has 3 fields, the header 2"),
+    (["0,1.0", "nan,2.0"], "column t must be finite"),
+    (["0,1.0", "inf,2.0"], "column t must be finite"),
+])
+def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), *_separate_inputs(tmp_path, rows))
+    _assert_validation_error(res)
+    assert message in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (1, "x", "non-numeric feedback tap"),
+    (2, "0.5 y", "non-numeric feedforward tap"),
+    (0, "periodic-pass iir one 20 0.01", "integer order and period"),
+    (0, "periodic-pass iir 1 20 fast", "numeric sampling time"),
+])
+def test_separate_non_numeric_coefficient_file_is_validation_error(
+        tmp_path, line, text, message):
+    args = _separate_inputs(tmp_path, ["0,1.0"])
+    p_file = tmp_path / "p.txt"
+    lines = p_file.read_text().splitlines()
+    lines[line] = text
+    p_file.write_text("\n".join(lines) + "\n")
+    res = run_cli("--out-dir", str(tmp_path / "out"), *args)
+    _assert_validation_error(res)
+    assert message in res.stderr
+
+
+def test_separate_steps_once_per_row(tmp_path, monkeypatch):
+    """The benchmark's count guard in miniature: one PasfState.step per row."""
+    rows = [f"{i},{v!r}" for i, v in enumerate(np.sin(np.arange(45.0)).tolist())]
+    args = _separate_inputs(tmp_path, rows)
+    calls = []
+    step = PasfState.step
+    monkeypatch.setattr(PasfState, "step",
+                        lambda state, x: calls.append(x) or step(state, x))
+    assert cli.main(["--out-dir", str(tmp_path), *args]) == 0
+    assert len(calls) == len(rows)
+    _, data = read_csv(tmp_path / "separated.csv")
+    assert data.shape == (len(rows), 4)
+
+
+COMB_SCENARIO = """
+[scenario]
+name = combcheck
+kind = separation
+period = 20
+sampling_time = 0.01
+duration = 1
+filter = iir 1 pasf
+truth_p = @xp
+truth_a = @xa
+
+[rho]
+0 = 2.0
+
+[signal xp]
+expr = gated-sine 31.4159265 20 10
+
+[signal xa]
+expr = pulse 0.5 0.6 0.5
+
+[comb mycomb]
+"""
+
+
+@pytest.mark.parametrize("body, message", [
+    ("variant = 3\ngain = 0.708\nq = 0:1.717 0:5", "q piece start 0 repeats"),
+    ("gain = 0.708\nq = 0:1.717", "[comb mycomb] missing 'variant'"),
+    ("variant = 3\ngain = 0.708\nq = 0-1.717", "q piece must be START:Q"),
+    ("variant = 3\nq = 0:1.717", "[comb mycomb] missing 'gain'"),
+    ("variant = 3\ngain = 0.708", "[comb mycomb] missing 'q'"),
+    ("variant = 3\ngain = 0.708\nq =", "q needs at least one START:Q piece"),
+    ("variant = 3\ngain = 0.708\nq = 0:fast", "q piece must be START:Q"),
+    ("variant = 3\ngain = 0.708\nq = nan:1", "q piece must be START:Q"),
+    ("variant = 3\ngain = high\nq = 0:1.717", "gain must be a number"),
+    ("variant = three\ngain = 0.708\nq = 0:1.717", "variant must be a number"),
+    ("variant = 4\ngain = 0.708\nq = 0:1.717", "variant must be 1, 2 or 3"),
+    ("variant = 2\nb = half", "b must be a number"),
+])
+def test_scenario_malformed_comb_section_is_validation_error(tmp_path, body,
+                                                             message):
+    path = tmp_path / "comb.scn"
+    path.write_text(COMB_SCENARIO + body + "\n")
+    res = run_cli("--out-dir", str(tmp_path / "out"), "scenario", str(path))
+    _assert_validation_error(res)
+    assert message in res.stderr
 
 
 def test_complement_subcommand(tmp_path):

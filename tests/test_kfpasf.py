@@ -8,7 +8,7 @@ import pytest
 from pasf.design import SeparationSpec, design_iir
 from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
-from pasf.kfpasf import KfPasfState, kfpasf_init, kfpasf_step, zero_histories
+from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.scenarios import build_sec54
 
 
@@ -16,7 +16,7 @@ def _scalar_setup(P0=1.0):
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
     spec = SeparationSpec(rho_tilde=1.0, period=2, sampling_time=0.5)  # r = 1
     p, a = design_iir(spec, 1)
-    state = kfpasf_init(model, p, a, zero_histories(model, 1, 2), [[P0]])
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), [[P0]])
     return model, p, a, state
 
 
@@ -24,7 +24,7 @@ def test_zero_init_first_prediction_is_bu():
     model = SystemModel(A=[[0.5]], B=[[2.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
     spec = SeparationSpec(1.0, 2, 0.5)
     p, a = design_iir(spec, 1)
-    state = kfpasf_init(model, p, a, zero_histories(model, 1, 2), [[0.0]])
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), [[0.0]])
     rec = state.step([3.0], [0.0])
     assert rec.x_pred[0] == pytest.approx(2.0 * 3.0, abs=1e-15)
 
@@ -35,7 +35,7 @@ def test_wrong_history_depth_rejected():
     p, a = design_iir(spec, 1)
     short = np.zeros((1, 1))  # needs N*period = 2 entries
     with pytest.raises(InvalidArgumentError):
-        kfpasf_init(model, p, a, (short, short, short), [[0.0]])
+        KfPasfState(model, p, a, (short, short, short), [[0.0]])
 
 
 def test_explicit_histories_accepted_verbatim():
@@ -45,7 +45,7 @@ def test_explicit_histories_accepted_verbatim():
     h_pa = np.array([[5.0], [7.0]])
     h_p = np.array([[4.0], [6.0]])
     h_a = np.array([[1.0], [1.0]])
-    state = kfpasf_init(model, p, a, (h_pa, h_p, h_a), [[0.0]])
+    state = KfPasfState(model, p, a, (h_pa, h_p, h_a), [[0.0]])
     # belief starts from the newest history entry
     assert state.belief.x_hat[0] == 7.0
     # theta at t=1 uses the lag-2 entries (times -1), i.e. the oldest rows
@@ -58,7 +58,7 @@ def test_explicit_histories_accepted_verbatim():
 
 def test_hand_computed_single_step():
     model, p, a, state = _scalar_setup(P0=1.0)
-    rec = kfpasf_step(state, [1.0], [1.0])
+    rec = state.step([1.0], [1.0])
     # prediction: x(1|0) = A*0 + B*1 = 1
     assert rec.x_pred[0] == pytest.approx(1.0, abs=1e-15)
     # gain: P0/(P0 + 1) = 0.5; innovation zero so update stays 1
@@ -91,7 +91,7 @@ def test_split_consistency_against_reevaluation():
     )
     spec = SeparationSpec(0.8, period, 0.1)
     p, a = design_iir(spec, order)
-    state = kfpasf_init(model, p, a, zero_histories(model, order, period),
+    state = KfPasfState(model, p, a, zero_histories(model, order, period),
                         np.eye(2))
     depth = order * period
     hist_pa = [np.zeros(2)] * depth
@@ -128,7 +128,7 @@ def test_covariance_matches_plain_kalman_bitwise():
     )
     spec = SeparationSpec(0.5, 5, 0.1)
     p, a = design_iir(spec, 2)
-    state = kfpasf_init(model, p, a, zero_histories(model, 2, 5), np.eye(3))
+    state = KfPasfState(model, p, a, zero_histories(model, 2, 5), np.eye(3))
     belief = KalmanBelief(x_hat=np.zeros(3), P=np.eye(3))
     for _ in range(300):
         u = rng.standard_normal(1)
@@ -146,7 +146,7 @@ def test_complementary_split_sums_to_estimate_along_trajectory():
     model = SystemModel(A=[[0.95]], B=[[1.0]], C=[[1.0]], Q=[[1e-4]], R=[[0.5]])
     spec = SeparationSpec(0.5, 4, 0.25)  # first-order pair is complementary
     p, a = design_iir(spec, 1)
-    state = kfpasf_init(model, p, a, zero_histories(model, 1, 4), [[1.0]])
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 4), [[1.0]])
     for _ in range(200):
         rec = state.step(rng.standard_normal(1), rng.standard_normal(1))
         assert rec.xp_upd[0] + rec.xa_upd[0] == pytest.approx(
@@ -157,7 +157,7 @@ def test_reconfigure_keeps_histories():
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
     spec = SeparationSpec(1.0, 2, 0.5)
     p, a = design_iir(spec, 1)
-    state = kfpasf_init(model, p, a, zero_histories(model, 1, 2), [[0.0]])
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), [[0.0]])
     state.step([1.0], [1.0])
     buf_before = state.core.p_buf.copy()
     state.reconfigure(SeparationSpec(2.0, 2, 0.5))
@@ -171,7 +171,7 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
     spec = SeparationSpec(1.0, 2, 0.5)
     p, a = design_iir(spec, 1)
-    state = kfpasf_init(model, p, a, zero_histories(model, 1, 2), [[1.0]])
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), [[1.0]])
     state.step([1.0], [1.0])
     bank = state.bank
     with pytest.raises(InvalidArgumentError):

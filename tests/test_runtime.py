@@ -27,8 +27,6 @@ from pasf.runtime import (
     PasfState,
     SeparatorBank,
     SeparatorCore,
-    pasf_reconfigure,
-    pasf_step,
 )
 
 
@@ -161,7 +159,7 @@ def test_reconfigure_identity_is_noop():
     for i in range(len(x)):
         out1p[i], _ = s1.step(x[i])
         if i == 150:
-            pasf_reconfigure(s2, spec)
+            s2.reconfigure(spec)
         out2p[i], _ = s2.step(x[i])
     assert np.array_equal(out1p, out2p)
 
@@ -291,19 +289,35 @@ class _PerStepOracle:
         return xp, xa
 
 
+# The input forms a scalar separator accepts, each from one float value.
+_SCALAR_FORMS = (
+    float,
+    np.float64,
+    lambda v: int(round(v)),
+    np.array,
+    lambda v: np.array([v]),
+    lambda v: [v],
+)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(order=st.integers(1, 50), dims=st.integers(1, 3),
-       period=st.integers(1, 12), fir=st.booleans(),
+       period=st.integers(1, 12), fir=st.booleans(), scalar=st.booleans(),
        swaps=st.lists(st.integers(0, 2000), max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
-                                                  swaps, seed):
+                                                  scalar, swaps, seed):
+    """Per-channel lists take the vector step. With ``scalar`` and one
+    channel, a bare coefficient pair takes the Python-float step, fed every
+    accepted input form, and must return Python floats."""
     rng = np.random.default_rng(seed)
     realization = "fir" if fir else "iir"
+    scalar = scalar and dims == 1
 
     def pair():
-        return (_random_channels(rng, PERIODIC_PASS, order, period, dims, realization),
-                _random_channels(rng, APERIODIC_PASS, order, period, dims, realization))
+        p, a = (_random_channels(rng, kind, order, period, dims, realization)
+                for kind in (PERIODIC_PASS, APERIODIC_PASS))
+        return (p[0], a[0]) if scalar else (p, a)
 
     state = PasfState(*pair())
     oracle = _PerStepOracle(state.bank)
@@ -314,10 +328,83 @@ def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
             state.swap_coefficients(*pair())
             oracle.bank = state.bank
         x = rng.standard_normal(dims) * 10.0 ** rng.uniform(-3, 3)
-        xp, xa = state.step(x)
+        if scalar:
+            value = -0.0 if rng.random() < 0.1 else float(x[0])
+            fed = _SCALAR_FORMS[t % len(_SCALAR_FORMS)](value)
+            x = np.array([float(np.asarray(fed).reshape(-1)[0])])
+        else:
+            fed = x
+        xp, xa = state.step(fed)
         op, oa = oracle.step(x)
-        assert np.array_equal(_bits(xp), _bits(op))
-        assert np.array_equal(_bits(xa), _bits(oa))
+        if scalar:
+            assert type(xp) is float and type(xa) is float
+        assert np.array_equal(_bits(np.atleast_1d(xp)), _bits(op))
+        assert np.array_equal(_bits(np.atleast_1d(xa)), _bits(oa))
+
+
+def test_scalar_step_rejects_wrong_shapes_and_poisons_on_non_finite():
+    (p, a), _ = _pair()
+    state = PasfState(p, a)
+    for bad in (np.zeros(2), [1.0, 2.0], np.zeros((1, 1, 2))):
+        with pytest.raises(InvalidArgumentError):
+            state.step(bad)
+    for bad in (math.inf, np.float64("nan"), np.array([math.nan])):
+        state.reset()
+        with pytest.raises(PoisonedStateError):
+            state.step(bad)
+        with pytest.raises(PoisonedStateError):
+            state.step(1.0)
+
+
+def _hand_loop(state, xs, switches, allow_out_of_band=False):
+    """What run(xs, switches) must equal: step, reconfigure and
+    swap_coefficients called one by one."""
+    changes = {}
+    for index, change in switches:
+        changes.setdefault(index, []).append(change)
+    out = []
+    for i in range(len(xs) + 1):
+        for change in changes.get(i, ()):
+            if isinstance(change, SeparationSpec):
+                state.reconfigure(change, allow_out_of_band)
+            else:
+                state.swap_coefficients(*change)
+        if i < len(xs):
+            out.append(state.step(xs[i]))
+    return np.array([p for p, _ in out]), np.array([a for _, a in out])
+
+
+@pytest.mark.parametrize("dims", [None, 2])
+def test_run_with_switches_equals_hand_loop(dims):
+    """Switches at sample 0, in the middle of a period, at a period boundary,
+    two at one sample and one after the last sample, by spec and by
+    coefficient pair."""
+    period = 7
+    (p, a), spec = _pair(rho_tilde=0.5 / (period * 0.01), period=period,
+                         t_samp=0.01, order=2)
+    rng = np.random.default_rng(41)
+    xs = rng.standard_normal((60, 2) if dims else 60)
+    xs[::9] = -0.0
+    wide = dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 3.0)
+    out_of_band = dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 40.0)
+    switches = [(0, wide), (10, spec), (14, design_iir(wide, 2)),
+                (14, out_of_band), (35, (p, a)), (60, wide)]
+    run_state = PasfState(p, a, dims=dims)
+    hand_state = PasfState(p, a, dims=dims)
+    got = run_state.run(xs, switches, allow_out_of_band=True)
+    want = _hand_loop(hand_state, xs, switches, allow_out_of_band=True)
+    assert np.array_equal(_bits(got), _bits(want))
+    # the change at len(xs) is applied: both continue alike
+    assert np.array_equal(_bits(run_state.step(xs[0])), _bits(hand_state.step(xs[0])))
+
+
+def test_run_rejects_unsorted_or_out_of_range_switches():
+    (p, a), spec = _pair()
+    state = PasfState(p, a)
+    for switches in ([(5, spec), (2, spec)], [(-1, spec)], [(11, spec)]):
+        with pytest.raises(InvalidArgumentError):
+            state.run(np.zeros(10), switches)
+    assert state.core.t == 0
 
 
 def test_theta_table_built_once_per_period_and_after_each_swap(monkeypatch):
@@ -370,13 +457,6 @@ def test_poisoned_state_refuses_until_reset():
     state.reset()
     xp, xa = state.step(0.0)
     assert xp == 0.0 and xa == 0.0
-
-
-def test_step_function_alias():
-    (p, a), _ = _pair()
-    state = PasfState(p, a)
-    xp, xa = pasf_step(state, 1.0)
-    assert np.isfinite(xp) and np.isfinite(xa)
 
 
 def test_dimension_mismatch_rejected():

@@ -6,17 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pasf import signals as sig
+from pasf.baselines import CombSpec, comb_pair
+from pasf.design import SeparationSpec
 from pasf.errors import InvalidArgumentError
+from pasf.runtime import PasfState, SeparatorCore
 from pasf.scenario_io import parse_scenario
 from pasf.scenarios import (
+    CombBaseline,
     FilterChoice,
+    Scenario,
     build_sec51,
     build_sec52,
     built_in,
+    design_pair,
     rho_at,
     rho_series,
     run_estimation,
     run_scenario,
+    run_separation,
 )
 
 
@@ -229,3 +237,101 @@ def test_sec52_warm_start_suppresses_initial_transient():
     assert np.max(np.abs(run.xa_upd[:200, 0])) < 0.2
     err0 = abs(run.xp_upd[0, 0] - run.x_true[0, 0])
     assert err0 < 0.2
+
+
+def _switching_scenario() -> Scenario:
+    """60 samples at period 7: rho switches at sample 9 (mid-period) and 14
+    (a period boundary); comb2's last two pieces start within sample 40, so
+    only the last of them swaps in; comb3's first piece starts after 0 and
+    its second repeats the first's spec, so only its third (sample 29)
+    swaps."""
+    T, period = 0.01, 7
+    q_low = CombSpec(3, period, T, gain_mag=0.708, q=1.717)
+    q_high = CombSpec(3, period, T, gain_mag=0.708, q=50.0)
+    return Scenario(
+        name="switching", kind="separation", period=period, sampling_time=T,
+        duration_s=0.6, rho_schedule=((0.0, 2.0), (0.1, 6.0), (0.15, 2.0)),
+        filters=(FilterChoice("iir", 2, label="pasf"),),
+        truth_p=sig.GatedSine(omega=2 * np.pi / (period * T), gate_period=20,
+                              duty=10),
+        truth_a=sig.Pulse(0.2, 0.25, 0.5),
+        combs=(
+            CombBaseline("comb1", ((0.0, CombSpec(1, period, T)),)),
+            CombBaseline("comb2", ((0.0, CombSpec(2, period, T, b=0.5)),
+                                   (0.401, CombSpec(2, period, T, b=0.2)),
+                                   (0.405, CombSpec(2, period, T, b=0.3)))),
+            CombBaseline("comb3", ((0.05, q_low), (0.2, q_low), (0.3, q_high))),
+        ),
+    )
+
+
+def _hand_separation(scn, source, stream, rho):
+    """A separation pass the way the runners stepped before ``run``: rho
+    compared and the comb piece in force looked up at every sample."""
+    T = scn.sampling_time
+    tt = np.arange(1, len(stream) + 1) * T
+    if isinstance(source, FilterChoice):
+        state = PasfState(*design_pair(source, rho[0], scn.period, T))
+        current = rho[0]
+    else:
+        state = PasfState(*comb_pair(source.schedule[0][1]))
+        current = source.schedule[0][1]
+    xp, xa = np.empty(len(stream)), np.empty(len(stream))
+    for i, x in enumerate(stream):
+        if isinstance(source, FilterChoice):
+            if rho[i] != current:
+                state.reconfigure(SeparationSpec(rho[i], scn.period, T),
+                                  allow_out_of_band=True)
+                current = rho[i]
+        else:
+            spec = source.schedule[0][1]
+            for start, piece in source.schedule:
+                if tt[i] >= start:
+                    spec = piece
+            if spec != current:
+                state.swap_coefficients(*comb_pair(spec))
+                current = spec
+        xp[i], xa[i] = state.step(x)
+    return xp, xa
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_scheduled_runs_equal_per_sample_switching(monkeypatch):
+    scn = _switching_scenario()
+    rho = rho_series(scn.rho_schedule, scn.steps, scn.sampling_time)
+    assert list(np.flatnonzero(rho[1:] != rho[:-1]) + 1) == [9, 14]
+    swaps = _count_calls(monkeypatch, SeparatorCore, "swap_bank")
+    runs = run_separation(scn, seed=0)
+    run_swaps = len(swaps)
+    del swaps[:]
+    for source, run in zip((*scn.filters, *scn.combs), runs):
+        xp, xa = _hand_separation(scn, source, run.x_pa, rho)
+        _, interference = _hand_separation(scn, source, xp, rho)
+        for got, want in ((run.xp, xp), (run.xa, xa),
+                          (run.interference, interference)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # two passes: two reconfigures for pasf, one swap each for comb2 and comb3
+    assert run_swaps == len(swaps) == 2 * (2 + 1 + 1)
+
+
+def test_every_separation_sample_is_one_step_call(monkeypatch, tmp_path):
+    """The benchmark's traced count guard in miniature: each pass calls
+    PasfState.step once per sample and reconfigure once per rho switch."""
+    scn = _switching_scenario()
+    steps = _count_calls(monkeypatch, PasfState, "step")
+    reconfigures = _count_calls(monkeypatch, PasfState, "reconfigure")
+    run_scenario(scn, seed=0, out_dir=str(tmp_path), plot_script=False)
+    sources = len(scn.filters) + len(scn.combs)
+    assert len(steps) == scn.steps * sources * 2
+    assert len(reconfigures) == 2 * 2
