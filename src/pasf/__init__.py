@@ -21,7 +21,7 @@ from .design import (
 )
 from .kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from .kfpasf import KfPasfState, KfPasfStep, zero_histories
-from .lifting import LiftedIndex, lift, split_index, unlift
+from .lifting import lift, unlift
 from .metrics import (
     SpectrumClassification,
     classify_lifted,

@@ -17,6 +17,7 @@ from .errors import (
     DesignFailureError,
     InvalidArgumentError,
     OutOfBandError,
+    UnsupportedReconfigurationError,
 )
 
 PERIODIC_PASS = "periodic-pass"
@@ -192,6 +193,33 @@ def _complement(coeffs: FilterCoefficients, out_kind: str) -> FilterCoefficients
         feedback=coeffs.feedback.copy(),
         feedforward=ff,
     )
+
+
+def design_for(
+    realization: str, spec: SeparationSpec, order: int,
+    allow_out_of_band: bool = False,
+) -> tuple[FilterCoefficients, FilterCoefficients]:
+    """Design the periodic-pass/aperiodic-pass pair of a coefficient
+    realization at ``spec``: the one rule behind every design and redesign.
+
+    ``iir`` and ``fir`` go to ``design_iir`` and ``design_fir_equiripple``
+    (which ignores ``allow_out_of_band``); ``complementary-of-iir`` and
+    ``complementary-of-fir`` pair the designed periodic-pass filter with its
+    ``make_complementary``. Any other realization, such as a comb or its
+    complement, has no design from a separation spec.
+    """
+    base = realization.removeprefix("complementary-of-")
+    if base == "iir":
+        p, a = design_iir(spec, order, allow_out_of_band)
+    elif base == "fir":
+        p, a = design_fir_equiripple(spec, order)
+    else:
+        raise UnsupportedReconfigurationError(
+            f"realization {realization!r} has no design from a separation spec"
+        )
+    if base != realization:
+        a = make_complementary(p)
+    return p, a
 
 
 def check_stability(coeffs: FilterCoefficients) -> StabilityReport:

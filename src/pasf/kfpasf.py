@@ -103,25 +103,11 @@ class KfPasfState:
         )
         return rec
 
-    def reconfigure(self, new_spec: SeparationSpec, allow_out_of_band: bool = False,
-                    **fir_kwargs) -> None:
+    def reconfigure(self, new_spec: SeparationSpec,
+                    allow_out_of_band: bool = False) -> None:
         """Rebuild the coefficient diagonals for a new separation frequency,
         preserving histories (same semantics as the runtime separator)."""
-        from . import design as _design
-
-        realization = self.bank.p_coeffs[0].realization
-        base = realization.removeprefix("complementary-of-")
-        if base == "iir":
-            p, a = _design.design_iir(new_spec, self.bank.order, allow_out_of_band)
-        elif base == "fir":
-            p, a = _design.design_fir_equiripple(new_spec, self.bank.order, **fir_kwargs)
-        else:
-            raise InvalidArgumentError(
-                f"cannot redesign realization {realization!r}"
-            )
-        if realization.startswith("complementary-of-"):
-            a = _design.make_complementary(p)
-        self.core.swap_bank(SeparatorBank(p, a, dims=self.model.n))
+        self.core.redesign(new_spec, allow_out_of_band)
 
 
 def zero_histories(model: SystemModel, order: int, period: int):

@@ -1,4 +1,4 @@
-"""Index algebra between the fast time axis t and the lifted axes (k, tau).
+"""Lifting: a fast-time sequence split into its phase sub-sequences and back.
 
 A sequence sampled at period T is split into ``period`` sub-sequences, one per
 phase offset tau in [0, period); sub-sequence tau holds the samples at
@@ -7,37 +7,9 @@ t = k*period + tau and is itself sampled at period*T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-
-@dataclass(frozen=True)
-class LiftedIndex:
-    """Position of a fast-time sample inside the lifted grid.
-
-    Invariants: 0 <= tau < period and k*period + tau == t exactly, for all
-    integer t including negatives.
-    """
-
-    k: int
-    tau: int
-    period: int
-
-
-def split_index(t: int, period: int) -> LiftedIndex:
-    """Split a sample index t into (k, tau) with the Euclidean remainder.
-
-    tau is always in [0, period), even for negative t, so the reconstruction
-    t = k*period + tau is exact everywhere.
-    """
-    if period < 1:
-        raise InvalidArgumentError(f"period must be >= 1, got {period}")
-    tau = t % period  # Python % is Euclidean for positive modulus
-    k = (t - tau) // period
-    return LiftedIndex(k=int(k), tau=int(tau), period=int(period))
 
 
 def lift(sequence, period: int) -> list[np.ndarray]:

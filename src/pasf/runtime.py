@@ -49,8 +49,7 @@ import math
 
 import numpy as np
 
-from . import design as _design
-from .design import FilterCoefficients, SeparationSpec
+from .design import FilterCoefficients, SeparationSpec, design_for
 from .errors import (
     InvalidArgumentError,
     PoisonedStateError,
@@ -219,6 +218,22 @@ class SeparatorCore:
         self.bank = bank
         self._invalidate()
 
+    def redesign(self, spec: SeparationSpec, allow_out_of_band: bool = False) -> None:
+        """Swap in the pair ``design_for`` gives the bank's realization and
+        order at ``spec``, keeping the buffers. The realization is read from
+        the aperiodic filter: a complementary pair keeps its periodic filter's
+        plain ``iir`` or ``fir`` and marks the complement on the aperiodic one.
+        A period change is rejected before anything is designed."""
+        bank = self.bank
+        if spec.period != bank.period:
+            raise UnsupportedReconfigurationError(
+                f"period change {bank.period} -> {spec.period} requires a "
+                "fresh filter"
+            )
+        p, a = design_for(bank.a_coeffs[0].realization, spec, bank.order,
+                          allow_out_of_band)
+        self.swap_bank(SeparatorBank(p, a, bank.n))
+
 
 class PasfState:
     """Runtime separator over a scalar or n-vector stream.
@@ -323,26 +338,9 @@ class PasfState:
 
     def reconfigure(self, new_spec: SeparationSpec, allow_out_of_band: bool = False):
         """Redesign coefficients for a new separation frequency; buffers are
-        preserved so the output stays continuous across the switch."""
-        if new_spec.period != self.period:
-            raise UnsupportedReconfigurationError(
-                f"period change {self.period} -> {new_spec.period} requires a "
-                "fresh filter"
-            )
-        realization = self.bank.p_coeffs[0].realization
-        base = realization.removeprefix("complementary-of-")
-        if base == "iir":
-            p, a = _design.design_iir(new_spec, self.order, allow_out_of_band)
-        elif base == "fir":
-            p, a = _design.design_fir_equiripple(new_spec, self.order)
-        else:
-            raise UnsupportedReconfigurationError(
-                f"cannot redesign realization {realization!r} from a "
-                "separation spec; use swap_coefficients"
-            )
-        if realization.startswith("complementary-of-"):
-            a = _design.make_complementary(p)
-        self.swap_coefficients(p, a)
+        preserved so the output stays continuous across the switch. Comb
+        pairs and period changes raise UnsupportedReconfigurationError."""
+        self.core.redesign(new_spec, allow_out_of_band)
 
     def swap_coefficients(self, p_coeffs, a_coeffs) -> None:
         """Install explicit new coefficients (same period/order), keeping buffers."""

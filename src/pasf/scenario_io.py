@@ -7,6 +7,7 @@ embedded built-ins, so any built-in can be overridden by a file.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -53,22 +54,49 @@ def _kv(entries, line_hint=0):
     return out
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split()]
+def _number(no: int, what: str, text: str, convert=float):
+    """``text`` as a finite number; anything else is an error on line ``no``."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ScenarioParseError(
+            no, f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioParseError(no, f"{what} must be finite, got {text!r}")
+    return value
 
 
-def _matrix(value: str, sampling_time: float) -> np.ndarray:
+def _entry(table: dict, where: str, key: str, default=None):
+    """(line, text) of ``key`` in a section's key table, or of its default."""
+    if key in table:
+        return table[key]
+    if default is None:
+        raise InvalidArgumentError(f"{where} missing {key!r}")
+    return 0, default
+
+
+def _value(table: dict, where: str, key: str, convert=float, default=None):
+    """A section's numeric ``key`` (or its default), converted by ``_number``."""
+    no, text = _entry(table, where, key, default)
+    return _number(no, f"{where} {key}", text, convert)
+
+
+def _floats(no: int, what: str, text: str) -> list[float]:
+    return [_number(no, what, v) for v in text.split()]
+
+
+def _matrix(no: int, key: str, value: str, sampling_time: float) -> np.ndarray:
     tokens = value.strip()
     if tokens == "zeros":
         return None  # caller substitutes the right shape
+    what = f"[model] {key} entry"
     if tokens.startswith("diag"):
-        vals = _floats(tokens[4:])
-        return np.diag(vals)
+        return np.diag(_floats(no, what, tokens[4:]))
     rows = []
     for row in tokens.split(";"):
         vals = []
         for tok in row.split():
-            vals.append(sampling_time if tok == "T" else float(tok))
+            vals.append(sampling_time if tok == "T" else _number(no, what, tok))
         rows.append(vals)
     return np.array(rows, dtype=float)
 
@@ -76,32 +104,38 @@ def _matrix(value: str, sampling_time: float) -> np.ndarray:
 def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
     kind = tokens[0]
     args = tokens[1:]
+
+    def num(text, convert=float):
+        return _number(line_no, f"{kind} descriptor", text, convert)
+
     try:
         if kind == "constant":
-            return sig.Constant(float(args[0]))
+            return sig.Constant(num(args[0]))
         if kind == "sinusoid":
-            phase = float(args[2]) if len(args) > 2 else 0.0
-            return sig.Sinusoid(float(args[0]), float(args[1]), phase)
+            phase = num(args[2]) if len(args) > 2 else 0.0
+            return sig.Sinusoid(num(args[0]), num(args[1]), phase)
         if kind == "harmonic-sum":
-            base = float(args[0])
+            base = num(args[0])
             terms = []
             for pair in args[1:]:
                 amp, harm = pair.split(":")
-                terms.append((float(amp), float(harm)))
+                terms.append((num(amp), num(harm)))
             return sig.HarmonicSum(base, tuple(terms))
         if kind == "pulse":
-            start, end, level = (float(a) for a in args[:3])
+            start, end, level = (num(a) for a in args[:3])
             flags = set(args[3:])
             return sig.Pulse(start, end, level,
                              include_start="openstart" not in flags,
                              include_end="openend" not in flags)
         if kind == "gated-sine":
-            return sig.GatedSine(float(args[0]), int(args[1]), int(args[2]))
+            return sig.GatedSine(num(args[0]), num(args[1], int), num(args[2], int))
         if kind == "noise":
-            var, start, end = (float(a) for a in args[:3])
+            var, start, end = (num(a) for a in args[:3])
             stream_seed = int(np.random.SeedSequence(
                 [seed, zlib.crc32(context.encode())]).generate_state(1)[0])
             return sig.NoiseSegment(NoiseSpec(0.0, var, stream_seed), start, end)
+    except ScenarioParseError:
+        raise
     except (ValueError, IndexError) as exc:
         raise ScenarioParseError(line_no, f"bad {kind} descriptor: {exc}") from exc
     raise ScenarioParseError(line_no, f"unknown descriptor kind {kind!r}")
@@ -162,8 +196,9 @@ class _SignalTable:
                 tokens = value.split()
                 if len(tokens) < 3:
                     raise ScenarioParseError(no, "piece needs: START END DESCRIPTOR")
-                start = float(tokens[0])
-                end = None if tokens[1] in ("inf", "none") else float(tokens[1])
+                start = _number(no, f"signal {name} piece start", tokens[0])
+                end = (None if tokens[1] in ("inf", "none")
+                       else _number(no, f"signal {name} piece end", tokens[1]))
                 inner = self.resolve_inline_or_ref(" ".join(tokens[2:]),
                                                    f"{name}.{start}", no)
                 segments.append((start, end, inner))
@@ -184,7 +219,7 @@ class _SignalTable:
                 inner = self.resolve_inline_or_ref(of, name, no_o)
             else:
                 inner = sig.Sum(tuple(self.resolve_token(t, no_o) for t in parts))
-            return sig.Scaled(float(factor), inner)
+            return sig.Scaled(_number(no_f, f"signal {name} factor", factor), inner)
         raise ScenarioParseError(no_kind, f"unknown signal kind {kind!r}")
 
 
@@ -197,17 +232,15 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     signals = _SignalTable(sections, seed)
 
     def need(key):
-        if key not in meta:
-            raise InvalidArgumentError(f"[scenario] missing {key!r}")
-        return meta[key][1]
+        return _entry(meta, "[scenario]", key)[1]
 
     name = meta.get("name", (0, "custom"))[1]
     kind = need("kind")
-    period = int(need("period"))
-    sampling_time = float(need("sampling_time"))
-    duration = float(need("duration"))
+    period = _value(meta, "[scenario]", "period", int)
+    sampling_time = _value(meta, "[scenario]", "sampling_time")
+    duration = _value(meta, "[scenario]", "duration")
     warm_start = meta.get("warm_start", (0, "zero"))[1]
-    settle = float(meta.get("settle", (0, "2.0"))[1])
+    settle = _value(meta, "[scenario]", "settle", default="2.0")
 
     filters = []
     for no, key, value in sections["scenario"]:
@@ -216,20 +249,24 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             if len(tokens) < 2:
                 raise ScenarioParseError(no, "filter needs: REALIZATION ORDER [LABEL]")
             label = tokens[2] if len(tokens) > 2 else ""
-            filters.append(FilterChoice(tokens[0], int(tokens[1]), label))
+            order = _number(no, "filter order", tokens[1], int)
+            filters.append(FilterChoice(tokens[0], order, label))
     if not filters:
         raise InvalidArgumentError("[scenario] needs at least one filter")
 
     if "rho" not in sections:
         raise InvalidArgumentError("scenario file needs a [rho] section")
-    rho_schedule = tuple(
-        sorted((float(key), float(value)) for _, key, value in sections["rho"])
-    )
+    rho_schedule = tuple(sorted(
+        (_number(no, "[rho] start", key), _number(no, "[rho] rho_tilde", value))
+        for no, key, value in sections["rho"]
+    ))
 
     window = None
     if "interference_window" in meta:
-        vals = _floats(meta["interference_window"][1])
-        window = (vals[0], vals[1])
+        no, text = meta["interference_window"]
+        window = tuple(_floats(no, "[scenario] interference_window", text))
+        if len(window) != 2:
+            raise ScenarioParseError(no, "interference_window needs: START END")
 
     fields = dict(
         name=name, kind=kind, period=period, sampling_time=sampling_time,
@@ -243,11 +280,8 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
         mk = _kv(sections["model"])
 
         def mat(key, default=None):
-            if key not in mk:
-                if default is not None:
-                    return default
-                raise InvalidArgumentError(f"[model] missing {key!r}")
-            return _matrix(mk[key][1], sampling_time)
+            no, text = _entry(mk, "[model]", key, default)
+            return _matrix(no, key, text, sampling_time)
 
         A = mat("A")
         n = A.shape[0]
@@ -257,14 +291,15 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
         C = mat("C")
         Q = mat("Q")
         R = mat("R")
-        P0 = mat("P0", default="skip")
-        if isinstance(P0, str) or P0 is None:
+        P0 = mat("P0", default="zeros")
+        if P0 is None:
             P0 = np.zeros((n, n))
         fields.update(
             A=A, B=B, C=C, Q=Q, R=R, P0=P0,
-            process_noise_variance=float(mk.get("process_noise_variance", (0, "0"))[1]),
-            observation_noise_variance=float(
-                mk.get("observation_noise_variance", (0, "0"))[1]),
+            process_noise_variance=_value(
+                mk, "[model]", "process_noise_variance", default="0"),
+            observation_noise_variance=_value(
+                mk, "[model]", "observation_noise_variance", default="0"),
             input_u=signals.get(_ref(need("input")), meta["input"][0]),
         )
     if kind == "control":
@@ -272,17 +307,17 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             raise InvalidArgumentError("control scenario needs a [controller] section")
         ck = _kv(sections["controller"])
 
-        def cval(key):
-            if key not in ck:
-                raise InvalidArgumentError(f"[controller] missing {key!r}")
-            return ck[key][1]
+        def number(key):
+            return _value(ck, "[controller]", key)
+
+        def command(key):
+            return signals.get(_ref(_entry(ck, "[controller]", key)[1]))
 
         fields["controller"] = ControllerSpec(
-            start_s=float(cval("start")),
-            kp_p=float(cval("kp_p")), kd_p=float(cval("kd_p")),
-            kp_a=float(cval("kp_a")), kd_a=float(cval("kd_a")),
-            cmd_p=signals.get(_ref(cval("cmd_p"))),
-            cmd_a=signals.get(_ref(cval("cmd_a"))),
+            start_s=number("start"),
+            kp_p=number("kp_p"), kd_p=number("kd_p"),
+            kp_a=number("kp_a"), kd_a=number("kd_a"),
+            cmd_p=command("cmd_p"), cmd_a=command("cmd_a"),
         )
     if kind == "separation":
         fields["truth_p"] = signals.get(_ref(need("truth_p")))
@@ -305,32 +340,17 @@ def _comb_baseline(label: str, ck: dict, period: int,
     """One ``[comb LABEL]`` section: variant 1 or 2 with optional b and g, or
     variant 3 with a gain and a ``START:Q`` schedule of quality factors."""
     where = f"[comb {label}]"
-
-    def entry(key, default=None):
-        if key in ck:
-            return ck[key]
-        if default is None:
-            raise InvalidArgumentError(f"{where} missing {key!r}")
-        return 0, default
-
-    def number(key, convert=float, default=None):
-        no, text = entry(key, default)
-        try:
-            return convert(text)
-        except ValueError:
-            raise ScenarioParseError(
-                no, f"{where} {key} must be a number, got {text!r}") from None
-
-    variant = number("variant", int)
+    variant = _value(ck, where, "variant", int)
     if variant in (1, 2):
         spec = CombSpec(variant, period, sampling_time,
-                        b=number("b", default="0"), g=number("g", default="0"))
+                        b=_value(ck, where, "b", default="0"),
+                        g=_value(ck, where, "g", default="0"))
         return CombBaseline(label, ((0.0, spec),))
     if variant != 3:
         raise ScenarioParseError(ck["variant"][0],
                                  f"{where} variant must be 1, 2 or 3, got {variant}")
-    gain = number("gain")
-    no, text = entry("q")
+    gain = _value(ck, where, "gain")
+    no, text = _entry(ck, where, "q")
     pieces = {}
     for part in text.split():
         start, colon, q = part.partition(":")
@@ -338,7 +358,7 @@ def _comb_baseline(label: str, ck: dict, period: int,
             start, q = float(start), float(q)
         except ValueError:
             colon = ""
-        if not colon or not np.isfinite(start):
+        if not colon or not np.isfinite([start, q]).all():
             raise ScenarioParseError(
                 no, f"{where} q piece must be START:Q with numbers, got {part!r}")
         if start in pieces:

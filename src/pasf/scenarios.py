@@ -17,10 +17,12 @@ import numpy as np
 from . import signals as sig
 from .baselines import CombSpec, comb_pair
 from .csvio import export_csv
-from .design import SeparationSpec, design_fir_equiripple, design_iir, make_complementary
+from .design import SeparationSpec, design_for
+# unused here: the traced benchmark run (perfbench/spans.py) wraps these names
+from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import InvalidArgumentError
 from .kalman import SystemModel
-from .kfpasf import KfPasfState
+from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, SeparatorBank, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
 
@@ -133,15 +135,10 @@ def rho_series(schedule, steps: int, sampling_time: float) -> np.ndarray:
 
 def design_pair(choice: FilterChoice, rho_tilde: float, period: int,
                 sampling_time: float):
-    spec = SeparationSpec(rho_tilde, period, sampling_time)
     base = choice.realization.removesuffix("-complementary")
-    if base == "iir":
-        p, a = design_iir(spec, choice.order, allow_out_of_band=True)
-    else:
-        p, a = design_fir_equiripple(spec, choice.order)
-    if choice.realization.endswith("-complementary"):
-        a = make_complementary(p)
-    return p, a
+    realization = base if base == choice.realization else f"complementary-of-{base}"
+    return design_for(realization, SeparationSpec(rho_tilde, period, sampling_time),
+                      choice.order, allow_out_of_band=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +379,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
 
     rho = rho_series(scn.rho_schedule, steps, T)
-    p, a = design_pair(choice, rho_at(scn.rho_schedule, T), scn.period, T)
-    depth = choice.order * scn.period
+    p, a = design_pair(choice, rho[0], scn.period, T)
 
     v = sig.GaussianStream(
         NoiseSpec(0.0, scn.process_noise_variance, _stream_seed(seed, 1))
@@ -394,14 +390,11 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
 
     pre_tail = None
     if scn.warm_start == "periodic":
-        pre_tail = _periodic_prerun(scn, depth)
-        bank = SeparatorBank(p, a, dims=n)
-        gp, ga = bank.dc_gains()
-        hist = (pre_tail, pre_tail * gp, pre_tail * ga)
+        pre_tail = _periodic_prerun(scn, choice.order * scn.period)
+        hist = periodic_warm_history(SeparatorBank(p, a, dims=n), pre_tail)
         x0 = pre_tail[-1].copy()
     elif scn.warm_start == "zero":
-        z = np.zeros((depth, n))
-        hist = (z, z.copy(), z.copy())
+        hist = zero_histories(model, choice.order, scn.period)
         x0 = np.zeros(n)
     else:
         raise InvalidArgumentError(f"unknown warm_start {scn.warm_start!r}")
@@ -434,16 +427,14 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
 
     Bf = scn.B.reshape(-1)
     x = x0
-    current_rho = rho[0]
+    switches = dict(_rho_switches(scn, rho))
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
         x = scn.A @ x + Bf * (u_prev + v[i])
         y = float((scn.C @ x)[0] + w[i])
-        if rho[i] != current_rho:
-            est.reconfigure(SeparationSpec(rho[i], scn.period, T),
-                            allow_out_of_band=True)
-            current_rho = rho[i]
+        if i in switches:
+            est.reconfigure(switches[i], allow_out_of_band=True)
         rec = est.step([u_prev], [y])
         out.u[i] = u_prev
         out.y[i] = y

@@ -289,6 +289,84 @@ def test_scenario_malformed_comb_section_is_validation_error(tmp_path, body,
     assert message in res.stderr
 
 
+NUMBERS_SCENARIO = """[scenario]
+name = numcheck
+kind = control
+period = 20
+sampling_time = 0.01
+duration = 1
+filter = iir 1
+input = @u
+
+[model]
+A = 1 T 0 ; 0 1 T ; 0 0 0
+B = 0 0 1
+C = 1 0 0
+Q = diag 0 0 1e-4
+R = 0.25
+process_noise_variance = 1e-4
+observation_noise_variance = 0.25
+
+[rho]
+0 = 1.0
+
+[controller]
+start = 0.5
+kp_p = 900
+kd_p = 60
+kp_a = 2500
+kd_a = 100
+cmd_p = @cmd
+cmd_a = @u
+
+[signal u]
+expr = constant 0
+
+[signal cmd]
+kind = scale
+factor = 2
+of = @steps
+
+[signal steps]
+kind = schedule
+piece = 0 inf constant 1
+"""
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("filter = iir 1", "filter = iir one", "filter order must be a number"),
+    ("0 = 1.0", "0 = two", "[rho] rho_tilde must be a number"),
+    ("0 = 1.0", "nan = 1.0", "[rho] start must be finite"),
+    ("period = 20", "period = ten", "[scenario] period must be a number"),
+    ("duration = 1", "duration = nan", "[scenario] duration must be finite"),
+    ("sampling_time = 0.01", "sampling_time = inf",
+     "[scenario] sampling_time must be finite"),
+    ("factor = 2", "factor = x", "signal cmd factor must be a number"),
+    ("piece = 0 inf constant 1", "piece = zero inf constant 1",
+     "signal steps piece start must be a number"),
+    ("expr = constant 0", "expr = constant inf", "constant descriptor must be finite"),
+    ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T 0 ; 0 1 T ; 0 0 O",
+     "[model] A entry must be a number"),
+    ("Q = diag 0 0 1e-4", "Q = diag 0 0 inf", "[model] Q entry must be finite"),
+    ("process_noise_variance = 1e-4", "process_noise_variance = nan",
+     "[model] process_noise_variance must be finite"),
+    ("kd_a = 100", "kd_a = fast", "[controller] kd_a must be a number"),
+])
+def test_scenario_malformed_number_is_validation_error(tmp_path, line, bad,
+                                                       message):
+    lines = NUMBERS_SCENARIO.splitlines()
+    no = lines.index(line) + 1
+    lines[no - 1] = bad
+    path = tmp_path / "numbers.scn"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr.startswith(f"error: validation: line {no}: {message}"), \
+        res.stderr
+    assert not out.exists()
+
+
 def test_complement_subcommand(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-fir",
             "--rho-tilde", "1.0", "--period", "628",

@@ -1,43 +1,10 @@
-"""Index algebra and lift/unlift round trips."""
+"""lift/unlift round trips."""
 
 import numpy as np
 import pytest
 
 from pasf.errors import InvalidArgumentError
-from pasf.lifting import lift, split_index, unlift
-
-
-def test_split_index_basic():
-    idx = split_index(10, 4)
-    assert (idx.k, idx.tau) == (2, 2)
-
-
-def test_split_index_negative():
-    idx = split_index(-1, 4)
-    assert (idx.k, idx.tau) == (-1, 3)
-
-
-def test_split_index_zero():
-    idx = split_index(0, 1000)
-    assert (idx.k, idx.tau) == (0, 0)
-
-
-def test_split_index_rejects_bad_period():
-    with pytest.raises(InvalidArgumentError):
-        split_index(5, 0)
-
-
-def test_split_index_reconstruction_property():
-    rng = np.random.default_rng(1)
-    ts = np.concatenate([
-        rng.integers(-10**12, 10**12, size=200),
-        [-1, 0, 1, -10**15, 10**15],
-    ])
-    for period in (1, 2, 7, 1000):
-        for t in ts:
-            idx = split_index(int(t), period)
-            assert 0 <= idx.tau < period
-            assert idx.k * period + idx.tau == t
+from pasf.lifting import lift, unlift
 
 
 def test_lift_interleaves():

@@ -6,11 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pasf import scenarios
 from pasf import signals as sig
 from pasf.baselines import CombSpec, comb_pair
-from pasf.design import SeparationSpec
-from pasf.errors import InvalidArgumentError
-from pasf.runtime import PasfState, SeparatorCore
+from pasf.design import (
+    SeparationSpec,
+    design_fir_equiripple,
+    design_iir,
+    make_complementary,
+)
+from pasf.errors import InvalidArgumentError, UnsupportedReconfigurationError
+from pasf.kalman import SystemModel
+from pasf.kfpasf import KfPasfState, zero_histories
+from pasf.runtime import PasfState, SeparatorBank, SeparatorCore
 from pasf.scenario_io import parse_scenario
 from pasf.scenarios import (
     CombBaseline,
@@ -48,6 +56,81 @@ def test_rho_schedule_lookup():
     assert series[39_999] == 0.2      # step 40000, Tt = 40.0 exactly
     assert series[79_999] == 10.0
     assert series[99_999] == 0.01
+
+
+def _bank_bits(bank):
+    return [getattr(bank, name).tobytes() for name in ("G", "H", "Sp", "Sa")]
+
+
+def test_estimation_designs_first_filter_at_reported_rho(monkeypatch):
+    """A rho switch within the rho series' tolerance of the first sample
+    time: the first filter is designed at the rho the CSV reports, and no
+    reconfiguration follows."""
+    scn = replace(build_sec52(), period=4, duration_s=0.02, warm_start="zero",
+                  rho_schedule=((0.0, 1.0), (0.0010000000000005, 2.0)),
+                  interference_window_s=None)
+    choice = FilterChoice("iir", 1)
+    banks = []
+
+    class Recording(KfPasfState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            banks.append(self.bank)
+
+    monkeypatch.setattr(scenarios, "KfPasfState", Recording)
+    reconfigures = _count_calls(monkeypatch, KfPasfState, "reconfigure")
+    run = run_estimation(scn, choice, seed=0)
+    column = run.csv_header().index("rho_tilde")
+    assert [row[column] for row in run.csv_rows()] == [2.0] * scn.steps
+    want = design_pair(choice, run.rho[0], scn.period, scn.sampling_time)
+    assert _bank_bits(banks[0]) == _bank_bits(SeparatorBank(*want, dims=3))
+    assert reconfigures == []
+
+
+@pytest.mark.parametrize("realization, order, design, complement", [
+    ("iir", 2, design_iir, False),
+    ("fir", 4, design_fir_equiripple, False),
+    ("iir-complementary", 2, design_iir, True),
+    ("fir-complementary", 4, design_fir_equiripple, True),
+])
+def test_every_redesign_installs_the_designed_pair(realization, order, design,
+                                                   complement):
+    """design_pair and both reconfigure methods install the designed pair,
+    with its complement where the realization names one; a comb pair or a
+    period change is refused and leaves the bank as it was."""
+    period, T = 8, 0.01
+    first, second = SeparationSpec(1.0, period, T), SeparationSpec(3.0, period, T)
+
+    def designed(spec, dims):
+        p, a = design(spec, order)
+        if complement:
+            a = make_complementary(p)
+        return _bank_bits(SeparatorBank(p, a, dims))
+
+    pair = design_pair(FilterChoice(realization, order), first.rho_tilde, period, T)
+    assert _bank_bits(SeparatorBank(*pair)) == designed(first, None)
+
+    model = SystemModel(A=[[1.0, T], [0.0, 1.0]], B=[[0.0], [T]],
+                        C=[[1.0, 0.0]], Q=np.eye(2) * 1e-4, R=[[1.0]])
+    comb = comb_pair(CombSpec(1, period, T))
+    designed_states = [
+        PasfState(*pair),
+        KfPasfState(model, *pair, zero_histories(model, order, period), np.eye(2)),
+    ]
+    comb_states = [
+        PasfState(*comb),
+        KfPasfState(model, *comb, zero_histories(model, 1, period), np.eye(2)),
+    ]
+    for state in designed_states:
+        state.reconfigure(second)
+        assert _bank_bits(state.bank) == designed(second, state.bank.n)
+    moved = SeparationSpec(3.0, period + 1, T)
+    for state, spec in ([(s, moved) for s in designed_states]
+                        + [(s, second) for s in comb_states]):
+        bank = state.bank
+        with pytest.raises(UnsupportedReconfigurationError):
+            state.reconfigure(spec)
+        assert state.bank is bank
 
 
 def test_sec51_full_run_row_count_and_switches(tmp_path):
