@@ -24,7 +24,13 @@ from .errors import (
 )
 from .runtime import PasfState
 from .scenario_io import load_scenario
-from .scenarios import built_in, run_estimation, run_scenario
+from .scenarios import (
+    EstimationRun,
+    SeparationRun,
+    built_in,
+    run_estimation,
+    run_scenario,
+)
 
 
 def _spec_from_args(args) -> dsn.SeparationSpec:
@@ -92,7 +98,7 @@ def _cmd_bode(args) -> int:
     table = rsp.bode_table(coeffs, grid)
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, "bode.csv")
-    export_csv(path, ["omega_rad_s", "gain_db", "phase_deg"], table.rows())
+    export_csv(path, table.columns())
     print(f"wrote {path} ({len(table.omega)} rows)")
     return 0
 
@@ -109,10 +115,10 @@ def _cmd_separate(args) -> int:
     if not np.isfinite(t).all():
         raise InvalidArgumentError("input CSV column t must be finite")
     xp, xa = PasfState(p, a).run(x)
-    rows = zip(map(int, t.tolist()), x.tolist(), xp.tolist(), xa.tolist())
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, "separated.csv")
-    export_csv(path, ["t", "x", "xp", "xa"], rows)
+    export_csv(path, {"t": [int(v) for v in t.tolist()], "x": x,
+                      "xp": xp, "xa": xa})
     print(f"wrote {path} ({len(data)} rows)")
     return 0
 
@@ -129,21 +135,13 @@ def _cmd_kfpasf(args) -> int:
         raise InvalidArgumentError(
             f"kfpasf needs an estimation or control scenario, got {scn.kind}"
         )
-    run = run_estimation(scn, scn.filters[0], args.seed)
-    n = run.x_upd.shape[1]
-    header = (["t", "y"]
-              + [f"xhat_{i+1}" for i in range(n)]
-              + [f"xp_hat_{i+1}" for i in range(n)]
-              + [f"xa_hat_{i+1}" for i in range(n)]
-              + ["trP"])
-    rows = (
-        [int(run.t[i]), run.y[i], *run.x_upd[i], *run.xp_upd[i],
-         *run.xa_upd[i], run.tr_p[i]]
-        for i in range(len(run.t))
-    )
+    table = run_estimation(scn, scn.filters[0], args.seed).columns()
+    columns = {name: col for name, col in table.items()
+               if name in ("t", "y", "trP")
+               or name.startswith(("xhat_", "xp_hat_", "xa_hat_"))}
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, f"{scn.name}_kfpasf.csv")
-    export_csv(path, header, rows)
+    export_csv(path, columns)
     print(f"wrote {path}")
     return 0
 
@@ -163,12 +161,12 @@ def _cmd_scenario(args) -> int:
                                plot_script=args.plot_script)
         for f in outputs["files"]:
             print(f"wrote {f}")
-        summaries.append((replica, seed, _replica_summary(scn, outputs)))
+        summaries.append({"replica": replica, "seed": seed,
+                          **_replica_summary(scn, outputs)})
     if args.replicas > 1:
-        header = ["replica", "seed"] + list(summaries[0][2])
-        rows = [[rep, seed, *vals.values()] for rep, seed, vals in summaries]
+        columns = {key: [row[key] for row in summaries] for key in summaries[0]}
         path = os.path.join(args.out_dir, f"{name}_replicas.csv")
-        export_csv(path, header, rows)
+        export_csv(path, columns)
         print(f"wrote {path}")
     return 0
 
@@ -177,13 +175,11 @@ def _replica_summary(scn, outputs) -> dict:
     """Per-replica scalar summaries, merged across seeds in seed order."""
     summary = {}
     for label, run in outputs["results"].items():
-        if label == "interference":
-            continue
-        if hasattr(run, "x_upd"):
+        if isinstance(run, EstimationRun):
             err = run.x_true[:, 0] - run.x_upd[:, 0]
             summary[f"{label}_rms_err_1"] = float(np.sqrt(np.mean(err**2)))
             summary[f"{label}_trP_final"] = float(run.tr_p[-1])
-        else:
+        elif isinstance(run, SeparationRun):
             err_p = run.xp - run.truth_p
             summary[f"{label}_rms_sep_err"] = float(np.sqrt(np.mean(err_p**2)))
             summary[f"{label}_rms_interference"] = float(

@@ -19,29 +19,32 @@ def format_value(v) -> str:
     return f"{float(v):.12g}"
 
 
-def export_csv(path, header, rows) -> None:
-    """Write header plus rows, newline-terminated UTF-8.
+def export_csv(path, columns) -> None:
+    """Write a table as newline-terminated UTF-8: the column names, then one
+    row per index.
 
-    Each row is formatted by one ``%`` template, ``%d`` for the columns that
-    hold integers in the first row and ``%.12g`` for the others: the same
-    bytes as ``format_value`` on every value, as long as each column keeps its
-    first row's type.
+    ``columns`` maps each name to its values, in file order; columns of
+    unequal length are an ``InvalidArgumentError``. A column whose values
+    are all integers is written with ``%d``, any other with ``%.12g``: the
+    bytes of ``format_value`` on every value of such columns.
     """
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvalidArgumentError(f"columns of unequal length: {lengths}")
+    fmt = ",".join("%d" if _integers(col) else "%.12g"
+                   for col in columns.values()) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            rows = iter(rows)
-            first = next(rows, None)
-            if first is None:
-                return
-            fmt = ",".join(
-                "%d" if isinstance(v, (int, np.integer)) else "%.12g"
-                for v in first
-            ) + "\n"
-            fh.write(fmt % tuple(first))
-            fh.writelines(fmt % tuple(row) for row in rows)
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(fmt % row for row in zip(*columns.values()))
     except OSError as exc:
         raise CsvIoError(f"cannot write {path}: {exc}") from exc
+
+
+def _integers(col) -> bool:
+    if isinstance(col, np.ndarray):
+        return col.dtype.kind in "iu"
+    return all(issubclass(kind, (int, np.integer)) for kind in set(map(type, col)))
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -358,19 +358,23 @@ def _barycentric_gamma(x):
     return gamma
 
 
-def _chebyshev_solution(x_ref, d_ref, w_ref, x_eval):
-    """Levelled-error interpolation on a reference set, evaluated on a grid.
-
-    Solves for the ripple delta making the weighted error alternate exactly on
-    the m+2 reference nodes, then barycentric-interpolates the amplitude
-    through the first m+1 nodes.
-    """
+def _levelled_values(x_ref, d_ref, w_ref):
+    """The ripple delta making the weighted error alternate exactly on the
+    m+2 reference nodes, and the amplitude values ys at the first m+1 nodes
+    xs that this levelled error gives."""
     gamma = _barycentric_gamma(x_ref)
     signs = (-1.0) ** np.arange(len(x_ref))
     delta = float(np.dot(gamma, d_ref) / np.dot(gamma, signs / w_ref))
-
     xs = x_ref[:-1]
     ys = d_ref[:-1] - signs[:-1] * delta / w_ref[:-1]
+    return delta, xs, ys
+
+
+def _chebyshev_solution(x_ref, d_ref, w_ref, x_eval):
+    """Levelled-error interpolation on a reference set, evaluated on a grid:
+    the levelled values barycentric-interpolated through the first m+1
+    nodes."""
+    delta, xs, ys = _levelled_values(x_ref, d_ref, w_ref)
     wts = _barycentric_gamma(xs)
 
     diff = x_eval[:, None] - xs[None, :]
@@ -440,11 +444,7 @@ def _taps_from_reference(m, x_ref, d_ref, w_ref):
     transition band, where interpolation from band-clustered nodes is badly
     conditioned.
     """
-    gamma = _barycentric_gamma(x_ref)
-    signs = (-1.0) ** np.arange(len(x_ref))
-    delta = float(np.dot(gamma, d_ref) / np.dot(gamma, signs / w_ref))
-    xs = x_ref[:-1]
-    ys = d_ref[:-1] - signs[:-1] * delta / w_ref[:-1]
+    _, xs, ys = _levelled_values(x_ref, d_ref, w_ref)
     coef = np.polynomial.chebyshev.chebfit(xs, ys, deg=m)
     taps = np.empty(2 * m + 1)
     taps[m] = coef[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import SeparationSpec
-from .errors import InvalidArgumentError, PoisonedStateError
+from .errors import PoisonedStateError
 from .kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from .runtime import SeparatorBank, SeparatorCore
 
@@ -43,22 +43,12 @@ class KfPasfState:
     def __init__(self, model: SystemModel, p_coeffs, a_coeffs,
                  initial_expectations, P0):
         self.model = model
-        bank = SeparatorBank(p_coeffs, a_coeffs, dims=model.n)
-        depth = bank.order * bank.period
-        hist_pa, hist_p, hist_a = (
-            np.asarray(h, dtype=float) for h in initial_expectations
-        )
-        for name, h in (("x_pa", hist_pa), ("x_p", hist_p), ("x_a", hist_a)):
-            if h.reshape(h.shape[0], -1).shape != (depth, model.n):
-                raise InvalidArgumentError(
-                    f"initial {name} history must hold {depth} n-vectors, "
-                    f"got shape {h.shape}"
-                )
-        # histories cover times -(depth-1)..0 oldest first; slot = t mod depth
-        self.core = SeparatorCore(bank, t0=1)
-        self.core.inject(hist_pa, hist_p, hist_a, roll=1)
+        # the histories cover times -(depth-1)..0 oldest first, so the
+        # core's step k is time k + 1
+        self.core = SeparatorCore(SeparatorBank(p_coeffs, a_coeffs, dims=model.n))
+        self.core.inject(*initial_expectations)
         self.belief = KalmanBelief(
-            x_hat=hist_pa.reshape(depth, model.n)[-1], P=np.asarray(P0, dtype=float),
+            x_hat=self.core.in_buf[-1].copy(), P=np.asarray(P0, dtype=float),
             t=0, phase="updated",
         )
         self._poisoned = False

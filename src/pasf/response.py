@@ -15,14 +15,16 @@ _SINGULAR_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class BodeTable:
-    """Rows of (omega_tilde rad/s, gain dB, phase deg), strictly increasing omega."""
+    """Gain (dB) and phase (deg) over omega_tilde (rad/s), strictly increasing."""
 
     omega: np.ndarray
     gain_db: np.ndarray
     phase_deg: np.ndarray
 
-    def rows(self):
-        return zip(self.omega, self.gain_db, self.phase_deg)
+    def columns(self) -> dict:
+        """The CSV table: column name -> values, in file order."""
+        return {"omega_rad_s": self.omega, "gain_db": self.gain_db,
+                "phase_deg": self.phase_deg}
 
 
 def eval_response(coeffs: FilterCoefficients, omega_tilde) -> complex | np.ndarray:

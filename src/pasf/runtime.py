@@ -125,10 +125,10 @@ class SeparatorCore:
     """Ring buffers plus the per-period table of delayed-history sums shared
     by the runtime and the estimator integration."""
 
-    def __init__(self, bank: SeparatorBank, t0: int = 0):
+    def __init__(self, bank: SeparatorBank):
         self.bank = bank
         self.capacity = bank.order * bank.period
-        self.t = t0
+        self.t = 0
         n = bank.n
         # input, periodic and aperiodic histories, (capacity, n) each
         self._hist = np.zeros((3, self.capacity, n))
@@ -144,12 +144,19 @@ class SeparatorCore:
         """Empty the table window, so the next theta() builds from its t."""
         self._start = self._end = self.t
 
-    def inject(self, in_hist, p_hist, a_hist, roll: int = 0) -> None:
-        """Fill buffers from oldest-first histories covering the capacity."""
-        for buf, hist in ((self.in_buf, in_hist), (self.p_buf, p_hist),
-                          (self.a_buf, a_hist)):
-            h = np.asarray(hist, dtype=float).reshape(self.capacity, self.bank.n)
-            buf[:] = np.roll(h, roll, axis=0)
+    def inject(self, in_hist, p_hist, a_hist) -> None:
+        """Fill the buffers from oldest-first histories of the last
+        ``capacity`` samples before t = 0 (n-vectors, or scalars when n = 1);
+        any other depth or width is an ``InvalidArgumentError``."""
+        shape = (self.capacity, self.bank.n)
+        hists = [np.asarray(h, dtype=float) for h in (in_hist, p_hist, a_hist)]
+        for name, h in zip(("input", "periodic", "aperiodic"), hists):
+            if h.ndim == 0 or len(h) != shape[0] or h.size != math.prod(shape):
+                raise InvalidArgumentError(
+                    f"{name} history must hold {shape[0]} samples of "
+                    f"{shape[1]} channels, got shape {h.shape}")
+        for buf, h in zip((self.in_buf, self.p_buf, self.a_buf), hists):
+            buf[:] = h.reshape(shape)
         self._invalidate()
 
     def reset(self) -> None:
@@ -246,7 +253,7 @@ class PasfState:
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None, history=None):
         bank = SeparatorBank(p_coeffs, a_coeffs, dims)
         self._scalar = bank.n == 1 and not isinstance(p_coeffs, (list, tuple))
-        self.core = SeparatorCore(bank, t0=0)
+        self.core = SeparatorCore(bank)
         if history is not None:
             self.core.inject(*history)
         self._poisoned = False

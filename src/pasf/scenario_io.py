@@ -85,10 +85,16 @@ def _floats(no: int, what: str, text: str) -> list[float]:
     return [_number(no, what, v) for v in text.split()]
 
 
-def _matrix(no: int, key: str, value: str, sampling_time: float) -> np.ndarray:
+def _matrix(no: int, key: str, value: str, sampling_time: float,
+            zeros_shape=None) -> np.ndarray:
+    """A ``[model]`` matrix: ``diag ...``, rows split by ``;``, or ``zeros``
+    where the caller knows the shape."""
     tokens = value.strip()
     if tokens == "zeros":
-        return None  # caller substitutes the right shape
+        if zeros_shape is None:
+            raise ScenarioParseError(no, f"[model] {key} cannot be zeros; "
+                                         "give its entries")
+        return np.zeros(zeros_shape)
     what = f"[model] {key} entry"
     if tokens.startswith("diag"):
         return np.diag(_floats(no, what, tokens[4:]))
@@ -98,6 +104,9 @@ def _matrix(no: int, key: str, value: str, sampling_time: float) -> np.ndarray:
         for tok in row.split():
             vals.append(sampling_time if tok == "T" else _number(no, what, tok))
         rows.append(vals)
+    if len({len(vals) for vals in rows}) > 1:
+        raise ScenarioParseError(no, f"[model] {key} rows differ in length: "
+                                     f"{[len(vals) for vals in rows]}")
     return np.array(rows, dtype=float)
 
 
@@ -279,21 +288,19 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             raise InvalidArgumentError(f"{kind} scenario needs a [model] section")
         mk = _kv(sections["model"])
 
-        def mat(key, default=None):
+        def mat(key, default=None, zeros_shape=None):
             no, text = _entry(mk, "[model]", key, default)
-            return _matrix(no, key, text, sampling_time)
+            return _matrix(no, key, text, sampling_time, zeros_shape)
 
         A = mat("A")
         n = A.shape[0]
         B = mat("B")
-        if B is not None and B.shape[0] == 1:
+        if B.shape[0] == 1:
             B = B.reshape(-1)
         C = mat("C")
         Q = mat("Q")
         R = mat("R")
-        P0 = mat("P0", default="zeros")
-        if P0 is None:
-            P0 = np.zeros((n, n))
+        P0 = mat("P0", "zeros", (n, n))
         fields.update(
             A=A, B=B, C=C, Q=Q, R=R, P0=P0,
             process_noise_variance=_value(

@@ -91,6 +91,14 @@ class Scenario:
     def validate(self) -> None:
         if self.kind not in ("estimation", "separation", "control"):
             raise InvalidArgumentError(f"unknown scenario kind {self.kind!r}")
+        if not self.sampling_time > 0:
+            raise InvalidArgumentError(
+                f"sampling_time must be positive, got {self.sampling_time}")
+        if self.steps < 1:
+            raise InvalidArgumentError(
+                f"duration must hold at least one sample, got {self.duration_s}")
+        if self.settle_s < 0:
+            raise InvalidArgumentError(f"settle must be >= 0, got {self.settle_s}")
         if not self.rho_schedule or self.rho_schedule[0][0] > 0:
             raise InvalidArgumentError("rho schedule must start at time 0")
         starts = [s for s, _ in self.rho_schedule]
@@ -325,26 +333,22 @@ class EstimationRun:
     cmd_a: np.ndarray | None = None
     pre_tail: np.ndarray | None = None  # pre-run truth for the warm start
 
-    def csv_header(self) -> list[str]:
-        n = self.x_upd.shape[1]
-        cols = ["t", "time_s", "u", "rho_tilde", "y"]
-        for tag in ("x", "xhat", "xp_hat", "xa_hat"):
-            cols += [f"{tag}_{i + 1}" for i in range(n)]
-        cols.append("trP")
-        if self.cmd_p is not None:
-            cols += ["cmd_p", "cmd_a"]
-        return cols
+    @property
+    def label(self) -> str:
+        return self.choice.label
 
-    def csv_rows(self):
-        ts = self.t * self.scenario.sampling_time
-        for i in range(len(self.t)):
-            row = [int(self.t[i]), ts[i], self.u[i], self.rho[i], self.y[i]]
-            row += list(self.x_true[i]) + list(self.x_upd[i])
-            row += list(self.xp_upd[i]) + list(self.xa_upd[i])
-            row.append(self.tr_p[i])
-            if self.cmd_p is not None:
-                row += [self.cmd_p[i], self.cmd_a[i]]
-            yield row
+    def columns(self) -> dict:
+        """The run's CSV table: column name -> values, in file order."""
+        cols = {"t": self.t, "time_s": self.t * self.scenario.sampling_time,
+                "u": self.u, "rho_tilde": self.rho, "y": self.y}
+        for tag, values in (("x", self.x_true), ("xhat", self.x_upd),
+                            ("xp_hat", self.xp_upd), ("xa_hat", self.xa_upd)):
+            cols.update((f"{tag}_{i + 1}", values[:, i])
+                        for i in range(values.shape[1]))
+        cols["trP"] = self.tr_p
+        if self.cmd_p is not None:
+            cols.update(cmd_p=self.cmd_p, cmd_a=self.cmd_a)
+        return cols
 
 
 def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -496,6 +500,13 @@ class SeparationRun:
     xa: np.ndarray
     interference: np.ndarray
 
+    def columns(self) -> dict:
+        """The run's CSV table: column name -> values, in file order."""
+        t = np.arange(len(self.x_pa))
+        return {"t": t, "time_s": t * self.scenario.sampling_time,
+                "x_pa": self.x_pa, "x_p_true": self.truth_p,
+                "x_a_true": self.truth_a, "xp": self.xp, "xa": self.xa}
+
 
 def _comb_switches(baseline: CombBaseline, tt: np.ndarray) -> list:
     """(index, coefficient pair) wherever the piece in force at sample times
@@ -565,60 +576,45 @@ def run_scenario(name_or_scenario, seed: int = 0, out_dir: str = ".",
         scn = built_in(str(name_or_scenario), seed)
     scn.validate()
     os.makedirs(out_dir, exist_ok=True)
-    outputs: dict = {"name": scn.name, "files": [], "results": {}}
-
-    if scn.kind in ("estimation", "control"):
-        single = len(scn.filters) == 1
-        interference_rows = None
-        for choice in scn.filters:
-            run = run_estimation(scn, choice, seed)
-            fname = f"{scn.name}.csv" if single else f"{scn.name}_{choice.label}.csv"
-            path = os.path.join(out_dir, fname)
-            export_csv(path, run.csv_header(), run.csv_rows())
-            outputs["files"].append(path)
-            outputs["results"][choice.label] = run
-            if scn.interference_window_s is not None:
-                trace = interference_trace(run)
-                if interference_rows is None:
-                    interference_rows = {"t": run.t,
-                                         "time_s": run.t * scn.sampling_time}
-                interference_rows[choice.label] = trace
-        if interference_rows is not None:
-            path = os.path.join(out_dir, f"{scn.name}_interference.csv")
-            header = list(interference_rows)
-            cols = list(interference_rows.values())
-            export_csv(path, header, zip(*cols))
-            outputs["files"].append(path)
-            outputs["results"]["interference"] = interference_rows
-    else:
+    if scn.kind == "separation":
         runs = run_separation(scn, seed)
-        t = np.arange(scn.steps)
-        for run in runs:
-            path = os.path.join(out_dir, f"{scn.name}_{run.label}.csv")
-            header = ["t", "time_s", "x_pa", "x_p_true", "x_a_true", "xp", "xa"]
-            rows = zip(t, t * scn.sampling_time, run.x_pa, run.truth_p,
-                       run.truth_a, run.xp, run.xa)
-            export_csv(path, header, rows)
-            outputs["files"].append(path)
-            outputs["results"][run.label] = run
-        path = os.path.join(out_dir, f"{scn.name}_interference.csv")
-        header = ["t", "time_s"] + [r.label for r in runs]
-        cols = [t, t * scn.sampling_time] + [r.interference for r in runs]
-        export_csv(path, header, zip(*cols))
-        outputs["files"].append(path)
+        traces = {run.label: run.interference for run in runs}
+    else:
+        runs = [run_estimation(scn, choice, seed) for choice in scn.filters]
+        traces = ({run.label: interference_trace(run) for run in runs}
+                  if scn.interference_window_s is not None else {})
+    single = scn.kind != "separation" and len(runs) == 1
+    tables = {(f"{scn.name}.csv" if single else f"{scn.name}_{run.label}.csv"):
+              run.columns() for run in runs}
+    results = {run.label: run for run in runs}
+    if traces:
+        first = next(iter(tables.values()))
+        interference = {"t": first["t"], "time_s": first["time_s"], **traces}
+        tables[f"{scn.name}_interference.csv"] = interference
+        if scn.kind != "separation":
+            results["interference"] = interference
 
+    outputs: dict = {"name": scn.name, "files": [], "results": results}
+    for fname, columns in tables.items():
+        path = os.path.join(out_dir, fname)
+        export_csv(path, columns)
+        outputs["files"].append(path)
     if plot_script:
         path = os.path.join(out_dir, f"{scn.name}.gp")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_plot_script(scn, outputs["files"], out_dir))
+            fh.write(_plot_script(scn, tables))
         outputs["files"].append(path)
     return outputs
 
 
-def _plot_script(scn: Scenario, files, out_dir) -> str:
-    import os
+def _plot_script(scn: Scenario, tables: dict) -> str:
+    """A gnuplot script over the CSV tables (file name -> columns), each
+    plotted column found by its name against ``time_s``."""
+    def using(fname, name):
+        header = list(tables[fname])
+        return (f'"{fname}" using {header.index("time_s") + 1}:'
+                f'{header.index(name) + 1} with lines')
 
-    csvs = [os.path.basename(f) for f in files if f.endswith(".csv")]
     lines = [
         f"# gnuplot script for scenario {scn.name}",
         'set datafile separator ","',
@@ -628,23 +624,15 @@ def _plot_script(scn: Scenario, files, out_dir) -> str:
         'set xlabel "time [s]"',
     ]
     if scn.kind in ("estimation", "control"):
-        main = csvs[0]
-        lines += [
-            "set multiplot layout 3,1",
-            f'plot "{main}" using 2:5 with lines title "y"',
-            f'plot "{main}" using 2:12 with lines title "xp_hat_1"',
-            f'plot "{main}" using 2:15 with lines title "xa_hat_1"',
-            "unset multiplot",
-        ]
+        main = next(iter(tables))
+        lines.append("set multiplot layout 3,1")
+        lines += [f'plot {using(main, name)} title "{name}"'
+                  for name in ("y", "xp_hat_1", "xa_hat_1")]
     else:
-        count = len(csvs)
-        lines.append(f"set multiplot layout {count},1")
-        for c in csvs:
-            if c.endswith("_interference.csv"):
-                lines.append(f'plot "{c}" using 2:3 with lines')
-            else:
-                lines.append(
-                    f'plot "{c}" using 2:6 with lines, "{c}" using 2:7 with lines'
-                )
-        lines.append("unset multiplot")
+        lines.append(f"set multiplot layout {len(tables)},1")
+        for fname in tables:
+            names = ([scn.filters[0].label] if fname.endswith("_interference.csv")
+                     else ["xp", "xa"])
+            lines.append("plot " + ", ".join(using(fname, n) for n in names))
+    lines.append("unset multiplot")
     return "\n".join(lines) + "\n"

@@ -107,7 +107,9 @@ class NoiseSegment:
     """Seeded Gaussian noise inside [start_s, end_s), zero outside.
 
     The t-th sample is the t-th draw of the seeded stream, so evaluation is a
-    pure function of (t, seed) regardless of call order.
+    pure function of (t, seed) regardless of call order: a stream's first k
+    draws do not depend on how many are drawn. Sample indices start at 0, so
+    the segment cannot start before time 0.
     """
 
     noise: NoiseSpec
@@ -116,17 +118,10 @@ class NoiseSegment:
     include_start: bool = False
     include_end: bool = True
 
-    def _samples_up_to(self, t_max: int) -> np.ndarray:
-        cache = _noise_cache.setdefault(self, np.empty(0))
-        if len(cache) <= t_max:
-            need = max(t_max + 1, 2 * len(cache), 1024)
-            fresh = GaussianStream(self.noise).draw(need)
-            _noise_cache[self] = fresh
-            cache = fresh
-        return cache
-
-
-_noise_cache: dict = {}
+    def __post_init__(self):
+        if self.start_s < 0:
+            raise InvalidArgumentError(
+                f"noise segment start must be >= 0, got {self.start_s}")
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,11 @@ def eval_signal_array(desc, t, sampling_time: float) -> np.ndarray:
         lo = tt >= desc.start_s if desc.include_start else tt > desc.start_s
         hi = tt <= desc.end_s if desc.include_end else tt < desc.end_s
         mask = lo & hi
-        if not np.any(mask):
-            return np.zeros(t.shape)
-        samples = desc._samples_up_to(int(np.max(t)))
-        return np.where(mask, samples[np.asarray(t, dtype=int)], 0.0)
+        out = np.zeros(t.shape)
+        on = t[mask].astype(int)
+        if on.size:
+            out[mask] = GaussianStream(desc.noise).draw(int(on.max()) + 1)[on]
+        return out
     if isinstance(desc, Schedule):
         out = np.zeros(t.shape)
         for start, end, inner in desc.segments:

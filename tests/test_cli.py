@@ -13,6 +13,7 @@ import pytest
 from pasf import cli
 from pasf.csvio import export_csv, format_value, read_csv
 from pasf.design import SeparationSpec, design_iir, save_coefficients
+from pasf.errors import InvalidArgumentError
 from pasf.response import bode_table, default_grid
 from pasf.runtime import PasfState
 from pasf.scenarios import FilterChoice, build_sec52, run_estimation
@@ -87,13 +88,20 @@ def test_bode_csv_round_trip(tmp_path):
     assert np.all(np.diff(data[:, 0]) > 0)
 
 
+def test_csv_export_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(InvalidArgumentError, match="unequal length"):
+        export_csv(path, {"a": [1, 2], "b": [1.0]})
+    assert not path.exists()
+
+
 def test_csv_export_empty_and_round_trip(tmp_path):
     path = tmp_path / "empty.csv"
-    export_csv(path, ["a", "b"], [])
+    export_csv(path, {"a": [], "b": []})
     assert path.read_text() == "a,b\n"
     rows = [(1.0 / 3.0, 2.0 ** 0.5), (1e-7, 12345.678901234)]
     path2 = tmp_path / "vals.csv"
-    export_csv(path2, ["x", "y"], rows)
+    export_csv(path2, dict(zip(["x", "y"], zip(*rows))))
     _, data = read_csv(path2)
     for (x, y), (rx, ry) in zip(rows, data):
         # 12 significant digits survive the round trip
@@ -101,15 +109,16 @@ def test_csv_export_empty_and_round_trip(tmp_path):
         assert ry == float(f"{y:.12g}")
 
 
-def _format_value_csv(header, rows) -> bytes:
+def _format_value_csv(columns) -> bytes:
     """The per-value reference that export_csv's row template must match."""
-    lines = [",".join(header)]
-    lines += [",".join(format_value(v) for v in row) for row in rows]
+    lines = [",".join(columns)]
+    lines += [",".join(format_value(v) for v in row)
+              for row in zip(*columns.values())]
     return ("\n".join(lines) + "\n").encode()
 
 
 def _row_sets():
-    """Rows with the column types of each export_csv caller, plus random,
+    """Columns with the types of each export_csv caller, plus random,
     extreme and non-finite values."""
     rng = np.random.default_rng(7)
     special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2e-308,
@@ -123,27 +132,28 @@ def _row_sets():
     p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 1)
     bode = bode_table(p, default_grid(p, n_points=50))
     return {
-        "scenario": (run.csv_header(), list(run.csv_rows())),
-        "interference": (["t", "time_s", "a", "b"],
-                         list(zip(t, t * 0.001, mixed, mixed[::-1]))),
-        "replicas": (["replica", "seed", "x", "y"],
-                     [[i, 2 ** 40 + i, float(v), float(-v)]
-                      for i, v in enumerate(mixed)]),
-        "separate": (["t", "x", "xp", "xa"],
-                     [(int(i), v, float(v) / 3.0, float(-v)) for i, v in zip(t, mixed)]),
-        "bode": (["omega_rad_s", "gain_db", "phase_deg"], list(bode.rows())),
-        "extremes": (["a", "b", "c"], [tuple(mixed[i:i + 3])
-                                       for i in range(len(mixed) - 2)]),
+        "scenario": run.columns(),
+        "interference": {"t": t, "time_s": t * 0.001,
+                         "a": mixed, "b": mixed[::-1]},
+        "replicas": {"replica": list(range(len(mixed))),
+                     "seed": [2 ** 40 + i for i in range(len(mixed))],
+                     "x": [float(v) for v in mixed],
+                     "y": [float(-v) for v in mixed]},
+        "separate": {"t": [int(i) for i in t], "x": mixed,
+                     "xp": [float(v) / 3.0 for v in mixed],
+                     "xa": [float(-v) for v in mixed]},
+        "bode": bode.columns(),
+        "extremes": {"a": mixed[:-2], "b": mixed[1:-1], "c": mixed[2:]},
     }
 
 
 @pytest.mark.parametrize("caller", ["scenario", "interference", "replicas",
                                     "separate", "bode", "extremes"])
 def test_export_csv_bytes_equal_format_value(tmp_path, caller):
-    header, rows = _row_sets()[caller]
+    columns = _row_sets()[caller]
     path = tmp_path / "out.csv"
-    export_csv(path, header, iter(rows))
-    assert path.read_bytes() == _format_value_csv(header, rows)
+    export_csv(path, columns)
+    assert path.read_bytes() == _format_value_csv(columns)
 
 
 def test_separate_rejects_non_finite_coefficient_file(tmp_path):
@@ -153,7 +163,7 @@ def test_separate_rejects_non_finite_coefficient_file(tmp_path):
     p_file = tmp_path / "iir1_p.txt"
     head, feedback, feedforward = p_file.read_text().splitlines()
     p_file.write_text("\n".join([head, "nan", feedforward]) + "\n")
-    export_csv(tmp_path / "in.csv", ["t", "x"], [(0, 1.0), (1, 2.0)])
+    export_csv(tmp_path / "in.csv", {"t": [0, 1], "x": [1.0, 2.0]})
     out = tmp_path / "out"
     res = run_cli("--out-dir", str(out), "separate",
                   "--coeffs-p", str(p_file),
@@ -170,7 +180,7 @@ def test_separate_stream(tmp_path):
             "--sampling-time", "0.01", "--order", "1")
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100)
-    export_csv(tmp_path / "in.csv", ["t", "x"], list(zip(range(100), x)))
+    export_csv(tmp_path / "in.csv", {"t": np.arange(100), "x": x})
     res = run_cli("--out-dir", str(tmp_path), "separate",
                   "--coeffs-p", str(tmp_path / "iir1_p.txt"),
                   "--coeffs-a", str(tmp_path / "iir1_a.txt"),
@@ -345,8 +355,12 @@ piece = 0 inf constant 1
     ("piece = 0 inf constant 1", "piece = zero inf constant 1",
      "signal steps piece start must be a number"),
     ("expr = constant 0", "expr = constant inf", "constant descriptor must be finite"),
+    ("expr = constant 0", "expr = noise 1e-4 -1 5",
+     "bad noise descriptor: noise segment start must be >= 0"),
     ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T 0 ; 0 1 T ; 0 0 O",
      "[model] A entry must be a number"),
+    ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = zeros", "[model] A cannot be zeros"),
+    ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T ; 0", "[model] A rows differ in length"),
     ("Q = diag 0 0 1e-4", "Q = diag 0 0 inf", "[model] Q entry must be finite"),
     ("process_noise_variance = 1e-4", "process_noise_variance = nan",
      "[model] process_noise_variance must be finite"),
@@ -365,6 +379,65 @@ def test_scenario_malformed_number_is_validation_error(tmp_path, line, bad,
     assert res.stderr.startswith(f"error: validation: line {no}: {message}"), \
         res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("sampling_time = 0.01", "sampling_time = -0.01", "sampling_time must be positive"),
+    ("duration = 1", "duration = 0", "duration must hold at least one sample"),
+    ("duration = 1", "duration = 0.004", "duration must hold at least one sample"),
+    ("duration = 1", "duration = 1\nsettle = -5\nwarm_start = periodic",
+     "settle must be >= 0"),
+])
+def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
+                                                        message):
+    path = tmp_path / "times.scn"
+    path.write_text(NUMBERS_SCENARIO.replace(line, bad))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr.startswith(f"error: validation: {message}"), res.stderr
+    assert not out.exists()
+
+
+TWO_STATE_SCENARIO = """[scenario]
+name = two
+kind = estimation
+period = 20
+sampling_time = 0.01
+duration = 1
+filter = iir 1
+input = @u
+
+[model]
+A = 1 T ; 0 1
+B = 0 1
+C = 1 0
+Q = diag 0 1e-4
+R = 0.25
+
+[rho]
+0 = 1.0
+
+[signal u]
+expr = sinusoid 1 3
+"""
+
+
+def test_plot_script_finds_columns_by_name(tmp_path):
+    """The .gp of a 2-state run plots y, xp_hat_1 and xa_hat_1 where the
+    CSV header has them (fixed positions held only for 3 states)."""
+    path = tmp_path / "two.scn"
+    path.write_text(TWO_STATE_SCENARIO)
+    res = run_cli("--out-dir", str(tmp_path), "scenario", str(path))
+    assert res.returncode == 0, res.stderr
+    header, data = read_csv(tmp_path / "two.csv")
+    assert data.shape[1] == 14
+    plots = [ln for ln in (tmp_path / "two.gp").read_text().splitlines()
+             if ln.startswith("plot ")]
+    want = [f'plot "two.csv" using {header.index("time_s") + 1}:'
+            f'{header.index(name) + 1} with lines title "{name}"'
+            for name in ("y", "xp_hat_1", "xa_hat_1")]
+    assert plots == want
 
 
 def test_complement_subcommand(tmp_path):

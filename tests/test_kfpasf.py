@@ -9,6 +9,7 @@ from pasf.design import SeparationSpec, design_iir
 from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
+from pasf.runtime import PasfState
 from pasf.scenarios import build_sec54
 
 
@@ -36,6 +37,9 @@ def test_wrong_history_depth_rejected():
     short = np.zeros((1, 1))  # needs N*period = 2 entries
     with pytest.raises(InvalidArgumentError):
         KfPasfState(model, p, a, (short, short, short), [[0.0]])
+    # the runtime separator injects through the same check
+    with pytest.raises(InvalidArgumentError):
+        PasfState(p, a, history=(short, short, short))
 
 
 def test_explicit_histories_accepted_verbatim():

@@ -80,8 +80,7 @@ def test_estimation_designs_first_filter_at_reported_rho(monkeypatch):
     monkeypatch.setattr(scenarios, "KfPasfState", Recording)
     reconfigures = _count_calls(monkeypatch, KfPasfState, "reconfigure")
     run = run_estimation(scn, choice, seed=0)
-    column = run.csv_header().index("rho_tilde")
-    assert [row[column] for row in run.csv_rows()] == [2.0] * scn.steps
+    assert list(run.columns()["rho_tilde"]) == [2.0] * scn.steps
     want = design_pair(choice, run.rho[0], scn.period, scn.sampling_time)
     assert _bank_bits(banks[0]) == _bank_bits(SeparatorBank(*want, dims=3))
     assert reconfigures == []

@@ -111,6 +111,11 @@ def test_noise_segment_pure_function_of_index():
     assert np.all(full[1501:] == 0.0)
 
 
+def test_noise_segment_rejects_start_before_time_zero():
+    with pytest.raises(InvalidArgumentError):
+        sig.NoiseSegment(NoiseSpec(0.0, 1.0, seed=11), -1.0, 5.0)
+
+
 def test_negative_variance_rejected():
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(0.0, -1.0, seed=0)
