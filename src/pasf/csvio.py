@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PasfError
-
-
-class CsvIoError(PasfError):
-    pass
+from .errors import InvalidArgumentError
 
 
 def format_value(v) -> str:
@@ -33,12 +29,9 @@ def export_csv(path, columns) -> None:
         raise InvalidArgumentError(f"columns of unequal length: {lengths}")
     fmt = ",".join("%d" if _integers(col) else "%.12g"
                    for col in columns.values()) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(fmt % row for row in zip(*columns.values()))
-    except OSError as exc:
-        raise CsvIoError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(fmt % row for row in zip(*columns.values()))
 
 
 def _integers(col) -> bool:
@@ -50,17 +43,15 @@ def _integers(col) -> bool:
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read back a numeric CSV written by export_csv.
 
-    A row whose field count differs from the header's, or a field that is not
-    a number, is an ``InvalidArgumentError`` naming its line.
+    An empty file, a row whose field count differs from the header's, or a
+    field that is not a number is an ``InvalidArgumentError`` (a row names
+    its line); a file that cannot be read raises its ``OSError``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise CsvIoError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
     rows = [ln for ln in lines if ln]
     if not rows:
-        raise CsvIoError(f"{path} is empty")
+        raise InvalidArgumentError(f"{path} is empty")
     header = rows[0].split(",")
     try:
         data = np.array(

@@ -57,10 +57,6 @@ class KfPasfState:
     def bank(self) -> SeparatorBank:
         return self.core.bank
 
-    @property
-    def t(self) -> int:
-        return self.belief.t
-
     def step(self, u, y) -> KfPasfStep:
         """Advance from time t-1 to t given the input applied at t-1 and the
         measurement taken at t."""

@@ -72,8 +72,6 @@ class SeparatorBank:
         self.n = len(p_list)
         self.order = p_list[0].order
         self.period = p_list[0].period
-        self.sampling_time = p_list[0].sampling_time
-        self.p_coeffs = p_list
         self.a_coeffs = a_list
 
         self.Gp = np.stack([-c.feedback for c in p_list], axis=1)
@@ -86,11 +84,6 @@ class SeparatorBank:
         # (2, order, n): the periodic and aperiodic stacks side by side
         self.G = np.stack([self.Gp, self.Ga])
         self.H = np.stack([self.Hp, self.Ha])
-
-    def dc_gains(self) -> tuple[np.ndarray, np.ndarray]:
-        gp = np.array([c.dc_gain for c in self.p_coeffs])
-        ga = np.array([c.dc_gain for c in self.a_coeffs])
-        return gp, ga
 
 
 def _normalize_pairs(p_coeffs, a_coeffs, dims):
@@ -262,14 +255,6 @@ class PasfState:
     def bank(self) -> SeparatorBank:
         return self.core.bank
 
-    @property
-    def period(self) -> int:
-        return self.bank.period
-
-    @property
-    def order(self) -> int:
-        return self.bank.order
-
     def step(self, x):
         """Advance one sample; returns (periodic, aperiodic) outputs."""
         if self._poisoned:
@@ -360,12 +345,12 @@ class PasfState:
         self._poisoned = False
 
 
-def periodic_warm_history(bank: SeparatorBank, periodic_tail: np.ndarray):
+def periodic_warm_history(p_coeffs, a_coeffs, periodic_tail):
     """Warm-start buffers for an input that has been at a periodic steady
-    state: each output channel sits at its DC-gain multiple of the input.
+    state: each output sits at its filter's DC-gain multiple of the input.
 
-    ``periodic_tail`` holds the last N*period input samples, oldest first.
+    ``periodic_tail`` holds the last N*period input samples, oldest first
+    (n-vectors for an n-channel separator).
     """
-    tail = np.asarray(periodic_tail, dtype=float).reshape(-1, bank.n)
-    gp, ga = bank.dc_gains()
-    return tail, tail * gp, tail * ga
+    tail = np.asarray(periodic_tail, dtype=float)
+    return tail, tail * p_coeffs.dc_gain, tail * a_coeffs.dc_gain

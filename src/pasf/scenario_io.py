@@ -45,7 +45,7 @@ def _sections(text: str):
     return sections
 
 
-def _kv(entries, line_hint=0):
+def _kv(entries):
     out = {}
     for no, key, value in entries:
         if key in out:
@@ -161,18 +161,23 @@ class _SignalTable:
         self.cache: dict[str, object] = {}
         self.building: set[str] = set()
 
-    def resolve_token(self, token: str, line_no: int):
-        if token.startswith("@"):
-            return self.get(token[1:], line_no)
-        raise ScenarioParseError(line_no, f"expected @signal reference, got {token!r}")
+    def ref(self, entry):
+        """The signal an ``@name`` reference names; ``entry`` is the
+        referring key's (line, text), and errors name that line."""
+        line_no, text = entry
+        token = text.strip()
+        if not token.startswith("@") or len(token.split()) != 1:
+            raise ScenarioParseError(
+                line_no, f"expected @signal reference, got {token!r}")
+        return self.get(token[1:], line_no)
 
     def resolve_inline_or_ref(self, text: str, context: str, line_no: int):
         tokens = text.split()
         if len(tokens) == 1 and tokens[0].startswith("@"):
-            return self.get(tokens[0][1:], line_no)
+            return self.ref((line_no, text))
         return _leaf_descriptor(tokens, self.seed, context, line_no)
 
-    def get(self, name: str, line_no: int = 0):
+    def get(self, name: str, line_no: int):
         if name in self.cache:
             return self.cache[name]
         if name not in self.raw:
@@ -214,7 +219,7 @@ class _SignalTable:
             return sig.Schedule(tuple(segments))
         if kind == "sum":
             no, value = kv.get("of", (no_kind, ""))
-            parts = tuple(self.resolve_token(tok, no) for tok in value.split())
+            parts = tuple(self.ref((no, tok)) for tok in value.split())
             if not parts:
                 raise ScenarioParseError(no, "sum needs of = @a @b ...")
             return sig.Sum(parts)
@@ -227,7 +232,7 @@ class _SignalTable:
             if len(parts) == 1:
                 inner = self.resolve_inline_or_ref(of, name, no_o)
             else:
-                inner = sig.Sum(tuple(self.resolve_token(t, no_o) for t in parts))
+                inner = sig.Sum(tuple(self.ref((no_o, t)) for t in parts))
             return sig.Scaled(_number(no_f, f"signal {name} factor", factor), inner)
         raise ScenarioParseError(no_kind, f"unknown signal kind {kind!r}")
 
@@ -240,11 +245,8 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     meta = _kv(e for e in sections["scenario"] if e[1] != "filter")
     signals = _SignalTable(sections, seed)
 
-    def need(key):
-        return _entry(meta, "[scenario]", key)[1]
-
     name = meta.get("name", (0, "custom"))[1]
-    kind = need("kind")
+    kind = _entry(meta, "[scenario]", "kind")[1]
     period = _value(meta, "[scenario]", "period", int)
     sampling_time = _value(meta, "[scenario]", "sampling_time")
     duration = _value(meta, "[scenario]", "duration")
@@ -307,7 +309,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
                 mk, "[model]", "process_noise_variance", default="0"),
             observation_noise_variance=_value(
                 mk, "[model]", "observation_noise_variance", default="0"),
-            input_u=signals.get(_ref(need("input")), meta["input"][0]),
+            input_u=signals.ref(_entry(meta, "[scenario]", "input")),
         )
     if kind == "control":
         if "controller" not in sections:
@@ -318,7 +320,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             return _value(ck, "[controller]", key)
 
         def command(key):
-            return signals.get(_ref(_entry(ck, "[controller]", key)[1]))
+            return signals.ref(_entry(ck, "[controller]", key))
 
         fields["controller"] = ControllerSpec(
             start_s=number("start"),
@@ -327,8 +329,8 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             cmd_p=command("cmd_p"), cmd_a=command("cmd_a"),
         )
     if kind == "separation":
-        fields["truth_p"] = signals.get(_ref(need("truth_p")))
-        fields["truth_a"] = signals.get(_ref(need("truth_a")))
+        fields["truth_p"] = signals.ref(_entry(meta, "[scenario]", "truth_p"))
+        fields["truth_a"] = signals.ref(_entry(meta, "[scenario]", "truth_a"))
         combs = []
         for sec_name, entries in sections.items():
             if not sec_name.startswith("comb "):
@@ -374,13 +376,6 @@ def _comb_baseline(label: str, ck: dict, period: int,
     if not pieces:
         raise ScenarioParseError(no, f"{where} q needs at least one START:Q piece")
     return CombBaseline(label, tuple(sorted(pieces.items())))
-
-
-def _ref(token: str) -> str:
-    token = token.strip()
-    if not token.startswith("@"):
-        raise InvalidArgumentError(f"expected @signal reference, got {token!r}")
-    return token[1:]
 
 
 def load_scenario(path, seed: int = 0) -> Scenario:

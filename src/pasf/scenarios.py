@@ -10,7 +10,9 @@ produce the same Scenario values (see scenario_io).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .design import design_fir_equiripple, design_iir, make_complementary  # noq
 from .errors import InvalidArgumentError
 from .kalman import SystemModel
 from .kfpasf import KfPasfState, zero_histories
-from .runtime import PasfState, SeparatorBank, periodic_warm_history
+from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
 
 
@@ -113,6 +115,10 @@ class Scenario:
             # each label names a run's output file, column and result
             raise InvalidArgumentError(
                 f"filter and comb labels must be unique, got {labels}")
+        if "interference" in labels and (self.kind == "separation"
+                                         or self.interference_window_s is not None):
+            raise InvalidArgumentError(
+                "label 'interference' is reserved: it names the interference CSV")
         if self.kind in ("estimation", "control"):
             for name in ("A", "B", "C", "Q", "R", "P0", "input_u"):
                 if getattr(self, name) is None:
@@ -123,22 +129,23 @@ class Scenario:
             raise InvalidArgumentError("separation scenario requires truth_p/truth_a")
 
 
+def _in_force(schedule, tt) -> np.ndarray:
+    """Index of the piece of ``schedule`` ((start_s, value), ... sorted by
+    start) in force at each time ``tt``: the last piece whose start is at
+    most ``tt`` + 1e-12 s. The first piece holds before its start."""
+    starts = [start for start, _ in schedule]
+    after = np.searchsorted(starts, np.asarray(tt) + 1e-12, side="right")
+    return np.maximum(after - 1, 0)
+
+
 def rho_at(schedule, tt: float) -> float:
-    value = schedule[0][1]
-    for start, rho in schedule:
-        if tt >= start:
-            value = rho
-        else:
-            break
-    return value
+    return schedule[int(_in_force(schedule, tt))][1]
 
 
 def rho_series(schedule, steps: int, sampling_time: float) -> np.ndarray:
-    tt = np.arange(1, steps + 1) * sampling_time
-    out = np.full(steps, schedule[0][1])
-    for start, rho in schedule:
-        out[tt >= start - 1e-12] = rho
-    return out
+    """rho_tilde at the sample times t * sampling_time, t = 1..steps."""
+    values = np.array([rho for _, rho in schedule], dtype=float)
+    return values[_in_force(schedule, np.arange(1, steps + 1) * sampling_time)]
 
 
 def design_pair(choice: FilterChoice, rho_tilde: float, period: int,
@@ -147,6 +154,29 @@ def design_pair(choice: FilterChoice, rho_tilde: float, period: int,
     realization = base if base == choice.realization else f"complementary-of-{base}"
     return design_for(realization, SeparationSpec(rho_tilde, period, sampling_time),
                       choice.order, allow_out_of_band=True)
+
+
+def _scheduled_pair(scn, source, steps: int):
+    """The coefficient pair a filter choice or comb baseline starts a pass of
+    ``steps`` samples with, and the ``(index, change)`` switches of its
+    schedule for ``PasfState.run``: a ``SeparationSpec`` wherever the
+    scenario's rho_tilde changes, a comb pair wherever the comb spec does."""
+    T = scn.sampling_time
+    if isinstance(source, FilterChoice):
+        schedule = scn.rho_schedule
+        start = partial(design_pair, source, period=scn.period, sampling_time=T)
+        change = partial(SeparationSpec, period=scn.period, sampling_time=T)
+    else:
+        schedule, start, change = source.schedule, comb_pair, comb_pair
+    pieces = _in_force(schedule, np.arange(1, steps + 1) * T)
+    current = schedule[pieces[0]][1]
+    switches = []
+    for i in (np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist():
+        value = schedule[pieces[i]][1]
+        if value != current:
+            switches.append((i, change(value)))
+            current = value
+    return start(schedule[pieces[0]][1]), switches
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +413,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
 
     rho = rho_series(scn.rho_schedule, steps, T)
-    p, a = design_pair(choice, rho[0], scn.period, T)
+    (p, a), switches = _scheduled_pair(scn, choice, steps)
 
     v = sig.GaussianStream(
         NoiseSpec(0.0, scn.process_noise_variance, _stream_seed(seed, 1))
@@ -395,7 +425,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     pre_tail = None
     if scn.warm_start == "periodic":
         pre_tail = _periodic_prerun(scn, choice.order * scn.period)
-        hist = periodic_warm_history(SeparatorBank(p, a, dims=n), pre_tail)
+        hist = periodic_warm_history(p, a, pre_tail)
         x0 = pre_tail[-1].copy()
     elif scn.warm_start == "zero":
         hist = zero_histories(model, choice.order, scn.period)
@@ -420,7 +450,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     out = EstimationRun(
         scenario=scn, choice=choice, seed=seed,
         t=np.arange(1, steps + 1),
-        u=np.empty(steps), rho=rho, y=np.empty(steps),
+        u=u_base[:steps], rho=rho, y=np.empty(steps),
         x_true=np.empty((steps, n)), x_upd=np.empty((steps, n)),
         xp_upd=np.empty((steps, n)), xa_upd=np.empty((steps, n)),
         tr_p=np.empty(steps),
@@ -431,7 +461,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
 
     Bf = scn.B.reshape(-1)
     x = x0
-    switches = dict(_rho_switches(scn, rho))
+    switches = dict(switches)
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
@@ -440,7 +470,6 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
         rec = est.step([u_prev], [y])
-        out.u[i] = u_prev
         out.y[i] = y
         out.x_true[i] = x
         out.x_upd[i] = rec.x_upd
@@ -465,23 +494,13 @@ def interference_trace(run: EstimationRun) -> np.ndarray:
     """Feed the first updated quasi-periodic estimate back through the
     matching aperiodic-pass filter; the output is the interference."""
     scn = run.scenario
-    rho = run.rho
-    p, a = design_pair(run.choice, rho[0], scn.period, scn.sampling_time)
+    (p, a), switches = _scheduled_pair(scn, run.choice, scn.steps)
     history = None
     if run.pre_tail is not None:
-        tail = (run.pre_tail[:, 0] * p.dc_gain).reshape(-1, 1)
-        history = periodic_warm_history(SeparatorBank(p, a), tail)
-    state = PasfState(p, a, history=history)
-    _, out = state.run(run.xp_upd[:, 0], _rho_switches(scn, rho),
-                       allow_out_of_band=True)
+        history = periodic_warm_history(p, a, run.pre_tail[:, 0] * p.dc_gain)
+    _, out = PasfState(p, a, history=history).run(
+        run.xp_upd[:, 0], switches, allow_out_of_band=True)
     return out
-
-
-def _rho_switches(scn: Scenario, rho: np.ndarray) -> list:
-    """(index, spec) wherever the per-sample rho series changes value."""
-    at = np.flatnonzero(rho[1:] != rho[:-1]) + 1
-    return [(int(i), SeparationSpec(rho[i], scn.period, scn.sampling_time))
-            for i in at]
 
 
 # ---------------------------------------------------------------------------
@@ -508,33 +527,6 @@ class SeparationRun:
                 "x_a_true": self.truth_a, "xp": self.xp, "xa": self.xa}
 
 
-def _comb_switches(baseline: CombBaseline, tt: np.ndarray) -> list:
-    """(index, coefficient pair) wherever the piece in force at sample times
-    ``tt`` changes to a different spec."""
-    starts = np.searchsorted(tt, [start for start, _ in baseline.schedule])
-    in_force = {}
-    for i, (_, spec) in zip(starts.tolist(), baseline.schedule):
-        in_force[i] = spec  # of pieces starting at one sample, the last holds
-    switches = []
-    current = baseline.schedule[0][1]
-    for i, spec in in_force.items():
-        if i < len(tt) and spec != current:
-            switches.append((i, comb_pair(spec)))
-            current = spec
-    return switches
-
-
-def _scheduled_separator(scn: Scenario, source, rho: np.ndarray):
-    """A fresh separator for a filter choice or a comb baseline, and the
-    switches of its schedule."""
-    T = scn.sampling_time
-    if isinstance(source, FilterChoice):
-        state = PasfState(*design_pair(source, rho[0], scn.period, T))
-        return state, _rho_switches(scn, rho)
-    state = PasfState(*comb_pair(source.schedule[0][1]))
-    return state, _comb_switches(source, np.arange(1, len(rho) + 1) * T)
-
-
 def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
     """Separate the scenario's signal with each filter and comb, then pass
     each quasi-periodic output through a fresh copy of its separator: the
@@ -546,14 +538,12 @@ def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
     truth_p = eval_signal_array(scn.truth_p, t_idx, T)
     truth_a = eval_signal_array(scn.truth_a, t_idx, T)
     x_pa = truth_p + truth_a
-    rho = rho_series(scn.rho_schedule, steps, T)
 
     runs = []
     for source in (*scn.filters, *scn.combs):
-        state, switches = _scheduled_separator(scn, source, rho)
-        xp, xa = state.run(x_pa, switches, allow_out_of_band=True)
-        state, switches = _scheduled_separator(scn, source, rho)
-        _, interf = state.run(xp, switches, allow_out_of_band=True)
+        pair, switches = _scheduled_pair(scn, source, steps)
+        xp, xa = PasfState(*pair).run(x_pa, switches, allow_out_of_band=True)
+        _, interf = PasfState(*pair).run(xp, switches, allow_out_of_band=True)
         runs.append(SeparationRun(scn, source.label, x_pa, truth_p, truth_a,
                                   xp, xa, interf))
     return runs
@@ -568,14 +558,11 @@ def run_scenario(name_or_scenario, seed: int = 0, out_dir: str = ".",
                  plot_script: bool = True) -> dict:
     """Run a built-in (by name) or explicit Scenario; returns output paths
     plus in-memory results."""
-    import os
-
     if isinstance(name_or_scenario, Scenario):
         scn = name_or_scenario
     else:
         scn = built_in(str(name_or_scenario), seed)
     scn.validate()
-    os.makedirs(out_dir, exist_ok=True)
     if scn.kind == "separation":
         runs = run_separation(scn, seed)
         traces = {run.label: run.interference for run in runs}
@@ -594,6 +581,8 @@ def run_scenario(name_or_scenario, seed: int = 0, out_dir: str = ".",
         if scn.kind != "separation":
             results["interference"] = interference
 
+    # created only now, so a run that fails leaves no directory behind
+    os.makedirs(out_dir, exist_ok=True)
     outputs: dict = {"name": scn.name, "files": [], "results": results}
     for fname, columns in tables.items():
         path = os.path.join(out_dir, fname)

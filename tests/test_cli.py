@@ -252,6 +252,25 @@ def test_separate_steps_once_per_row(tmp_path, monkeypatch):
     assert data.shape == (len(rows), 4)
 
 
+@pytest.mark.parametrize("case, category, code", [
+    ("missing input", "io", 2),
+    ("unwritable out", "io", 2),
+    ("empty input", "validation", 1),
+])
+def test_separate_csv_errors_have_their_category(tmp_path, case, category, code):
+    args = list(_separate_inputs(tmp_path, ["0,1.0"]))
+    if case == "missing input":
+        args[-1] = str(tmp_path / "missing.csv")
+    elif case == "unwritable out":
+        args += ["--out", str(tmp_path / "no-such-dir" / "out.csv")]
+    else:
+        (tmp_path / "in.csv").write_text("")
+    res = run_cli("--out-dir", str(tmp_path / "out"), *args)
+    assert res.returncode == code
+    assert res.stderr.startswith(f"error: {category}:"), res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+
+
 COMB_SCENARIO = """
 [scenario]
 name = combcheck
@@ -399,6 +418,44 @@ def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, line, bad, message", [
+    ("control", "input = @u", "input = u", "expected @signal reference, got 'u'"),
+    ("control", "cmd_p = @cmd", "cmd_p = @missing", "undefined signal @missing"),
+    ("control", "cmd_a = @u", "cmd_a = @u @cmd",
+     "expected @signal reference, got '@u @cmd'"),
+    ("control", "of = @steps", "of = @steps @nope", "undefined signal @nope"),
+    ("separation", "truth_p = @xp", "truth_p = @missing", "undefined signal @missing"),
+    ("separation", "truth_a = @xa", "truth_a = xa", "expected @signal reference, got 'xa'"),
+])
+def test_scenario_bad_signal_reference_names_its_line(tmp_path, scenario, line,
+                                                      bad, message):
+    text = {"control": NUMBERS_SCENARIO,
+            "separation": COMB_SCENARIO + "variant = 1\n"}[scenario]
+    lines = text.splitlines()
+    no = lines.index(line) + 1
+    lines[no - 1] = bad
+    path = tmp_path / "refs.scn"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr.startswith(f"error: validation: line {no}: {message}"), \
+        res.stderr
+    assert not out.exists()
+
+
+def test_failed_scenario_run_leaves_no_output_directory(tmp_path):
+    """The model's shapes are checked when the run builds it, after the file
+    parsed; the output directory is created only once the runs succeed."""
+    path = tmp_path / "shape.scn"
+    path.write_text(NUMBERS_SCENARIO.replace("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert "A must be square" in res.stderr
+    assert not out.exists()
+
+
 TWO_STATE_SCENARIO = """[scenario]
 name = two
 kind = estimation
@@ -438,6 +495,20 @@ def test_plot_script_finds_columns_by_name(tmp_path):
             f'{header.index(name) + 1} with lines title "{name}"'
             for name in ("y", "xp_hat_1", "xa_hat_1")]
     assert plots == want
+
+
+def test_interference_label_is_reserved(tmp_path):
+    """A filter labelled ``interference`` would share its CSV and its result
+    with the interference table of a scenario that writes one."""
+    path = tmp_path / "two.scn"
+    path.write_text(TWO_STATE_SCENARIO.replace(
+        "filter = iir 1\n",
+        "filter = iir 1\nfilter = iir 2 interference\ninterference_window = 0.5 2\n"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert "label 'interference' is reserved" in res.stderr
+    assert not out.exists()
 
 
 def test_complement_subcommand(tmp_path):

@@ -58,6 +58,41 @@ def test_rho_schedule_lookup():
     assert series[99_999] == 0.01
 
 
+def test_rho_and_comb_pieces_switch_at_one_sample(monkeypatch):
+    """One rule decides the piece in force at sample time t: the last whose
+    start is at most t + 1e-12 s. A rho piece and a comb piece starting
+    5e-13 s after the tenth sample time (0.1 s) both switch before that
+    sample, in both passes; a comb pass starts on the piece in force at its
+    first sample."""
+    T, period, start = 0.01, 4, 0.1 + 5e-13
+    old, new = CombSpec(2, period, T, b=0.5), CombSpec(2, period, T, b=0.2)
+    scn = Scenario(
+        name="one-rule", kind="separation", period=period, sampling_time=T,
+        duration_s=0.3, rho_schedule=((0.0, 1.0), (start, 3.0)),
+        filters=(FilterChoice("iir", 1, label="pasf"),),
+        truth_p=sig.Constant(1.0), truth_a=sig.Pulse(0.05, 0.15, 0.5),
+        combs=(CombBaseline("comb", ((0.0, old), (start, new))),
+               CombBaseline("late", ((0.0, old), (0.005, new))),
+               CombBaseline("plain", ((0.0, new),))),
+    )
+    rho = rho_series(scn.rho_schedule, scn.steps, T)
+    tt = np.arange(1, scn.steps + 1) * T
+    assert [rho_at(scn.rho_schedule, t) for t in tt.tolist()] == rho.tolist()
+    assert rho[9] == 3.0 and rho[8] == 1.0
+
+    switched_at = []
+    for name in ("reconfigure", "swap_coefficients"):
+        def record(state, *args, _original=getattr(PasfState, name), **kwargs):
+            switched_at.append(state.core.t)
+            return _original(state, *args, **kwargs)
+        monkeypatch.setattr(PasfState, name, record)
+    runs = {run.label: run for run in run_separation(scn, seed=0)}
+    assert switched_at == [9, 9, 9, 9]  # pasf and comb, two passes each
+    for field in ("xp", "xa", "interference"):
+        got, want = getattr(runs["late"], field), getattr(runs["plain"], field)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _bank_bits(bank):
     return [getattr(bank, name).tobytes() for name in ("G", "H", "Sp", "Sa")]
 
