@@ -1,4 +1,5 @@
-"""CSV export/import used by the command-line surface."""
+"""CSV export/import used by the command-line surface, and the one reader of
+every input text file (CSVs, coefficient files, scenario files)."""
 
 from __future__ import annotations
 
@@ -40,15 +41,25 @@ def _integers(col) -> bool:
     return all(issubclass(kind, (int, np.integer)) for kind in set(map(type, col)))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes are an
+    ``InvalidArgumentError``, an unreadable file raises its ``OSError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read back a numeric CSV written by export_csv.
 
     An empty file, a row whose field count differs from the header's, or a
     field that is not a number is an ``InvalidArgumentError`` (a row names
-    its line); a file that cannot be read raises its ``OSError``.
+    its line), as is a file that is not UTF-8; a file that cannot be read
+    raises its ``OSError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in read_text(path).split("\n")]
     rows = [ln for ln in lines if ln]
     if not rows:
         raise InvalidArgumentError(f"{path} is empty")

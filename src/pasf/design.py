@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import read_text
 from .errors import (
     DegenerateDesignError,
     DesignFailureError,
@@ -509,5 +510,4 @@ def save_coefficients(coeffs: FilterCoefficients, path) -> None:
 
 
 def load_coefficients(path) -> FilterCoefficients:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coefficients(fh.read())
+    return parse_coefficients(read_text(path))

@@ -2,11 +2,12 @@
 
 Each step runs the standard predict/update recursion on the periodic/aperiodic
 state and splits both the predicted and updated estimates into quasi-periodic
-and quasi-aperiodic parts. The split adds the delayed-history terms (read once
-per step from the separator core's per-period table over the N*period-deep
-buffers of past UPDATED estimates) to the instantaneous diagonal feedthrough of
-the current estimate; the same history terms serve the predicted and the
-updated split. Buffers then advance with the updated triple.
+and quasi-aperiodic parts, one coefficient pair for every state element. The
+split adds the delayed-history terms (read once per step from the separator
+core's per-period table over the N*period-deep buffers of past UPDATED
+estimates) to the direct term times the current estimate; the same history
+terms serve the predicted and the updated split. Buffers then advance with
+the updated triple.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class KfPasfState:
         self.model = model
         # the histories cover times -(depth-1)..0 oldest first, so the
         # core's step k is time k + 1
-        self.core = SeparatorCore(SeparatorBank(p_coeffs, a_coeffs, dims=model.n))
+        self.core = SeparatorCore(SeparatorBank(p_coeffs, a_coeffs), model.n)
         self.core.inject(*initial_expectations)
         self.belief = KalmanBelief(
             x_hat=self.core.in_buf[-1].copy(), P=np.asarray(P0, dtype=float),
@@ -65,12 +66,12 @@ class KfPasfState:
         pred = kf_predict(self.belief, self.model, u)
         theta_p, theta_a = self.core.theta()
         bank = self.bank
-        xp_pred = theta_p + bank.Sp * pred.x_hat
-        xa_pred = theta_a + bank.Sa * pred.x_hat
+        xp_pred = theta_p + bank.sp * pred.x_hat
+        xa_pred = theta_a + bank.sa * pred.x_hat
 
         upd, gain = kf_update(pred, self.model, y)
-        xp_upd = theta_p + bank.Sp * upd.x_hat
-        xa_upd = theta_a + bank.Sa * upd.x_hat
+        xp_upd = theta_p + bank.sp * upd.x_hat
+        xa_upd = theta_a + bank.sa * upd.x_hat
 
         if not np.isfinite(upd.x_hat).all():
             self._poisoned = True
@@ -91,7 +92,7 @@ class KfPasfState:
 
     def reconfigure(self, new_spec: SeparationSpec,
                     allow_out_of_band: bool = False) -> None:
-        """Rebuild the coefficient diagonals for a new separation frequency,
+        """Rebuild the coefficient pair for a new separation frequency,
         preserving histories (same semantics as the runtime separator)."""
         self.core.redesign(new_spec, allow_out_of_band)
 

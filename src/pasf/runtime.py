@@ -7,9 +7,9 @@ Each step computes
     xp(t) = -sum_i a_i xp(t - i*period) + sum_i b_i x(t - i*period)
     xa(t) = -sum_i c_i xa(t - i*period) + sum_i d_i x(t - i*period)
 
-with the i = 0 input term applied directly. The vector form runs n independent
-scalar channels (diagonal coefficient matrices). Instances are single-threaded;
-stepping mutates the buffers.
+with the i = 0 input term applied directly. As in the paper, an n-channel
+separator runs one coefficient pair on each of n independent channels.
+Instances are single-threaded; stepping mutates the buffers.
 
 Every delayed term reads a sample at least one period old, so the sums theta
 (everything but the i = 0 term) of the steps t0 .. t0+period-1 depend only on
@@ -29,13 +29,12 @@ of at most ``_BUILD_PRODUCTS`` products per output, so its temporaries stay
 well under a megabyte at any period (FIR50, n = 3, period 1000 would
 otherwise allocate several 1.2 MB arrays per pass).
 
-A one-channel separator built from a bare coefficient pair steps in Python
-floats: the input is coerced once, theta's row is read with ``.item()``,
-``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats and
-stored in 1-d views of the histories. That is bitwise equal to the NumPy
-form, because CPython and NumPy both round each binary64 ``*`` and ``+`` on
-its own and neither fuses them into one multiply-add. Per-channel lists and
-n > 1 take the NumPy form.
+A one-channel separator steps in Python floats: the input is coerced once,
+theta's row is read with ``.item()``, ``xp = tp + sp * x`` and
+``xa = ta + sa * x`` are computed on floats and stored in 1-d views of the
+histories. That is bitwise equal to the NumPy form, because CPython and
+NumPy both round each binary64 ``*`` and ``+`` on its own and neither fuses
+them into one multiply-add. n > 1 takes the NumPy form on n-vectors.
 
 ``PasfState.run(xs, switches)`` is the one loop over a stream: it applies
 each scheduled reconfiguration or coefficient swap before its sample and
@@ -58,55 +57,25 @@ from .errors import (
 
 
 class SeparatorBank:
-    """Diagonal coefficient stacks for an n-channel separator.
+    """One (periodic, aperiodic) filter pair, stacked: G holds the negated
+    feedback taps and H the delayed feed-forward taps, periodic first, as
+    (2, order) arrays; sp and sa are the direct terms as Python floats. The
+    realization is the aperiodic filter's, which marks a complement. The
+    channel count belongs to the ``SeparatorCore`` running the bank."""
 
-    Built from one shared (periodic, aperiodic) pair replicated across
-    channels, or from per-channel pairs. Arrays: Gp/Hp/Ga/Ha have shape
-    (order, n), Sp/Sa shape (n,); G/H stack Gp and Ga, Hp and Ha as
-    (2, order, n). sp/sa are the first channel's direct terms as Python
-    floats, for the scalar step.
-    """
-
-    def __init__(self, p_coeffs, a_coeffs, dims: int | None = None):
-        p_list, a_list = _normalize_pairs(p_coeffs, a_coeffs, dims)
-        self.n = len(p_list)
-        self.order = p_list[0].order
-        self.period = p_list[0].period
-        self.a_coeffs = a_list
-
-        self.Gp = np.stack([-c.feedback for c in p_list], axis=1)
-        self.Hp = np.stack([c.feedforward[1:] for c in p_list], axis=1)
-        self.Sp = np.array([c.feedforward[0] for c in p_list])
-        self.Ga = np.stack([-c.feedback for c in a_list], axis=1)
-        self.Ha = np.stack([c.feedforward[1:] for c in a_list], axis=1)
-        self.Sa = np.array([c.feedforward[0] for c in a_list])
-        self.sp, self.sa = self.Sp[0].item(), self.Sa[0].item()
-        # (2, order, n): the periodic and aperiodic stacks side by side
-        self.G = np.stack([self.Gp, self.Ga])
-        self.H = np.stack([self.Hp, self.Ha])
-
-
-def _normalize_pairs(p_coeffs, a_coeffs, dims):
-    if isinstance(p_coeffs, FilterCoefficients):
-        n = dims if dims is not None else 1
-        p_list = [p_coeffs] * n
-        a_list = [a_coeffs] * n
-    else:
-        p_list = list(p_coeffs)
-        a_list = list(a_coeffs)
-        if dims is not None and dims != len(p_list):
+    def __init__(self, p_coeffs, a_coeffs):
+        p, a = p_coeffs, a_coeffs
+        if not all(isinstance(c, FilterCoefficients) for c in (p, a)):
             raise InvalidArgumentError(
-                f"dims={dims} does not match {len(p_list)} coefficient pairs"
-            )
-    if len(p_list) != len(a_list) or not p_list:
-        raise InvalidArgumentError("need matching periodic/aperiodic pairs")
-    ref = p_list[0]
-    for c in (*p_list, *a_list):
-        if c.period != ref.period or c.order != ref.order:
+                "a separator takes one FilterCoefficients pair, got "
+                f"{type(p).__name__}, {type(a).__name__}")
+        if (p.period, p.order) != (a.period, a.order):
             raise InvalidArgumentError(
-                "all channel filters must share one period and order"
-            )
-    return p_list, a_list
+                "periodic and aperiodic filters must share one period and order")
+        self.order, self.period, self.realization = p.order, p.period, a.realization
+        self.G = np.stack([-p.feedback, -a.feedback])
+        self.H = np.stack([p.feedforward[1:], a.feedforward[1:]])
+        self.sp, self.sa = p.feedforward[0].item(), a.feedforward[0].item()
 
 
 # Products per output in one row slice of a theta-table build: bounds the
@@ -115,14 +84,17 @@ _BUILD_PRODUCTS = 8192
 
 
 class SeparatorCore:
-    """Ring buffers plus the per-period table of delayed-history sums shared
-    by the runtime and the estimator integration."""
+    """Ring buffers of ``n`` channels plus the per-period table of
+    delayed-history sums shared by the runtime and the estimator
+    integration."""
 
-    def __init__(self, bank: SeparatorBank):
+    def __init__(self, bank: SeparatorBank, n: int):
+        if n < 1:
+            raise InvalidArgumentError(f"channel count must be >= 1, got {n}")
         self.bank = bank
+        self.n = n
         self.capacity = bank.order * bank.period
         self.t = 0
-        n = bank.n
         # input, periodic and aperiodic histories, (capacity, n) each
         self._hist = np.zeros((3, self.capacity, n))
         self.in_buf, self.p_buf, self.a_buf = self._hist
@@ -141,7 +113,7 @@ class SeparatorCore:
         """Fill the buffers from oldest-first histories of the last
         ``capacity`` samples before t = 0 (n-vectors, or scalars when n = 1);
         any other depth or width is an ``InvalidArgumentError``."""
-        shape = (self.capacity, self.bank.n)
+        shape = (self.capacity, self.n)
         hists = [np.asarray(h, dtype=float) for h in (in_hist, p_hist, a_hist)]
         for name, h in zip(("input", "periodic", "aperiodic"), hists):
             if h.ndim == 0 or len(h) != shape[0] or h.size != math.prod(shape):
@@ -172,7 +144,7 @@ class SeparatorCore:
     def _build(self) -> None:
         """Tabulate theta for the steps t .. t+period-1 from the buffers."""
         b = self.bank
-        n = b.n
+        n = self.n
         start = self.t
         flat = self._hist.reshape(3, -1)
         table = np.empty((2, b.period, n))
@@ -181,10 +153,10 @@ class SeparatorCore:
             lags = np.arange(start + r0, start + r1) - self._strides[:, None]
             lags %= self.capacity
             if n == 1:  # (rows, order) blocks, pairwise along the order axis
-                idx, G, H, axis = lags.T, b.G[:, None, :, 0], b.H[:, None, :, 0], 2
+                idx, G, H, axis = lags.T, b.G[:, None, :], b.H[:, None, :], 2
             else:       # (order, n, rows) blocks, in sequence over the order axis
                 idx = lags[:, None, :] * n + self._channels
-                G, H, axis = b.G[..., None], b.H[..., None], 1
+                G, H, axis = b.G[..., None, None], b.H[..., None, None], 1
             hist = flat.take(idx, axis=1)
             prod = G * hist[1:]
             prod += H * hist[0]
@@ -211,32 +183,27 @@ class SeparatorCore:
 
     def swap_bank(self, bank: SeparatorBank) -> None:
         old = self.bank
-        if bank.period != old.period or bank.order != old.order or bank.n != old.n:
+        if bank.period != old.period or bank.order != old.order:
             raise UnsupportedReconfigurationError(
-                "reconfiguration cannot change period, order, or channel count"
-            )
+                "reconfiguration cannot change period or order")
         self.bank = bank
         self._invalidate()
 
     def redesign(self, spec: SeparationSpec, allow_out_of_band: bool = False) -> None:
         """Swap in the pair ``design_for`` gives the bank's realization and
-        order at ``spec``, keeping the buffers. The realization is read from
-        the aperiodic filter: a complementary pair keeps its periodic filter's
-        plain ``iir`` or ``fir`` and marks the complement on the aperiodic one.
-        A period change is rejected before anything is designed."""
+        order at ``spec``, keeping the buffers. A period change is rejected
+        before anything is designed."""
         bank = self.bank
         if spec.period != bank.period:
             raise UnsupportedReconfigurationError(
-                f"period change {bank.period} -> {spec.period} requires a "
-                "fresh filter"
-            )
-        p, a = design_for(bank.a_coeffs[0].realization, spec, bank.order,
-                          allow_out_of_band)
-        self.swap_bank(SeparatorBank(p, a, bank.n))
+                f"period change {bank.period} -> {spec.period} requires a fresh filter")
+        self.swap_bank(SeparatorBank(*design_for(
+            bank.realization, spec, bank.order, allow_out_of_band)))
 
 
 class PasfState:
-    """Runtime separator over a scalar or n-vector stream.
+    """Runtime separator over a scalar stream, or over n-vectors with
+    ``dims`` = n; one channel steps in Python floats and returns floats.
 
     ``history`` optionally injects warm-start buffers (oldest-first arrays of
     the last N*period inputs, periodic outputs, aperiodic outputs); the
@@ -244,9 +211,9 @@ class PasfState:
     """
 
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None, history=None):
-        bank = SeparatorBank(p_coeffs, a_coeffs, dims)
-        self._scalar = bank.n == 1 and not isinstance(p_coeffs, (list, tuple))
-        self.core = SeparatorCore(bank)
+        self.core = SeparatorCore(SeparatorBank(p_coeffs, a_coeffs),
+                                  1 if dims is None else dims)
+        self._scalar = self.core.n == 1
         if history is not None:
             self.core.inject(*history)
         self._poisoned = False
@@ -275,16 +242,16 @@ class PasfState:
         if not np.isfinite(xv).all():
             raise self._poison()
         tp, ta = core.theta()
-        xp = tp + bank.Sp * xv
-        xa = ta + bank.Sa * xv
+        xp = tp + bank.sp * xv
+        xa = ta + bank.sa * xv
         core.push(xv, xp, xa)
         return xp, xa
 
     def _input(self, x) -> np.ndarray:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        if xv.shape != (self.bank.n,):
+        if xv.shape != (self.core.n,):
             raise InvalidArgumentError(
-                f"expected input of shape ({self.bank.n},), got {xv.shape}"
+                f"expected input of shape ({self.core.n},), got {xv.shape}"
             )
         return xv
 
@@ -336,8 +303,7 @@ class PasfState:
 
     def swap_coefficients(self, p_coeffs, a_coeffs) -> None:
         """Install explicit new coefficients (same period/order), keeping buffers."""
-        dims = None if self._scalar else self.bank.n
-        self.core.swap_bank(SeparatorBank(p_coeffs, a_coeffs, dims))
+        self.core.swap_bank(SeparatorBank(p_coeffs, a_coeffs))
 
     def reset(self) -> None:
         """Zero all buffers and clear the poisoned flag."""

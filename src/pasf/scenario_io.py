@@ -14,6 +14,7 @@ import numpy as np
 
 from . import signals as sig
 from .baselines import CombSpec
+from .csvio import read_text
 from .errors import InvalidArgumentError
 from .scenarios import CombBaseline, ControllerSpec, FilterChoice, Scenario
 from .signals import NoiseSpec
@@ -25,7 +26,23 @@ class ScenarioParseError(InvalidArgumentError):
         self.line_no = line_no
 
 
+# Each section's keys, as the README's grammar lists them ([rho] keys are
+# start times). Only the _REPEATABLE keys repeat.
+_SECTION_KEYS = {
+    "scenario": "name kind period sampling_time duration filter warm_start "
+                "settle input truth_p truth_a interference_window".split(),
+    "model": "A B C Q R P0 process_noise_variance observation_noise_variance".split(),
+    "rho": None,
+    "controller": "start kp_p kd_p kp_a kd_a cmd_p cmd_a".split(),
+    "signal": "expr kind factor of piece".split(),
+    "comb": "variant gain q b g".split(),
+}
+_REPEATABLE = {("scenario", "filter"), ("signal", "piece")}
+
+
 def _sections(text: str):
+    """Each section's (line, key, value) entries in file order; an unknown
+    section or key, or a repeated key, is an error naming its line."""
     sections: dict[str, list] = {}
     current = None
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -33,25 +50,35 @@ def _sections(text: str):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, [])
+            words = line[1:-1].split(None, 1)
+            kind = words[0] if words else ""
+            named = kind in ("signal", "comb")  # [signal NAME], [comb LABEL]
+            if kind not in _SECTION_KEYS or (len(words) == 2) != named:
+                raise ScenarioParseError(
+                    no, f"unknown section {line}; expected [scenario], [model], "
+                        "[rho], [controller], [signal NAME] or [comb LABEL]")
+            current = " ".join(words)
+            entries = sections.setdefault(current, [])
             continue
         if current is None:
             raise ScenarioParseError(no, "key before any [section]")
         if "=" not in line:
             raise ScenarioParseError(no, f"expected key = value, got {line!r}")
-        key, value = line.split("=", 1)
-        sections[current].append((no, key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        keys = _SECTION_KEYS[kind]
+        if keys is not None:
+            if key not in keys:
+                raise ScenarioParseError(no, f"unknown key {key!r} in [{current}]; "
+                                             f"expected one of {', '.join(keys)}")
+            if (kind, key) not in _REPEATABLE and any(k == key for _, k, _ in entries):
+                raise ScenarioParseError(no, f"duplicate key {key!r}")
+        entries.append((no, key, value))
     return sections
 
 
 def _kv(entries):
-    out = {}
-    for no, key, value in entries:
-        if key in out:
-            raise ScenarioParseError(no, f"duplicate key {key!r}")
-        out[key] = (no, value)
-    return out
+    """A section's entries as key -> (line, value)."""
+    return {key: (no, value) for no, key, value in entries}
 
 
 def _number(no: int, what: str, text: str, convert=float):
@@ -111,6 +138,8 @@ def _matrix(no: int, key: str, value: str, sampling_time: float,
 
 
 def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
+    if not tokens:
+        raise ScenarioParseError(line_no, "empty signal descriptor")
     kind = tokens[0]
     args = tokens[1:]
 
@@ -152,11 +181,8 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
 
 class _SignalTable:
     def __init__(self, sections, seed: int):
-        self.raw = {
-            name.split(None, 1)[1]: entries
-            for name, entries in sections.items()
-            if name.startswith("signal ")
-        }
+        self.raw = {name.removeprefix("signal "): entries
+                    for name, entries in sections.items() if name.startswith("signal ")}
         self.seed = seed
         self.cache: dict[str, object] = {}
         self.building: set[str] = set()
@@ -172,6 +198,7 @@ class _SignalTable:
         return self.get(token[1:], line_no)
 
     def resolve_inline_or_ref(self, text: str, context: str, line_no: int):
+        """A schedule piece's signal: one ``@name`` or a leaf descriptor."""
         tokens = text.split()
         if len(tokens) == 1 and tokens[0].startswith("@"):
             return self.ref((line_no, text))
@@ -185,24 +212,20 @@ class _SignalTable:
         if name in self.building:
             raise ScenarioParseError(line_no, f"signal @{name} references itself")
         self.building.add(name)
-        desc = self._build(name, self.raw[name])
+        desc = self._build(name, self.raw[name], line_no)
         self.building.discard(name)
         self.cache[name] = desc
         return desc
 
-    def _build(self, name: str, entries):
-        kv = {}
-        pieces = []
-        for no, key, value in entries:
-            if key == "piece":
-                pieces.append((no, value))
-            else:
-                kv[key] = (no, value)
+    def _build(self, name: str, entries, ref_line: int):
+        kv = _kv(e for e in entries if e[1] != "piece")
+        pieces = [(no, value) for no, key, value in entries if key == "piece"]
         if "expr" in kv:
             no, value = kv["expr"]
             return _leaf_descriptor(value.split(), self.seed, name, no)
         if "kind" not in kv:
-            raise ScenarioParseError(entries[0][0], f"signal {name} needs kind or expr")
+            no = entries[0][0] if entries else ref_line
+            raise ScenarioParseError(no, f"signal {name} needs kind or expr")
         no_kind, kind = kv["kind"]
         if kind == "schedule":
             segments = []
@@ -217,22 +240,18 @@ class _SignalTable:
                                                    f"{name}.{start}", no)
                 segments.append((start, end, inner))
             return sig.Schedule(tuple(segments))
-        if kind == "sum":
+        if kind in ("sum", "scale"):
             no, value = kv.get("of", (no_kind, ""))
             parts = tuple(self.ref((no, tok)) for tok in value.split())
             if not parts:
-                raise ScenarioParseError(no, "sum needs of = @a @b ...")
-            return sig.Sum(parts)
-        if kind == "scale":
+                raise ScenarioParseError(no, f"{kind} needs of = @a [@b ...]")
+            if kind == "sum":
+                return sig.Sum(parts)
             no_f, factor = kv.get("factor", (no_kind, None))
-            no_o, of = kv.get("of", (no_kind, None))
-            if factor is None or of is None:
-                raise ScenarioParseError(no_kind, "scale needs factor and of")
-            parts = of.split()
-            if len(parts) == 1:
-                inner = self.resolve_inline_or_ref(of, name, no_o)
-            else:
-                inner = sig.Sum(tuple(self.ref((no_o, t)) for t in parts))
+            if factor is None:
+                raise ScenarioParseError(no_kind, "scale needs factor")
+            # one reference is the signal itself; several are summed
+            inner = parts[0] if len(parts) == 1 else sig.Sum(parts)
             return sig.Scaled(_number(no_f, f"signal {name} factor", factor), inner)
         raise ScenarioParseError(no_kind, f"unknown signal kind {kind!r}")
 
@@ -267,10 +286,13 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
 
     if "rho" not in sections:
         raise InvalidArgumentError("scenario file needs a [rho] section")
-    rho_schedule = tuple(sorted(
-        (_number(no, "[rho] start", key), _number(no, "[rho] rho_tilde", value))
-        for no, key, value in sections["rho"]
-    ))
+    rho = {}
+    for no, key, value in sections["rho"]:
+        start = _number(no, "[rho] start", key)
+        if start in rho:
+            raise ScenarioParseError(no, f"[rho] start {start:g} repeats")
+        rho[start] = _number(no, "[rho] rho_tilde", value)
+    rho_schedule = tuple(sorted(rho.items()))
 
     window = None
     if "interference_window" in meta:
@@ -294,17 +316,12 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             no, text = _entry(mk, "[model]", key, default)
             return _matrix(no, key, text, sampling_time, zeros_shape)
 
-        A = mat("A")
-        n = A.shape[0]
-        B = mat("B")
+        A, B, C, Q, R = (mat(key) for key in "ABCQR")
         if B.shape[0] == 1:
             B = B.reshape(-1)
-        C = mat("C")
-        Q = mat("Q")
-        R = mat("R")
-        P0 = mat("P0", "zeros", (n, n))
+        n = A.shape[0]
         fields.update(
-            A=A, B=B, C=C, Q=Q, R=R, P0=P0,
+            A=A, B=B, C=C, Q=Q, R=R, P0=mat("P0", "zeros", (n, n)),
             process_noise_variance=_value(
                 mk, "[model]", "process_noise_variance", default="0"),
             observation_noise_variance=_value(
@@ -331,13 +348,10 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     if kind == "separation":
         fields["truth_p"] = signals.ref(_entry(meta, "[scenario]", "truth_p"))
         fields["truth_a"] = signals.ref(_entry(meta, "[scenario]", "truth_a"))
-        combs = []
-        for sec_name, entries in sections.items():
-            if not sec_name.startswith("comb "):
-                continue
-            label = sec_name.split(None, 1)[1]
-            combs.append(_comb_baseline(label, _kv(entries), period, sampling_time))
-        fields["combs"] = tuple(combs)
+        fields["combs"] = tuple(
+            _comb_baseline(name.removeprefix("comb "), _kv(entries), period,
+                           sampling_time)
+            for name, entries in sections.items() if name.startswith("comb "))
 
     scn = Scenario(**fields)
     scn.validate()
@@ -379,5 +393,4 @@ def _comb_baseline(label: str, ck: dict, period: int,
 
 
 def load_scenario(path, seed: int = 0) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), seed)
+    return parse_scenario(read_text(path), seed)

@@ -111,6 +111,11 @@ class Scenario:
         if not self.filters:
             raise InvalidArgumentError("scenario needs at least one filter choice")
         labels = [f.label for f in self.filters] + [c.label for c in self.combs]
+        # the name and each label name output files inside the output directory
+        for what, text in [("name", self.name)] + [("label", s) for s in labels]:
+            if text in ("", ".", "..") or any(c in text for c in "/\\\0"):
+                raise InvalidArgumentError(f"scenario {what} {text!r} must be a plain "
+                                           "file name, without '/', '\\' or NUL")
         if len(set(labels)) != len(labels):
             # each label names a run's output file, column and result
             raise InvalidArgumentError(

@@ -26,6 +26,8 @@ def run_cli(*args, cwd=None):
     # the package under test is the source tree, installed or not
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    # the CLI runs under the warnings-are-errors rule of the in-process tests
+    env["PYTHONWARNINGS"] = "error"
     return subprocess.run(
         [sys.executable, "-m", "pasf.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=env,
@@ -271,6 +273,28 @@ def test_separate_csv_errors_have_their_category(tmp_path, case, category, code)
     assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
+@pytest.mark.parametrize("kind", ["input", "coeffs-p", "bode coeffs", "scenario"])
+def test_non_utf8_file_is_one_line_validation_error(tmp_path, kind):
+    """Every input text file is read as UTF-8 through one reader; other
+    bytes are a validation error, not a traceback."""
+    args = list(_separate_inputs(tmp_path, ["0,1.0"]))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"t,x\n0,\xff\n")
+    if kind == "input":
+        args[-1] = str(bad)
+    elif kind == "coeffs-p":
+        args[2] = str(bad)
+    elif kind == "bode coeffs":
+        args = ["bode", "--coeffs", str(bad)]
+    else:
+        args = ["scenario", str(bad)]
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), *args)
+    _assert_validation_error(res)
+    assert f"{bad} is not UTF-8 text" in res.stderr
+    assert not out.exists()
+
+
 COMB_SCENARIO = """
 [scenario]
 name = combcheck
@@ -436,6 +460,38 @@ def test_scenario_bad_signal_reference_names_its_line(tmp_path, scenario, line,
     lines[no - 1] = bad
     path = tmp_path / "refs.scn"
     path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr.startswith(f"error: validation: line {no}: {message}"), \
+        res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, line, bad, message", [
+    ("control", "expr = constant 0", "expr =", "empty signal descriptor"),
+    ("control", "0 = 1.0", "0 = 1.0\n0.0 = 2.0", "[rho] start 0 repeats"),
+    ("control", "duration = 1", "duration = 1\nsettel = 5",
+     "unknown key 'settel' in [scenario]"),
+    ("control", "kd_a = 100", "kd_a = 100\nkd = 1", "unknown key 'kd' in [controller]"),
+    ("control", "factor = 2", "factor = 2\nfactor = 3", "duplicate key 'factor'"),
+    ("control", "expr = constant 0", "expr = constant 0\nexpr = constant 1",
+     "duplicate key 'expr'"),
+    ("control", "of = @steps", "of = constant", "expected @signal reference"),
+    ("control", "[signal u]", "[signal]", "unknown section [signal]"),
+    ("separation", "[comb mycomb]", "[comb3]", "unknown section [comb3]"),
+    ("separation", "[rho]", "[rhos]", "unknown section [rhos]"),
+])
+def test_scenario_file_hole_is_validation_error_naming_its_line(
+        tmp_path, scenario, line, bad, message):
+    """An empty descriptor, a repeated [rho] start, an unknown key or section
+    and a repeated key fail on the line that holds them."""
+    text = {"control": NUMBERS_SCENARIO,
+            "separation": COMB_SCENARIO + "variant = 1\n"}[scenario]
+    lines = text.splitlines()
+    no = lines.index(line) + 1 + bad.count("\n")
+    path = tmp_path / "holes.scn"
+    path.write_text(text.replace(line + "\n", bad + "\n", 1))
     out = tmp_path / "out"
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)

@@ -166,7 +166,7 @@ def test_reconfigure_keeps_histories():
     buf_before = state.core.p_buf.copy()
     state.reconfigure(SeparationSpec(2.0, 2, 0.5))
     assert np.array_equal(state.core.p_buf, buf_before)
-    assert state.bank.Sp[0] != p.feedforward[0]
+    assert state.bank.sp != p.feedforward[0]
 
 
 @pytest.mark.parametrize("field", ["rho_tilde", "sampling_time"])

@@ -208,20 +208,21 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
     assert math.isfinite(xp) and math.isfinite(xa)
 
 
-def _random_channels(rng, kind, order, period, dims, realization="iir"):
+def _random_filter(rng, kind, order, period, realization="iir"):
     # small feedback taps keep the recursion bounded
-    return [
-        FilterCoefficients(kind, realization, order, period, 0.01,
-                           feedback=(np.zeros(order) if realization == "fir"
-                                     else rng.standard_normal(order) * 0.3 / order),
-                           feedforward=rng.standard_normal(order + 1))
-        for _ in range(dims)
-    ]
+    return FilterCoefficients(kind, realization, order, period, 0.01,
+                              feedback=(np.zeros(order) if realization == "fir"
+                                        else rng.standard_normal(order) * 0.3 / order),
+                              feedforward=rng.standard_normal(order + 1))
 
 
-def _random_bank(rng, order, period, dims):
-    return SeparatorBank(_random_channels(rng, PERIODIC_PASS, order, period, dims),
-                         _random_channels(rng, APERIODIC_PASS, order, period, dims))
+def _random_pair(rng, order, period, realization="iir"):
+    return tuple(_random_filter(rng, kind, order, period, realization)
+                 for kind in (PERIODIC_PASS, APERIODIC_PASS))
+
+
+def _random_bank(rng, order, period):
+    return SeparatorBank(*_random_pair(rng, order, period))
 
 
 def _bits(a):
@@ -237,7 +238,7 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
     period."""
     rng = np.random.default_rng(100 * order + dims)
     for period in (1, 2, 3, 7):
-        core = SeparatorCore(_random_bank(rng, order, period, dims))
+        core = SeparatorCore(_random_bank(rng, order, period), dims)
         cap = core.capacity
         mid = period // 2
         # A reset inside the first period returns t into the warm table's
@@ -249,19 +250,19 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
         for step in range(4 * cap + 2 * period):  # wraps the ring three times
             for event in [e for at, e in events if at == step]:
                 if event == "swap":
-                    core.swap_bank(_random_bank(rng, order, period, dims))
+                    core.swap_bank(_random_bank(rng, order, period))
                 elif event == "inject":
                     core.inject(*rng.standard_normal((3, cap, dims)))
                 else:
                     core.reset()
-            b = core.bank
+            G, H = core.bank.G[..., None], core.bank.H[..., None]
             lags = (core.t - core._strides) % cap
             hin = core.in_buf[lags]
             tp, ta = core.theta()
             assert np.array_equal(_bits(tp), _bits(
-                np.sum(b.Gp * core.p_buf[lags] + b.Hp * hin, axis=0)))
+                np.sum(G[0] * core.p_buf[lags] + H[0] * hin, axis=0)))
             assert np.array_equal(_bits(ta), _bits(
-                np.sum(b.Ga * core.a_buf[lags] + b.Ha * hin, axis=0)))
+                np.sum(G[1] * core.a_buf[lags] + H[1] * hin, axis=0)))
             scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
             values = rng.standard_normal((3, dims)) * scales
             values[rng.random((3, dims)) < 0.2] = -0.0
@@ -271,19 +272,20 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
 class _PerStepOracle:
     """The per-step separator formula, summed at every step."""
 
-    def __init__(self, bank):
+    def __init__(self, bank, dims):
         self.bank = bank
         self.cap = bank.order * bank.period
-        self.bufs = np.zeros((3, self.cap, bank.n))
+        self.bufs = np.zeros((3, self.cap, dims))
         self.strides = bank.period * np.arange(1, bank.order + 1)
         self.t = 0
 
     def step(self, x):
         b = self.bank
+        G, H = b.G[..., None], b.H[..., None]
         lags = (self.t - self.strides) % self.cap
         hin, hp, ha = self.bufs[:, lags]
-        xp = np.sum(b.Gp * hp + b.Hp * hin, axis=0) + b.Sp * x
-        xa = np.sum(b.Ga * ha + b.Ha * hin, axis=0) + b.Sa * x
+        xp = np.sum(G[0] * hp + H[0] * hin, axis=0) + b.sp * x
+        xa = np.sum(G[1] * ha + H[1] * hin, axis=0) + b.sa * x
         self.bufs[:, self.t % self.cap] = x, xp, xa
         self.t += 1
         return xp, xa
@@ -302,44 +304,61 @@ _SCALAR_FORMS = (
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(order=st.integers(1, 50), dims=st.integers(1, 3),
-       period=st.integers(1, 12), fir=st.booleans(), scalar=st.booleans(),
+       period=st.integers(1, 12), fir=st.booleans(),
        swaps=st.lists(st.integers(0, 2000), max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
-                                                  scalar, swaps, seed):
-    """Per-channel lists take the vector step. With ``scalar`` and one
-    channel, a bare coefficient pair takes the Python-float step, fed every
-    accepted input form, and must return Python floats."""
+                                                  swaps, seed):
+    """More than one channel takes the vector step. One channel takes the
+    Python-float step, fed every accepted input form, and must return
+    Python floats."""
     rng = np.random.default_rng(seed)
     realization = "fir" if fir else "iir"
-    scalar = scalar and dims == 1
-
-    def pair():
-        p, a = (_random_channels(rng, kind, order, period, dims, realization)
-                for kind in (PERIODIC_PASS, APERIODIC_PASS))
-        return (p[0], a[0]) if scalar else (p, a)
-
-    state = PasfState(*pair())
-    oracle = _PerStepOracle(state.bank)
+    state = PasfState(*_random_pair(rng, order, period, realization), dims=dims)
+    oracle = _PerStepOracle(state.bank, dims)
     steps = 2 * order * period + period + 1
     swap_at = {s % steps for s in swaps}
     for t in range(steps):
         if t in swap_at:
-            state.swap_coefficients(*pair())
+            state.swap_coefficients(*_random_pair(rng, order, period, realization))
             oracle.bank = state.bank
         x = rng.standard_normal(dims) * 10.0 ** rng.uniform(-3, 3)
-        if scalar:
-            value = -0.0 if rng.random() < 0.1 else float(x[0])
-            fed = _SCALAR_FORMS[t % len(_SCALAR_FORMS)](value)
+        x[rng.random(dims) < 0.1] = -0.0
+        fed = x
+        if dims == 1:
+            fed = _SCALAR_FORMS[t % len(_SCALAR_FORMS)](float(x[0]))
             x = np.array([float(np.asarray(fed).reshape(-1)[0])])
-        else:
-            fed = x
         xp, xa = state.step(fed)
         op, oa = oracle.step(x)
-        if scalar:
+        if dims == 1:
             assert type(xp) is float and type(xa) is float
         assert np.array_equal(_bits(np.atleast_1d(xp)), _bits(op))
         assert np.array_equal(_bits(np.atleast_1d(xa)), _bits(oa))
+
+
+def test_separator_runs_one_coefficient_pair():
+    """A bank is one (periodic, aperiodic) pair of one period and order, run
+    on at least one channel; anything else is refused, and a refused swap
+    keeps the bank."""
+    (p, a), _ = _pair(order=2)
+    (p1, a1), _ = _pair(order=1)
+    (p7, a7), _ = _pair(period=7)
+    state = PasfState(p, a)
+    bank = state.bank
+    for pair in (([p], [a]), ((p,), (a,)), ([p, p], [a, a]), (p, (a,)),
+                 (p, a1), (p1, a), (p1, a7), (p7, a1)):
+        with pytest.raises(InvalidArgumentError):
+            SeparatorBank(*pair)
+        with pytest.raises(InvalidArgumentError):
+            PasfState(*pair)
+        with pytest.raises(InvalidArgumentError):
+            state.swap_coefficients(*pair)
+        assert state.bank is bank
+    for dims in (0, -1):
+        with pytest.raises(InvalidArgumentError):
+            PasfState(p, a, dims=dims)
+        with pytest.raises(InvalidArgumentError):
+            SeparatorCore(bank, dims)
 
 
 def test_scalar_step_rejects_wrong_shapes_and_poisons_on_non_finite():
@@ -433,9 +452,8 @@ def test_theta_table_build_memory_is_bounded():
     single unsliced (period, order, dims) product array."""
     rng = np.random.default_rng(5)
     order, period, dims = 50, 1000, 3
-    core = SeparatorCore(SeparatorBank(
-        _random_channels(rng, PERIODIC_PASS, order, period, dims, "fir"),
-        _random_channels(rng, APERIODIC_PASS, order, period, dims, "fir")))
+    core = SeparatorCore(SeparatorBank(*_random_pair(rng, order, period, "fir")),
+                         dims)
     core.inject(*rng.standard_normal((3, core.capacity, dims)))
     tracemalloc.start()
     try:

@@ -94,7 +94,7 @@ def test_rho_and_comb_pieces_switch_at_one_sample(monkeypatch):
 
 
 def _bank_bits(bank):
-    return [getattr(bank, name).tobytes() for name in ("G", "H", "Sp", "Sa")]
+    return [bank.G.tobytes(), bank.H.tobytes(), bank.sp, bank.sa]
 
 
 def test_estimation_designs_first_filter_at_reported_rho(monkeypatch):
@@ -117,7 +117,7 @@ def test_estimation_designs_first_filter_at_reported_rho(monkeypatch):
     run = run_estimation(scn, choice, seed=0)
     assert list(run.columns()["rho_tilde"]) == [2.0] * scn.steps
     want = design_pair(choice, run.rho[0], scn.period, scn.sampling_time)
-    assert _bank_bits(banks[0]) == _bank_bits(SeparatorBank(*want, dims=3))
+    assert _bank_bits(banks[0]) == _bank_bits(SeparatorBank(*want))
     assert reconfigures == []
 
 
@@ -135,14 +135,14 @@ def test_every_redesign_installs_the_designed_pair(realization, order, design,
     period, T = 8, 0.01
     first, second = SeparationSpec(1.0, period, T), SeparationSpec(3.0, period, T)
 
-    def designed(spec, dims):
+    def designed(spec):
         p, a = design(spec, order)
         if complement:
             a = make_complementary(p)
-        return _bank_bits(SeparatorBank(p, a, dims))
+        return _bank_bits(SeparatorBank(p, a))
 
     pair = design_pair(FilterChoice(realization, order), first.rho_tilde, period, T)
-    assert _bank_bits(SeparatorBank(*pair)) == designed(first, None)
+    assert _bank_bits(SeparatorBank(*pair)) == designed(first)
 
     model = SystemModel(A=[[1.0, T], [0.0, 1.0]], B=[[0.0], [T]],
                         C=[[1.0, 0.0]], Q=np.eye(2) * 1e-4, R=[[1.0]])
@@ -157,7 +157,7 @@ def test_every_redesign_installs_the_designed_pair(realization, order, design,
     ]
     for state in designed_states:
         state.reconfigure(second)
-        assert _bank_bits(state.bank) == designed(second, state.bank.n)
+        assert _bank_bits(state.bank) == designed(second)
     moved = SeparationSpec(3.0, period + 1, T)
     for state, spec in ([(s, moved) for s in designed_states]
                         + [(s, second) for s in comb_states]):
@@ -317,6 +317,47 @@ variant = 3
 gain = 0.708
 q = 0:1.717 2:100
 """
+
+
+def test_empty_signal_section_names_the_referring_line():
+    text = SCENARIO_TEXT.replace("expr = pulse 1.5 1.6 2.0\n", "")
+    no = text.splitlines().index("of = @u1 @u2") + 1
+    with pytest.raises(InvalidArgumentError,
+                       match=f"line {no}: signal u2 needs kind or expr"):
+        parse_scenario(text)
+
+
+def test_scale_of_one_reference_is_that_signal():
+    scn = parse_scenario(SCENARIO_TEXT.replace("of = @u1 @u2", "of = @u2"))
+    assert scn.input_u == sig.Scaled(10.0, sig.Pulse(1.5, 1.6, 2.0))
+    scn = parse_scenario(SCENARIO_TEXT)
+    assert isinstance(scn.input_u.inner, sig.Sum)
+    assert len(scn.input_u.inner.parts) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", "../escaped"), ("name", "a/b"), ("name", ".."), ("name", ""),
+    ("filter", "sub/pasf"), ("filter", "."), ("comb", ".."),
+    ("comb", "my\\comb"),
+])
+def test_output_names_must_be_plain_file_names(tmp_path, field, value):
+    """The scenario name and each label name an output file in the output
+    directory, so each is one plain path component; validate refuses any
+    other before a run starts."""
+    scn = parse_scenario(SEPARATION_TEXT)
+    if field == "name":
+        bad = replace(scn, name=value)
+    elif field == "filter":
+        bad = replace(scn, filters=(FilterChoice("iir", 1, value),))
+    else:
+        bad = replace(scn, combs=(replace(scn.combs[0], label=value),))
+    with pytest.raises(InvalidArgumentError, match="must be a plain file name"):
+        run_scenario(bad, seed=0, out_dir=str(tmp_path / "out"), plot_script=False)
+    assert list(tmp_path.iterdir()) == []
+    if field == "name":
+        with pytest.raises(InvalidArgumentError, match="must be a plain file name"):
+            parse_scenario(SEPARATION_TEXT.replace("name = sepdemo",
+                                                   f"name = {value}"))
 
 
 def test_separation_scenario_file(tmp_path):
