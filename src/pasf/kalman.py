@@ -13,6 +13,19 @@ several right-hand sides (n > 1) the triangular solve multiplies by the
 reciprocal of the diagonal, g' = (CP * r) * r with r = 1/d; with one (n = 1)
 it divides, g' = (CP / d) / d. So the closed form is bitwise equal to the
 general path, and a property test holds it to that on the installed BLAS.
+
+The covariance and gain depend only on the model and P0, not on u or y
+(Anderson & Moore, *Optimal Filtering*, 1979, ch. 3). So once an update
+returns an updated P bitwise equal to the one its predicted belief was
+predicted from, with one model object throughout, every later predicted P,
+gain and updated P repeats bitwise. The update then freezes the recursion:
+it attaches the read-only fixed point (model, predicted P, gain, updated P)
+to the belief it returns, and later predicts and updates on that belief
+chain with the same model reuse it. They still compute x = A x + B u and
+x + g(y - C x) as written here. A model's matrices are read-only copies.
+A belief built through the public constructor carries no fixed point and no
+record of its source, so a chain rebuilt through ``KalmanBelief`` each step
+never freezes: it is the per-step oracle the freeze is tested against.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +45,25 @@ UPDATED = "updated"
 _PSD_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def check_covariance(name: str, mat: np.ndarray) -> None:
+    """Raise unless the square ``mat`` is symmetric positive semidefinite."""
+    if not np.allclose(mat, mat.T, atol=1e-9):
+        raise InvalidArgumentError(f"{name} must be symmetric")
+    if np.min(np.linalg.eigvalsh(mat)) < -_PSD_TOL:
+        raise InvalidArgumentError(f"{name} must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class SystemModel:
-    """LTI plant x(t+1) = A x + B u + v, y = C x + w with cov(v) = Q, cov(w) = R."""
+    """LTI plant x(t+1) = A x + B u + v, y = C x + w with cov(v) = Q, cov(w) = R.
+
+    The matrices are read-only copies, so a recursion frozen under a model
+    object stays valid for as long as that object lives."""
 
     A: np.ndarray
     B: np.ndarray
@@ -42,12 +72,13 @@ class SystemModel:
     R: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
+        B = _read_only(np.array(self.B, dtype=float))
         if B.ndim == 1:
             B = B.reshape(-1, 1)  # 1-D input reads as a single-input column
         object.__setattr__(self, "B", B)
         for name in ("A", "C", "Q", "R"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            mat = _read_only(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.atleast_2d(mat))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise InvalidArgumentError("A must be square")
@@ -61,14 +92,9 @@ class SystemModel:
         if self.R.shape != (m, m):
             raise InvalidArgumentError("R must be m x m")
         for name in ("Q", "R"):
-            mat = getattr(self, name)
-            if not np.allclose(mat, mat.T, atol=1e-9):
-                raise InvalidArgumentError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(mat)) < -_PSD_TOL:
-                raise InvalidArgumentError(f"{name} must be positive semidefinite")
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        object.__setattr__(self, "_eye", eye)  # for the per-step (I - gC)P
+            check_covariance(name, getattr(self, name))
+        # for the per-step (I - gC)P
+        object.__setattr__(self, "_eye", _read_only(np.eye(n)))
         obs = np.vstack([self.C @ np.linalg.matrix_power(self.A, k) for k in range(n)])
         if np.linalg.matrix_rank(obs) < n:
             warnings.warn("model is not observable", stacklevel=2)
@@ -86,6 +112,17 @@ class SystemModel:
         return self.C.shape[0]
 
 
+class _FixedPoint(NamedTuple):
+    """The covariance recursion frozen under ``model``: every later
+    predicted P, gain and updated P equals these (read-only) arrays."""
+
+    model: SystemModel
+    P_pred: np.ndarray
+    gain: np.ndarray
+    P_upd: np.ndarray
+    t: int  # the step whose update froze it
+
+
 @dataclass(frozen=True)
 class KalmanBelief:
     x_hat: np.ndarray
@@ -93,17 +130,25 @@ class KalmanBelief:
     t: int = 0
     phase: str = UPDATED
 
+    # set only by kf_predict/kf_update, never by the public constructor: the
+    # fixed point this belief's chain froze at, and for a predicted belief
+    # the (model, updated P) it was predicted from
+    _fixed = None
+    _source = None
+
     def __post_init__(self):
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
         object.__setattr__(self, "P", _symmetrize(np.asarray(self.P, dtype=float)))
 
 
-def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str) -> KalmanBelief:
+def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str,
+            fixed: _FixedPoint | None = None, source=None) -> KalmanBelief:
     """KalmanBelief from a float 1-D x_hat and an already symmetrized P,
     skipping the conversions of the public constructor (re-symmetrizing a
     symmetrized P is the identity)."""
     belief = object.__new__(KalmanBelief)
-    belief.__dict__.update(x_hat=x_hat, P=P, t=t, phase=phase)
+    belief.__dict__.update(x_hat=x_hat, P=P, t=t, phase=phase,
+                           _fixed=fixed, _source=source)
     return belief
 
 
@@ -123,8 +168,11 @@ def kf_predict(belief: KalmanBelief, model: SystemModel, u=None) -> KalmanBelief
     if belief.x_hat.shape != (model.n,):
         raise InvalidArgumentError("belief dimension does not match model")
     x = model.A @ belief.x_hat + model.B @ u
+    fixed = belief._fixed
+    if fixed is not None and fixed.model is model:
+        return _belief(x, fixed.P_pred, belief.t + 1, PREDICTED, fixed)
     P = _symmetrize(model.A @ belief.P @ model.A.T + model.Q)
-    return _belief(x, P, belief.t + 1, PREDICTED)
+    return _belief(x, P, belief.t + 1, PREDICTED, source=(model, belief.P))
 
 
 def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief, np.ndarray]:
@@ -133,13 +181,20 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
     The gain solves S g' = C P (S = C P C' + R) by Cholesky, falling back to
     LU when S is only semidefinite; a reciprocal condition below 1e-12 raises.
     A scalar S (m = 1) takes the closed form of the module docstring and
-    raises when S <= 0.
+    raises when S <= 0. An updated P bitwise equal to the one the belief was
+    predicted from (same model) freezes the recursion, as the module
+    docstring describes.
     """
     if belief.phase != PREDICTED:
         raise InvalidArgumentError("kf_update expects a predicted belief")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (model.m,):
         raise InvalidArgumentError(f"y must have shape ({model.m},)")
+    fixed = belief._fixed
+    if fixed is not None and fixed.model is model:
+        g = fixed.gain
+        x = belief.x_hat + g @ (y - model.C @ belief.x_hat)
+        return _belief(x, fixed.P_upd, belief.t, UPDATED, fixed), g
     P = belief.P
     if model.m == 1:
         g = _scalar_gain(P, model)
@@ -147,6 +202,12 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
         g = _general_gain(P, model)
     x = belief.x_hat + g @ (y - model.C @ belief.x_hat)
     P_new = _symmetrize((model._eye - g @ model.C) @ P)
+    source = belief._source
+    if (source is not None and source[0] is model
+            and P_new.tobytes() == source[1].tobytes()):
+        fixed = _FixedPoint(model, _read_only(P.copy()), _read_only(g),
+                            _read_only(P_new), belief.t)
+        return _belief(x, P_new, belief.t, UPDATED, fixed), g
     return _belief(x, P_new, belief.t, UPDATED), g
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import SeparationSpec
-from .errors import PoisonedStateError
-from .kalman import KalmanBelief, SystemModel, kf_predict, kf_update
+from .errors import InvalidArgumentError, PoisonedStateError
+from .kalman import (KalmanBelief, SystemModel, check_covariance, kf_predict,
+                     kf_update)
 from .runtime import SeparatorBank, SeparatorCore
 
 
@@ -43,20 +44,32 @@ class KfPasfState:
 
     def __init__(self, model: SystemModel, p_coeffs, a_coeffs,
                  initial_expectations, P0):
+        P0 = np.asarray(P0, dtype=float)
+        if P0.shape != (model.n, model.n):
+            raise InvalidArgumentError(
+                f"P0 must be {model.n} x {model.n}, got shape {P0.shape}")
+        if np.isfinite(P0).all():  # a non-finite P0 poisons the first step
+            check_covariance("P0", P0)
         self.model = model
         # the histories cover times -(depth-1)..0 oldest first, so the
         # core's step k is time k + 1
         self.core = SeparatorCore(SeparatorBank(p_coeffs, a_coeffs), model.n)
         self.core.inject(*initial_expectations)
         self.belief = KalmanBelief(
-            x_hat=self.core.in_buf[-1].copy(), P=np.asarray(P0, dtype=float),
-            t=0, phase="updated",
+            x_hat=self.core.in_buf[-1].copy(), P=P0, t=0, phase="updated",
         )
         self._poisoned = False
 
     @property
     def bank(self) -> SeparatorBank:
         return self.core.bank
+
+    @property
+    def gain_frozen_at(self) -> int | None:
+        """The step whose update froze the covariance and gain at their
+        bitwise fixed point (see ``pasf.kalman``); None until then."""
+        fixed = self.belief._fixed
+        return None if fixed is None else fixed.t
 
     def step(self, u, y) -> KfPasfStep:
         """Advance from time t-1 to t given the input applied at t-1 and the

@@ -388,13 +388,12 @@ class EstimationRun:
 
 def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States x(1..steps) of x(t+1) = A x(t) + B u'(t) from x(0) = x0."""
-    steps = len(u_plus_v)
-    n = A.shape[0]
-    out = np.empty((steps, n))
+    out = np.empty((len(u_plus_v), A.shape[0]))
     x = np.asarray(x0, dtype=float).copy()
-    Bf = B.reshape(-1)
-    for i in range(steps):
-        x = A @ x + Bf * u_plus_v[i]
+    # each row is the single-rounded B u'(i) the per-step form computes
+    Bu = np.multiply.outer(u_plus_v, B.reshape(-1))
+    for i, bu in enumerate(Bu):
+        x = A @ x + bu
         out[i] = x
     return out
 
@@ -465,12 +464,15 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     )
 
     Bf = scn.B.reshape(-1)
+    # with no feedback u is known up front, so B (u + v) is formed once
+    Bu = None if is_control else np.multiply.outer(u_base + v, Bf)
     x = x0
     switches = dict(switches)
+    P = None
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
-        x = scn.A @ x + Bf * (u_prev + v[i])
+        x = scn.A @ x + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
         y = float((scn.C @ x)[0] + w[i])
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
@@ -480,7 +482,10 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
         out.x_upd[i] = rec.x_upd
         out.xp_upd[i] = rec.xp_upd
         out.xa_upd[i] = rec.xa_upd
-        out.tr_p[i] = np.trace(rec.P)
+        if rec.P is not P:  # a frozen recursion returns the same P
+            P = rec.P
+            tr_p = np.trace(P)
+        out.tr_p[i] = tr_p
         if is_control:
             tt = t * T
             if tt < ctl.start_s:

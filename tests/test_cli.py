@@ -500,15 +500,24 @@ def test_scenario_file_hole_is_validation_error_naming_its_line(
     assert not out.exists()
 
 
-def test_failed_scenario_run_leaves_no_output_directory(tmp_path):
-    """The model's shapes are checked when the run builds it, after the file
-    parsed; the output directory is created only once the runs succeed."""
-    path = tmp_path / "shape.scn"
-    path.write_text(NUMBERS_SCENARIO.replace("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T"))
+@pytest.mark.parametrize("line, bad, message", [
+    ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T", "A must be square"),
+    ("Q = diag 0 0 1e-4", "Q = diag 0 0 1e-4\nP0 = 1 2 0 ; 0 1 0 ; 0 0 1",
+     "P0 must be symmetric"),
+    ("Q = diag 0 0 1e-4", "Q = diag 0 0 1e-4\nP0 = diag -1 1 1",
+     "P0 must be positive semidefinite"),
+])
+def test_failed_scenario_run_leaves_no_output_directory(tmp_path, line, bad,
+                                                        message):
+    """The model and P0 are checked when the run builds the estimator, after
+    the file parsed; the output directory is created only once the runs
+    succeed."""
+    path = tmp_path / "model.scn"
+    path.write_text(NUMBERS_SCENARIO.replace(line, bad))
     out = tmp_path / "out"
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)
-    assert "A must be square" in res.stderr
+    assert message in res.stderr
     assert not out.exists()
 
 

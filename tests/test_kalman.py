@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from pasf.errors import (
 )
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
+from pasf.scenarios import build_sec54
 
 
 def _scalar_model(a=1.0, q=0.01, r=1.0):
@@ -219,3 +220,128 @@ def test_nan_covariance_poisons_the_estimator():
         state.step([0.0], [1.0])
     with pytest.raises(PoisonedStateError):
         state.step([0.0], [1.0])
+
+
+def _oracle_chain(model, P0, inputs):
+    """Per-step oracle: each belief is rebuilt through the public
+    constructor, so the recursion never freezes. Yields (x, P, gain)."""
+    belief = KalmanBelief(x_hat=np.zeros(model.n), P=P0)
+    for u, y in inputs:
+        pred = kf_predict(
+            KalmanBelief(belief.x_hat, belief.P, belief.t, "updated"), model, u)
+        belief, gain = kf_update(
+            KalmanBelief(pred.x_hat, pred.P, pred.t, "predicted"), model, y)
+        yield belief.x_hat, belief.P, gain
+
+
+def _assert_memoized_chain_matches_oracle(model, P0, inputs):
+    """Run the chain kf_predict/kf_update hand on to each other against the
+    oracle, bitwise; return the step it froze at (None if it never did) and
+    the oracle's first step whose updated P repeats the previous one."""
+    belief = KalmanBelief(x_hat=np.zeros(model.n), P=P0)
+    repeat_at = None
+    P_prev = belief.P
+    for t, ((u, y), (x, P, gain)) in enumerate(
+            zip(inputs, _oracle_chain(model, P0, inputs)), start=1):
+        belief, g = kf_update(kf_predict(belief, model, u), model, y)
+        assert belief.x_hat.tobytes() == x.tobytes(), t
+        assert belief.P.tobytes() == P.tobytes(), t
+        assert g.tobytes() == gain.tobytes(), t
+        if repeat_at is None and P.tobytes() == P_prev.tobytes():
+            repeat_at = t
+        P_prev = P
+    fixed = belief._fixed
+    return (None if fixed is None else fixed.t), repeat_at
+
+
+@st.composite
+def _stable_models(draw):
+    """A model with n = 1..4 states, m = 1 (closed-form gain) or m = 2
+    (Cholesky path), A scaled to spectral radius 0.1..0.95, and enough
+    random inputs and measurements to pass its fixed point."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    unit = st.floats(-1, 1)
+    M = draw(hnp.arrays(float, (n, n), elements=unit))
+    radius = max(np.max(np.abs(np.linalg.eigvals(M))), 1e-3)
+    A = M * (draw(st.floats(0.1, 0.95)) / radius)
+    Lq = draw(hnp.arrays(float, (n, n), elements=unit))
+    Lr = draw(hnp.arrays(float, (m, m), elements=unit))
+    C = draw(hnp.arrays(float, (m, n), elements=st.floats(-2, 2)))
+    model = SystemModel(A=A, B=np.ones((n, 1)), C=C,
+                        Q=Lq @ Lq.T + 1e-3 * np.eye(n),
+                        R=Lr @ Lr.T + 1e-2 * np.eye(m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = [(rng.standard_normal(1), rng.standard_normal(m))
+              for _ in range(300)]
+    return model, np.eye(n), inputs
+
+
+@pytest.mark.filterwarnings("ignore:model is not observable")
+@settings(max_examples=40, deadline=None)
+@given(_stable_models())
+def test_frozen_recursion_equals_per_step_oracle_bitwise(case):
+    model, P0, inputs = case
+    frozen_at, repeat_at = _assert_memoized_chain_matches_oracle(model, P0, inputs)
+    # the chain freezes exactly where the oracle's updated P first repeats
+    assert frozen_at == repeat_at
+    event("froze" if frozen_at else "did not freeze in 300 steps")
+
+
+def test_marginally_stable_model_never_freezes_and_matches_oracle():
+    scn = build_sec54()  # the closed loop's plant: P creeps and never repeats
+    model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
+    rng = np.random.default_rng(5)
+    inputs = [(rng.standard_normal(1), rng.standard_normal(1))
+              for _ in range(1500)]
+    assert _assert_memoized_chain_matches_oracle(model, scn.P0, inputs) == (None, None)
+
+
+def _frozen_scalar_chain(model, steps=200):
+    belief = KalmanBelief(x_hat=[0.0], P=[[1.0]])
+    for _ in range(steps):
+        belief, gain = kf_update(kf_predict(belief, model, [0.0]), model, [1.0])
+    return belief, gain
+
+
+def test_frozen_arrays_are_read_only_and_repeat():
+    model = _scalar_model(a=0.5, q=0.1, r=1.0)
+    belief, gain = _frozen_scalar_chain(model)
+    assert belief._fixed is not None
+    pred = kf_predict(belief, model, [0.0])
+    upd, g = kf_update(pred, model, [1.0])
+    assert pred.P is belief._fixed.P_pred and upd.P is belief.P and g is gain
+    for a in (pred.P, upd.P, g):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_frozen_belief_recomputes_under_another_model_instance():
+    model = _scalar_model(a=0.5, q=0.1, r=1.0)
+    belief, _ = _frozen_scalar_chain(model)
+    for other in (_scalar_model(a=0.5, q=0.1, r=1.0),   # equal, not the same
+                  _scalar_model(a=0.5, q=0.4, r=1.0)):  # a different Q
+        pred = kf_predict(belief, other, [0.0])
+        upd, g = kf_update(pred, other, [1.0])
+        ref = kf_predict(KalmanBelief(belief.x_hat, belief.P, belief.t), other, [0.0])
+        ref_upd, ref_g = kf_update(ref, other, [1.0])
+        assert pred._fixed is None  # recomputed, so it may freeze anew
+        assert upd._fixed is None or upd._fixed.model is other
+        assert pred.P.tobytes() == ref.P.tobytes()
+        assert upd.P.tobytes() == ref_upd.P.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+        assert upd.x_hat.tobytes() == ref_upd.x_hat.tobytes()
+    # the oracle's P under the larger Q is not the frozen one: it recomputed
+    assert pred.P[0, 0] != belief._fixed.P_pred[0, 0]
+
+
+def test_model_matrices_are_read_only_copies():
+    """A frozen recursion is keyed by the model object, so the model's
+    matrices must not change under it."""
+    A = np.array([[0.5]])
+    model = SystemModel(A=A, B=[1.0], C=[[1.0]], Q=[[0.1]], R=[[1.0]])
+    A[0, 0] = 0.9
+    assert model.A[0, 0] == 0.5
+    for name in ("A", "B", "C", "Q", "R"):
+        with pytest.raises(ValueError):
+            getattr(model, name)[0, 0] = 0.0

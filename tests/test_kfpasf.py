@@ -10,7 +10,7 @@ from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.runtime import PasfState
-from pasf.scenarios import build_sec54
+from pasf.scenarios import build_sec51, build_sec54
 
 
 def _scalar_setup(P0=1.0):
@@ -204,3 +204,44 @@ def test_scalar_measurement_step_runs_without_dense_linalg(monkeypatch):
         rec = state.step([u], [y])
     assert rec.t == 2000
     assert np.all(np.isfinite(rec.x_upd))
+
+
+@pytest.mark.parametrize("build, froze", [(build_sec51, True), (build_sec54, False)])
+def test_gain_frozen_at_is_the_oracles_first_repeating_step(build, froze):
+    scn = build()
+    model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
+    p, a = design_iir(SeparationSpec(10.0, scn.period, scn.sampling_time), 1,
+                      allow_out_of_band=True)
+    state = KfPasfState(model, p, a, zero_histories(model, 1, scn.period), scn.P0)
+    rng = np.random.default_rng(11)
+    oracle = KalmanBelief(x_hat=np.zeros(3), P=scn.P0)
+    repeat_at = frozen_gain = None
+    for t in range(1, 601):
+        u, y = rng.standard_normal(1), rng.standard_normal(1)
+        rec = state.step(u, y)
+        pred = kf_predict(KalmanBelief(oracle.x_hat, oracle.P, t - 1), model, u)
+        P_prev = oracle.P
+        oracle, gain = kf_update(
+            KalmanBelief(pred.x_hat, pred.P, t, "predicted"), model, y)
+        if repeat_at is None and oracle.P.tobytes() == P_prev.tobytes():
+            repeat_at, frozen_gain = t, gain
+        assert state.gain_frozen_at == repeat_at, t
+        if frozen_gain is not None:  # the gain of that step holds for good
+            assert gain.tobytes() == frozen_gain.tobytes() == rec.gain.tobytes()
+    assert (repeat_at is not None) == froze
+
+
+@pytest.mark.parametrize("P0", [
+    np.eye(2),                        # not n x n
+    [1.0, 1.0, 1.0],
+    None,
+    [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # asymmetric
+    -np.eye(3),                       # indefinite
+    np.diag([1.0, -1e-3, 1.0]),
+])
+def test_bad_initial_covariance_is_a_typed_error_at_construction(P0):
+    model = SystemModel(A=np.eye(3) * 0.5, B=[0.0, 0.0, 1.0], C=np.eye(3),
+                        Q=np.eye(3), R=np.eye(3))
+    p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
+    with pytest.raises(InvalidArgumentError, match="P0"):
+        KfPasfState(model, p, a, zero_histories(model, 1, 2), P0)

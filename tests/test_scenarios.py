@@ -206,6 +206,42 @@ def test_scaled_estimation_run_tracks_truth():
     assert np.all(np.isfinite(run.tr_p))
 
 
+def test_simulate_plant_equals_the_per_step_form_bitwise():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((3, 3)) * 0.5
+    B = rng.standard_normal(3)
+    u = np.concatenate([rng.standard_normal(200) * 1e3, [-0.0, 0.0, 1e-300]])
+    x = rng.standard_normal(3)
+    states = scenarios.simulate_plant(A, B, u, x)
+    for i, ui in enumerate(u):
+        x = A @ x + B * ui
+        assert x.tobytes() == states[i].tobytes()
+
+
+def test_estimation_run_equals_the_per_tick_form_bitwise(monkeypatch):
+    """The estimation kind forms B (u + v) up front and takes trace(P) only
+    for a new P; the plant states and trP match the per-tick forms."""
+    scn = replace(build_sec52(), duration_s=1.0, interference_window_s=None)
+    traces = []
+    step = KfPasfState.step
+
+    def recording(self, u, y):
+        rec = step(self, u, y)
+        traces.append(np.trace(rec.P))
+        return rec
+
+    monkeypatch.setattr(KfPasfState, "step", recording)
+    run = run_estimation(scn, FilterChoice("iir", 1), seed=3)
+    v = sig.GaussianStream(sig.NoiseSpec(
+        0.0, scn.process_noise_variance, scenarios._stream_seed(3, 1))).draw(scn.steps)
+    Bf = scn.B.reshape(-1)
+    x = run.pre_tail[-1]
+    for i in range(scn.steps):
+        x = scn.A @ x + Bf * (run.u[i] + v[i])
+        assert x.tobytes() == run.x_true[i].tobytes()
+    assert np.array(traces).tobytes() == run.tr_p.tobytes()
+
+
 SCENARIO_TEXT = """
 # custom estimation scenario
 [scenario]
