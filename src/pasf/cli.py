@@ -15,7 +15,7 @@ import numpy as np
 
 from . import design as dsn
 from . import response as rsp
-from .csvio import export_csv, read_csv
+from .csvio import data_line, export_csv, read_csv
 from .errors import (
     DegenerateDesignError,
     InvalidArgumentError,
@@ -112,8 +112,12 @@ def _cmd_separate(args) -> int:
             f"input CSV must have header t,x; got {header}"
         )
     t, x = data[:, 0], data[:, 1]
-    if not np.isfinite(t).all():
-        raise InvalidArgumentError("input CSV column t must be finite")
+    # t is written back as integers, so any other value is refused, not cut
+    bad = np.flatnonzero(~np.isfinite(t) | (np.floor(t) != t))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"{args.input}: line {data_line(args.input, bad[0])}: "
+            f"column t must be finite and an integer, got {float(t[bad[0]])!r}")
     xp, xa = PasfState(p, a).run(x)
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, "separated.csv")

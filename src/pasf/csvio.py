@@ -77,6 +77,13 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def data_line(path, row: int) -> int:
+    """The line number in ``path`` of data row ``row`` (from 0) of a CSV
+    that ``read_csv`` accepted; blank lines are not rows."""
+    lines = read_text(path).split("\n")
+    return [no for no, ln in enumerate(lines, 1) if ln.strip()][row + 1]
+
+
 def _first_bad_row(lines, width) -> str:
     numbered = [(no, ln) for no, ln in enumerate(lines, 1) if ln]
     for no, ln in numbered[1:]:

@@ -12,6 +12,7 @@ the updated triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class KfPasfState:
         xp_upd = theta_p + bank.sp * upd.x_hat
         xa_upd = theta_a + bank.sa * upd.x_hat
 
-        if not np.isfinite(upd.x_hat).all():
+        if not all(map(math.isfinite, upd.x_hat.tolist())):
             self._poisoned = True
             raise PoisonedStateError("estimate diverged to non-finite values")
 

@@ -23,7 +23,7 @@ from .design import SeparationSpec, design_for
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import InvalidArgumentError
-from .kalman import SystemModel
+from .kalman import SystemModel, left_product, matmul
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
@@ -392,8 +392,10 @@ def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     x = np.asarray(x0, dtype=float).copy()
     # each row is the single-rounded B u'(i) the per-step form computes
     Bu = np.multiply.outer(u_plus_v, B.reshape(-1))
+    Ax = left_product(A)
     for i, bu in enumerate(Bu):
-        x = A @ x + bu
+        x = Ax(x)
+        x += bu
         out[i] = x
     return out
 
@@ -472,8 +474,8 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
-        x = scn.A @ x + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
-        y = float((scn.C @ x)[0] + w[i])
+        x = matmul(scn.A, x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
+        y = float(matmul(scn.C, x)[0] + w[i])
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
         rec = est.step([u_prev], [y])

@@ -213,6 +213,12 @@ def _separate_inputs(tmp_path, rows):
     (["0,1.0,2.0", "1,2.0,3.0"], "line 2 has 3 fields, the header 2"),
     (["0,1.0", "nan,2.0"], "column t must be finite"),
     (["0,1.0", "inf,2.0"], "column t must be finite"),
+    # a non-integer t was written back cut to an integer, with exit 0
+    (["0.5,1.0", "1.7,2.0", "2.2,3.0"],
+     "line 2: column t must be finite and an integer, got 0.5"),
+    (["0,1.0", "", "1,2.0", "2.000001,3.0"],
+     "line 5: column t must be finite and an integer, got 2.000001"),
+    (["0,1.0", "-1e-300,2.0"], "line 3: column t must be finite"),
 ])
 def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
     out = tmp_path / "out"
@@ -220,6 +226,14 @@ def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
     _assert_validation_error(res)
     assert message in res.stderr
     assert not out.exists()
+
+
+def test_separate_keeps_integer_valued_t(tmp_path):
+    res = run_cli("--out-dir", str(tmp_path / "out"),
+                  *_separate_inputs(tmp_path, ["-0.0,1.0", "1.0,2.0", "2e0,3.0"]))
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "out" / "separated.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1", "2"]
 
 
 @pytest.mark.parametrize("line, text, message", [

@@ -1,5 +1,7 @@
 """Kalman filter unit checks against straight-line oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -222,6 +224,22 @@ def test_nan_covariance_poisons_the_estimator():
         state.step([0.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_non_finite_measurement_poisons_the_estimator(bad, n):
+    """A non-finite y raises on its own step and on every later one."""
+    model = SystemModel(A=0.5 * np.eye(n) + 0.1 * np.eye(n, k=1),
+                        B=np.ones((n, 1)), C=np.eye(1, n),
+                        Q=0.01 * np.eye(n), R=[[1.0]])
+    p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
+    state = KfPasfState(model, p, a, zero_histories(model, 1, 2), np.eye(n))
+    state.step([0.0], [1.0])
+    with np.errstate(invalid="ignore"), pytest.raises(PoisonedStateError):
+        state.step([0.0], [bad])
+    with pytest.raises(PoisonedStateError):
+        state.step([0.0], [1.0])
+
+
 def _oracle_chain(model, P0, inputs):
     """Per-step oracle: each belief is rebuilt through the public
     constructor, so the recursion never freezes. Yields (x, P, gain)."""
@@ -295,6 +313,114 @@ def test_marginally_stable_model_never_freezes_and_matches_oracle():
     inputs = [(rng.standard_normal(1), rng.standard_normal(1))
               for _ in range(1500)]
     assert _assert_memoized_chain_matches_oracle(model, scn.P0, inputs) == (None, None)
+
+
+def _at_predict(x, P, model, u):
+    """``kf_predict``'s expressions written with ``@``: an independent
+    reference for the products ``kalman.matmul`` forms."""
+    x = model.A @ x + model.B @ u
+    P = model.A @ P @ model.A.T + model.Q
+    return x, 0.5 * (P + P.T)
+
+
+def _at_update(x, P, model, y):
+    """``kf_update``'s expressions written with ``@``; returns (x, P, gain)."""
+    CP = model.C @ P
+    if model.m == 1:
+        s = float((CP @ model.C.T + model.R)[0, 0])
+        d = math.sqrt(0.5 * (s + s))
+        if model.n == 1:
+            g = ((CP / d) / d).T
+        else:
+            r = 1.0 / d
+            g = ((CP * r) * r).T
+    else:
+        S = model.C @ P @ model.C.T + model.R
+        L = np.linalg.cholesky(0.5 * (S + S.T))
+        g = np.linalg.solve(L.T, np.linalg.solve(L, CP)).T
+    x = x + g @ (y - model.C @ x)
+    P = (np.eye(model.n) - g @ model.C) @ P
+    return x, 0.5 * (P + P.T), g
+
+
+def _assert_chain_matches_at_reference(model, P0, inputs):
+    """kf_predict/kf_update handed on to each other (so free to freeze)
+    against the ``@`` reference, bitwise in x, P and the gain."""
+    belief = KalmanBelief(x_hat=np.zeros(model.n), P=P0)
+    x, P = belief.x_hat, belief.P
+    for t, (u, y) in enumerate(inputs, start=1):
+        pred = kf_predict(belief, model, u)
+        x, P = _at_predict(x, P, model, np.asarray(u, dtype=float))
+        assert pred.x_hat.tobytes() == x.tobytes(), t
+        assert pred.P.tobytes() == P.tobytes(), t
+        belief, gain = kf_update(pred, model, y)
+        x, P, g = _at_update(x, P, model, np.asarray(y, dtype=float))
+        assert belief.x_hat.tobytes() == x.tobytes(), t
+        assert belief.P.tobytes() == P.tobytes(), t
+        assert gain.tobytes() == g.tobytes(), t
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:model is not observable")
+@settings(max_examples=40, deadline=None)
+@given(_stable_models())
+def test_kalman_products_equal_the_at_reference_bitwise(case):
+    _assert_chain_matches_at_reference(*case)
+
+
+def test_sec54_kalman_products_equal_the_at_reference_bitwise():
+    scn = build_sec54()  # never freezes: every step recomputes P and the gain
+    model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
+    rng = np.random.default_rng(11)
+    inputs = [(rng.standard_normal(1), rng.standard_normal(1))
+              for _ in range(600)]
+    _assert_chain_matches_at_reference(model, scn.P0, inputs)
+
+
+@pytest.mark.parametrize("a", [0.5, -1.0, 0.0, -0.0])
+def test_scalar_signed_zero_and_nan_states_equal_the_at_reference(a):
+    """n = 1 keeps ``@`` for every product; signed zeros and NaN must come
+    out as the reference gives them."""
+    model = SystemModel(A=[[a]], B=[[-1.0]], C=[[1.0]], Q=[[0.01]], R=[[1.0]])
+    zeros = [0.0, -0.0]
+    inputs = [([u], [y]) for u in zeros for y in zeros] * 3
+    inputs += [([-0.0], [np.nan]), ([0.0], [1.0]), ([-0.0], [-0.0])]
+    x = _assert_chain_matches_at_reference(model, [[1.0]], inputs)
+    assert np.isnan(x).all()
+
+
+@st.composite
+def _product_operands(draw):
+    """``(a, b)`` with contracted dimension 1..5: a matrix or vector times a
+    vector or matrix, each C-contiguous, a transpose, or a row view of a
+    larger array, with elements that include signed zeros, NaN and
+    infinities."""
+    k = draw(st.integers(1, 5))
+    a_shape = draw(st.sampled_from([(k,), (1, k), (2, k), (3, k), (5, k)]))
+    b_shape = draw(st.sampled_from([(k,), (k, 1), (k, 2), (k, 4)]))
+    specials = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+    elements = st.one_of(specials, st.floats(-1e3, 1e3), st.floats(width=64))
+    return tuple(_layout(draw(hnp.arrays(float, shape, elements=elements)),
+                         draw(st.sampled_from(["c", "t", "row"])))
+                 for shape in (a_shape, b_shape))
+
+
+def _layout(arr, kind):
+    if kind == "t":  # an F-ordered transpose, as model.A.T
+        return np.ascontiguousarray(arr.T).T
+    if kind == "row":  # a row of a larger array, as a state row of a table
+        big = np.zeros((3,) + arr.shape)
+        big[1] = arr
+        return big[1]
+    return arr
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_product_operands())
+def test_matmul_bytes_equal_the_at_operator(operands):
+    a, b = operands
+    with np.errstate(all="ignore"):
+        assert kalman.matmul(a, b).tobytes() == (a @ b).tobytes()
 
 
 def _frozen_scalar_chain(model, steps=200):

@@ -206,16 +206,24 @@ def test_scaled_estimation_run_tracks_truth():
     assert np.all(np.isfinite(run.tr_p))
 
 
-def test_simulate_plant_equals_the_per_step_form_bitwise():
+@pytest.mark.parametrize("n", [1, 3])
+def test_simulate_plant_equals_the_per_step_form_bitwise(n):
+    """n = 1 takes the ``@`` fallback of the bound product; a zero plant
+    from x0 = -0.0 keeps signed zeros, and a NaN input poisons the rest."""
     rng = np.random.default_rng(9)
-    A = rng.standard_normal((3, 3)) * 0.5
-    B = rng.standard_normal(3)
-    u = np.concatenate([rng.standard_normal(200) * 1e3, [-0.0, 0.0, 1e-300]])
-    x = rng.standard_normal(3)
-    states = scenarios.simulate_plant(A, B, u, x)
-    for i, ui in enumerate(u):
-        x = A @ x + B * ui
-        assert x.tobytes() == states[i].tobytes()
+    A = rng.standard_normal((n, n)) * 0.5
+    B = rng.standard_normal(n)
+    u = np.concatenate([rng.standard_normal(200) * 1e3, [-0.0, 0.0, 1e-300],
+                        [-1.0, -0.0, -0.0, 1.0, -0.0, 0.0, -0.0],
+                        [np.nan, 1.0, -0.0]])
+    for A, x0 in ((A, rng.standard_normal(n)),
+                  (-0.0 * A, np.full(n, -0.0))):
+        states = scenarios.simulate_plant(A, B, u, x0)
+        x = x0
+        for i, ui in enumerate(u):
+            x = A @ x + B * ui
+            assert x.tobytes() == states[i].tobytes(), i
+    assert np.isnan(states[-1]).all()
 
 
 def test_estimation_run_equals_the_per_tick_form_bitwise(monkeypatch):
