@@ -24,15 +24,30 @@ def export_csv(path, columns) -> None:
     unequal length are an ``InvalidArgumentError``. A column whose values
     are all integers is written with ``%d``, any other with ``%.12g``: the
     bytes of ``format_value`` on every value of such columns.
+
+    Rows are written ``_CHUNK_ROWS`` at a time: each array column's slice is
+    converted to Python numbers with one ``tolist()`` (the same values, so
+    the same bytes, as formatting the NumPy scalars), the chunk's rows are
+    formatted with the row template and written with one ``write``. Memory
+    stays bounded by one chunk, whatever the table's length.
     """
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) > 1:
         raise InvalidArgumentError(f"columns of unequal length: {lengths}")
-    fmt = ",".join("%d" if _integers(col) else "%.12g"
-                   for col in columns.values()) + "\n"
+    cols = list(columns.values())
+    fmt = ",".join("%d" if _integers(col) else "%.12g" for col in cols) + "\n"
+    rows = next(iter(lengths.values()), 0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(fmt % row for row in zip(*columns.values()))
+        for i in range(0, rows, _CHUNK_ROWS):
+            parts = [col[i:i + _CHUNK_ROWS] for col in cols]
+            parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+            fh.write("".join([fmt % row for row in zip(*parts)]))
+
+
+# Rows per chunk of export_csv: large enough to amortize a write, small
+# enough that a chunk's Python numbers stay well under a megabyte.
+_CHUNK_ROWS = 1024
 
 
 def _integers(col) -> bool:

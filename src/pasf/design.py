@@ -8,7 +8,7 @@ i*period fast-time samples. ``feedback`` holds a_1..a_N (a_0 = 1 implicit),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -196,6 +196,18 @@ def _complement(coeffs: FilterCoefficients, out_kind: str) -> FilterCoefficients
     )
 
 
+# design_for's pairs by argument (value and type, so that equal values of
+# different types never share a pair), oldest first; bounded, since a
+# schedule may name any number of separation frequencies.
+_DESIGNS: dict[tuple, tuple[FilterCoefficients, FilterCoefficients]] = {}
+_MAX_DESIGNS = 32
+
+
+def forget_designs() -> None:
+    """Empty ``design_for``'s memo, so the next call of each spec designs."""
+    _DESIGNS.clear()
+
+
 def design_for(
     realization: str, spec: SeparationSpec, order: int,
     allow_out_of_band: bool = False,
@@ -208,7 +220,33 @@ def design_for(
     ``complementary-of-fir`` pair the designed periodic-pass filter with its
     ``make_complementary``. Any other realization, such as a comb or its
     complement, has no design from a separation spec.
+
+    Designs are memoized: equal arguments return the identical pair, whose
+    tap arrays are read-only copies, so no caller can change the pair another
+    caller is given. The memo holds the last ``_MAX_DESIGNS`` distinct
+    designs; a design that raises is not kept, so it raises on every call.
+    ``forget_designs`` empties it.
     """
+    key = tuple((type(v), v) for v in (realization, spec.rho_tilde, spec.period,
+                                       spec.sampling_time, order, allow_out_of_band))
+    pair = _DESIGNS.get(key)
+    if pair is None:
+        pair = tuple(map(_read_only, _design(realization, spec, order,
+                                             allow_out_of_band)))
+        if len(_DESIGNS) >= _MAX_DESIGNS:
+            del _DESIGNS[next(iter(_DESIGNS))]
+        _DESIGNS[key] = pair
+    return pair
+
+
+def _read_only(coeffs: FilterCoefficients) -> FilterCoefficients:
+    """``coeffs`` with read-only copies of its tap arrays."""
+    fb, ff = coeffs.feedback.copy(), coeffs.feedforward.copy()
+    fb.flags.writeable = ff.flags.writeable = False
+    return replace(coeffs, feedback=fb, feedforward=ff)
+
+
+def _design(realization, spec, order, allow_out_of_band):
     base = realization.removeprefix("complementary-of-")
     if base == "iir":
         p, a = design_iir(spec, order, allow_out_of_band)

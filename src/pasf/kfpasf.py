@@ -5,9 +5,9 @@ state and splits both the predicted and updated estimates into quasi-periodic
 and quasi-aperiodic parts, one coefficient pair for every state element. The
 split adds the delayed-history terms (read once per step from the separator
 core's per-period table over the N*period-deep buffers of past UPDATED
-estimates) to the direct term times the current estimate; the same history
-terms serve the predicted and the updated split. Buffers then advance with
-the updated triple.
+estimates; two floats for a one-state model) to the direct term times the
+current estimate; the same history terms serve the predicted and the updated
+split. Buffers then advance with the updated triple.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ Every delayed term reads a sample at least one period old, so the sums theta
 (everything but the i = 0 term) of the steps t0 .. t0+period-1 depend only on
 samples pushed before t0: the whole period is known at its first step.
 ``SeparatorCore`` computes it there in one vectorized pass into a
-(period, n) table per output, and ``theta()`` returns one row per step. The
-table is rebuilt when t leaves its period, and from the current t after
-``swap_bank``, ``inject`` or ``reset``.
+(period, n) table per output, and ``theta()`` returns one (periodic,
+aperiodic) row pair per step: Python floats when n == 1, views of the
+table's n-vector rows when n > 1. The table is rebuilt when t leaves its
+period, and from the current t after ``swap_bank``, ``inject`` or ``reset``.
 
 The table is bitwise equal to summing each step on its own because it keeps
 that sum's reduction order. NumPy sums a per-step (order, 1) array as one
@@ -30,11 +31,13 @@ well under a megabyte at any period (FIR50, n = 3, period 1000 would
 otherwise allocate several 1.2 MB arrays per pass).
 
 A one-channel separator steps in Python floats: the input is coerced once,
-theta's row is read with ``.item()``, ``xp = tp + sp * x`` and
-``xa = ta + sa * x`` are computed on floats and stored in 1-d views of the
-histories. That is bitwise equal to the NumPy form, because CPython and
-NumPy both round each binary64 ``*`` and ``+`` on its own and neither fuses
-them into one multiply-add. n > 1 takes the NumPy form on n-vectors.
+the build converts the period's theta pairs to floats with one ``tolist()``
+per output, ``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on
+floats and stored in 1-d views of the histories. That is bitwise equal to
+the NumPy form, because ``tolist()`` keeps every binary64 value (the sign of
+zero included) and CPython and NumPy both round each ``*`` and ``+`` on its
+own, neither fusing them into one multiply-add. n > 1 takes the NumPy form on
+n-vectors.
 
 ``PasfState.run(xs, switches)`` is the one loop over a stream: it applies
 each scheduled reconfiguration or coefficient swap before its sample and
@@ -130,16 +133,14 @@ class SeparatorCore:
         self.t = 0
         self._invalidate()
 
-    def theta(self) -> tuple[np.ndarray, np.ndarray]:
-        """Delayed-history sums for the current step (call before push).
-
-        The arrays are views of the table's rows: read them, do not write them.
-        """
+    def theta(self):
+        """Delayed-history sums (periodic, aperiodic) for the current step
+        (call before push): two floats when n == 1, else two n-vectors that
+        are views of the table's rows: read them, do not write them."""
         t = self.t
         if not self._start <= t < self._end:
             self._build()
-        i = t - self._start
-        return self._tp[i], self._ta[i]
+        return self._rows[t - self._start]
 
     def _build(self) -> None:
         """Tabulate theta for the steps t .. t+period-1 from the buffers."""
@@ -162,7 +163,7 @@ class SeparatorCore:
             prod += H * hist[0]
             sums = np.add.reduce(prod, axis=axis)
             table[:, r0:r1] = sums.reshape(2, n, -1).transpose(0, 2, 1)
-        self._tp, self._ta = table
+        self._rows = list(zip(*(table[:, :, 0].tolist() if n == 1 else table)))
         self._start, self._end = start, start + b.period
 
     def push(self, x, xp, xa) -> None:
@@ -234,8 +235,8 @@ class PasfState:
             if not math.isfinite(x):
                 raise self._poison()
             tp, ta = core.theta()
-            xp = tp.item() + bank.sp * x
-            xa = ta.item() + bank.sa * x
+            xp = tp + bank.sp * x
+            xa = ta + bank.sa * x
             core.push_scalar(x, xp, xa)
             return xp, xa
         xv = self._input(x)

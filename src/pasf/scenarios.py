@@ -19,7 +19,7 @@ import numpy as np
 from . import signals as sig
 from .baselines import CombSpec, comb_pair
 from .csvio import export_csv
-from .design import SeparationSpec, design_for
+from .design import SeparationSpec, design_for, forget_designs
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import InvalidArgumentError
@@ -569,7 +569,10 @@ def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
 def run_scenario(name_or_scenario, seed: int = 0, out_dir: str = ".",
                  plot_script: bool = True) -> dict:
     """Run a built-in (by name) or explicit Scenario; returns output paths
-    plus in-memory results."""
+    plus in-memory results. The run starts from an empty design memo (see
+    ``design.design_for``), so it designs each distinct pair once: the
+    second passes and the interference trace reuse the first pass's pairs."""
+    forget_designs()
     if isinstance(name_or_scenario, Scenario):
         scn = name_or_scenario
     else:

@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pasf import cli
+from pasf import cli, csvio
 from pasf.csvio import export_csv, format_value, read_csv
 from pasf.design import SeparationSpec, design_iir, save_coefficients
 from pasf.errors import InvalidArgumentError
@@ -156,6 +157,45 @@ def test_export_csv_bytes_equal_format_value(tmp_path, caller):
     path = tmp_path / "out.csv"
     export_csv(path, columns)
     assert path.read_bytes() == _format_value_csv(columns)
+
+
+_CHUNK = csvio._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_export_csv_chunks_keep_the_bytes(tmp_path, rows):
+    """Every chunk boundary writes the bytes of format_value joined per row,
+    for int and float arrays, int lists and lists of np.float64."""
+    rng = np.random.default_rng(rows)
+    special = [-0.0, 1e-300, 1e300, np.nan, 0.0, -1e300, np.inf, -np.inf]
+    floats = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    floats[::7][:len(special)] = special[:len(floats[::7])]
+    columns = {
+        "i_arr": np.arange(rows) - rows // 2,
+        "f_arr": floats,
+        "i_list": [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, rows)],
+        "f64_list": [np.float64(v) for v in floats[::-1]],
+    }
+    path = tmp_path / "chunks.csv"
+    export_csv(path, columns)
+    assert path.read_bytes() == _format_value_csv(columns)
+
+
+def test_export_csv_memory_is_bounded_by_a_chunk(tmp_path):
+    """A 200,000-row export holds one chunk's Python numbers, not the
+    table's: its peak stays far below converting a whole column."""
+    rows = 200_000
+    rng = np.random.default_rng(3)
+    columns = {"t": np.arange(rows), "x": rng.standard_normal(rows),
+               "y": rng.standard_normal(rows)}
+    tracemalloc.start()
+    try:
+        export_csv(tmp_path / "big.csv", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one whole float column as Python floats is 200,000 x 32 B = 6.4 MB
+    assert peak < 1_000_000
 
 
 def test_separate_rejects_non_finite_coefficient_file(tmp_path):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from pasf import design
 from pasf.design import (
     FilterCoefficients,
     SeparationSpec,
     check_stability,
     design_fir_equiripple,
+    design_for,
     design_iir,
+    forget_designs,
     format_coefficients,
     make_complementary,
     parse_coefficients,
@@ -305,3 +308,63 @@ def test_non_finite_taps_rejected(bad, taps):
     text[line] = " ".join(fields)
     with pytest.raises(InvalidArgumentError, match="finite"):
         parse_coefficients("\n".join(text))
+
+
+@pytest.mark.parametrize("realization, order", [
+    ("iir", 2), ("fir", 4), ("complementary-of-iir", 2), ("complementary-of-fir", 4),
+])
+def test_design_for_memoizes_equal_specs_as_one_read_only_pair(realization, order):
+    forget_designs()
+    first = design_for(realization, SeparationSpec(1.0, 8, 0.01), order)
+    again = design_for(realization, SeparationSpec(1.0, 8, 0.01), order)
+    assert again is first
+    # a different spec, order or band flag is a different design
+    assert design_for(realization, SeparationSpec(2.0, 8, 0.01), order) is not first
+    assert design_for(realization, SeparationSpec(1.0, 8, 0.01), order,
+                      allow_out_of_band=True) is not first
+    for coeffs in first:
+        for taps in (coeffs.feedback, coeffs.feedforward):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError):
+                taps[0] = 1.0
+
+
+def test_design_for_freezes_copies_not_the_designers_arrays(monkeypatch):
+    """The memo's pair holds read-only copies: the arrays a designer hands
+    over stay writeable and unshared."""
+    spec = SeparationSpec(1.0, 8, 0.01)
+    handed = design_iir(spec, 2)
+    monkeypatch.setattr(design, "design_iir", lambda *args: handed)
+    forget_designs()
+    pair = design_for("iir", spec, 2)
+    for mine, cached in zip(handed, pair):
+        for name in ("feedback", "feedforward"):
+            assert getattr(mine, name).flags.writeable
+            assert not np.shares_memory(getattr(mine, name), getattr(cached, name))
+            assert np.array_equal(getattr(mine, name), getattr(cached, name))
+
+
+def test_design_for_keeps_no_failed_design(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return design_iir(*args)
+
+    monkeypatch.setattr(design, "design_iir", counted)
+    forget_designs()
+    degenerate = SeparationSpec(0.0, 8, 0.01)
+    for _ in range(3):
+        with pytest.raises(DegenerateDesignError):
+            design_for("iir", degenerate, 2)
+    assert len(calls) == 3
+
+
+def test_design_for_memo_is_bounded():
+    forget_designs()
+    first = design_for("iir", SeparationSpec(1.0, 8, 0.01), 1)
+    for k in range(design._MAX_DESIGNS):
+        design_for("iir", SeparationSpec(1.0 + k + 1, 8, 0.01), 1)
+    assert len(design._DESIGNS) == design._MAX_DESIGNS
+    # the oldest design was dropped: an equal spec designs a new pair
+    assert design_for("iir", SeparationSpec(1.0, 8, 0.01), 1) is not first

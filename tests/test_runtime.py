@@ -233,11 +233,12 @@ def _bits(a):
 @pytest.mark.parametrize("dims", [1, 3])
 def test_theta_bitwise_equals_sum_formulation(order, dims):
     """Each theta row equals the per-step np.sum over the order axis, raw
-    bits included (so the sign of zero counts), at periods 1, 2, 3 and 7 and
+    bits included (so the sign of zero counts), at periods 1 to 12 and
     across a coefficient swap, an inject and a reset in the middle of a
-    period."""
+    period. One channel reads the row as two Python floats, more than one
+    as two n-vectors."""
     rng = np.random.default_rng(100 * order + dims)
-    for period in (1, 2, 3, 7):
+    for period in range(1, 13):
         core = SeparatorCore(_random_bank(rng, order, period), dims)
         cap = core.capacity
         mid = period // 2
@@ -259,9 +260,13 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
             lags = (core.t - core._strides) % cap
             hin = core.in_buf[lags]
             tp, ta = core.theta()
-            assert np.array_equal(_bits(tp), _bits(
+            if dims == 1:
+                assert type(tp) is float and type(ta) is float
+            else:
+                assert tp.shape == ta.shape == (dims,)
+            assert np.array_equal(_bits(np.atleast_1d(tp)), _bits(
                 np.sum(G[0] * core.p_buf[lags] + H[0] * hin, axis=0)))
-            assert np.array_equal(_bits(ta), _bits(
+            assert np.array_equal(_bits(np.atleast_1d(ta)), _bits(
                 np.sum(G[1] * core.a_buf[lags] + H[1] * hin, axis=0)))
             scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
             values = rng.standard_normal((3, dims)) * scales
@@ -334,6 +339,42 @@ def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
             assert type(xp) is float and type(xa) is float
         assert np.array_equal(_bits(np.atleast_1d(xp)), _bits(op))
         assert np.array_equal(_bits(np.atleast_1d(xa)), _bits(oa))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 50])
+def test_scalar_step_bitwise_equals_oracle_across_swap_inject_reset(order):
+    """The one-channel step reads its theta row as floats. Its outputs equal
+    the per-step oracle's bit for bit, at periods 1 to 12, with -0.0 inputs
+    and with a coefficient swap, an inject and a reset each falling in the
+    middle of a period."""
+    rng = np.random.default_rng(order)
+    for period in range(1, 13):
+        state = PasfState(*_random_pair(rng, order, period))
+        oracle = _PerStepOracle(state.bank, 1)
+        cap = state.core.capacity
+        mid = max(period // 2, 1)
+        events = {cap + mid: "swap", 2 * cap + mid: "inject", 3 * cap + mid: "reset"}
+        for t in range(4 * cap + 2 * period):
+            event = events.get(t)
+            if event == "swap":
+                state.swap_coefficients(*_random_pair(rng, order, period))
+                oracle.bank = state.bank
+            elif event == "inject":
+                hists = rng.standard_normal((3, cap))
+                hists[rng.random((3, cap)) < 0.2] = -0.0
+                state.core.inject(*hists)
+                oracle.bufs[:] = hists[..., None]
+            elif event == "reset":
+                state.reset()
+                oracle.bufs[:] = 0.0
+                oracle.t = 0
+            x = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+            if rng.random() < 0.2:
+                x = -0.0
+            xp, xa = state.step(x)
+            op, oa = oracle.step(np.array([x]))
+            assert type(xp) is float and type(xa) is float
+            assert np.array_equal(_bits([xp, xa]), _bits([op[0], oa[0]]))
 
 
 def test_separator_runs_one_coefficient_pair():

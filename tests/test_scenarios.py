@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pasf import scenarios
+from pasf import design, scenarios
 from pasf import signals as sig
 from pasf.baselines import CombSpec, comb_pair
 from pasf.design import (
     SeparationSpec,
     design_fir_equiripple,
     design_iir,
+    forget_designs,
     make_complementary,
 )
 from pasf.errors import InvalidArgumentError, UnsupportedReconfigurationError
@@ -537,3 +538,27 @@ def test_every_separation_sample_is_one_step_call(monkeypatch, tmp_path):
     sources = len(scn.filters) + len(scn.combs)
     assert len(steps) == scn.steps * sources * 2
     assert len(reconfigures) == 2 * 2
+
+
+def test_separation_second_pass_redesigns_nothing(monkeypatch):
+    """Each distinct spec is designed once: the first pass designs its
+    start pair and the one new spec its switches name, the second pass
+    reuses both through the design memo."""
+    scn = replace(_switching_scenario(), combs=(),
+                  filters=(FilterChoice("fir", 4, label="pasf"),))
+    designs = _count_calls(monkeypatch, design, "design_fir_equiripple")
+    per_run = []
+    run = PasfState.run
+
+    def counted_run(*args, **kwargs):
+        before = len(designs)
+        out = run(*args, **kwargs)
+        per_run.append(len(designs) - before)
+        return out
+
+    monkeypatch.setattr(PasfState, "run", counted_run)
+    forget_designs()
+    run_separation(scn, seed=0)
+    # rho 2.0 (the start pair), then 6.0 and back to 2.0 in each pass
+    assert per_run == [1, 0]
+    assert len(designs) == 2
