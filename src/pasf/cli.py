@@ -33,10 +33,6 @@ from .scenarios import (
 )
 
 
-def _spec_from_args(args) -> dsn.SeparationSpec:
-    return dsn.SeparationSpec(args.rho_tilde, args.period, args.sampling_time)
-
-
 def _add_spec_args(p):
     p.add_argument("--rho-tilde", type=float, required=True,
                    help="separation frequency [rad/s]")
@@ -57,7 +53,7 @@ def _write_pair(periodic, aperiodic, out_dir, stem):
 
 
 def _cmd_design_iir(args) -> int:
-    spec = _spec_from_args(args)
+    spec = dsn.SeparationSpec(args.rho_tilde, args.period, args.sampling_time)
     p, a = dsn.design_iir(spec, args.order,
                           allow_out_of_band=args.allow_out_of_band)
     paths = _write_pair(p, a, args.out_dir, f"iir{args.order}")
@@ -68,7 +64,7 @@ def _cmd_design_iir(args) -> int:
 
 
 def _cmd_design_fir(args) -> int:
-    spec = _spec_from_args(args)
+    spec = dsn.SeparationSpec(args.rho_tilde, args.period, args.sampling_time)
     p, a = dsn.design_fir_equiripple(
         spec, args.order,
         passband_edge=args.passband_edge,

@@ -62,6 +62,9 @@ class SeparationSpec:
                 f"rho = rho_tilde*period*T = {self.rho:.6g} exceeds pi; the "
                 "separation boundary lies beyond the lifted Nyquist band"
             )
+        if not math.isfinite(self.rho):
+            raise DegenerateDesignError(
+                f"rho = rho_tilde*period*T overflows to {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,10 @@ def design_iir(
     den = _poly_power(den1, order)
     nump = _poly_power(nump1, order)
     numa = _poly_power(numa1, order)
+    if not (np.isfinite(den).all() and np.isfinite(nump).all()):
+        raise DegenerateDesignError(
+            f"rho = {r:.6g} is too large for order {order}: the expanded "
+            "numerator and denominator overflow")
 
     a = den[1:] / den[0]
     b = nump / den[0]
@@ -316,14 +323,14 @@ def design_fir_equiripple(
         )
     if weight_ratio <= 0:
         raise InvalidArgumentError("weight_ratio must be positive")
+    # the exchange needs distinct cosines of its reference nodes; this close
+    # to 0 every passband node has cos = 1.0
+    if math.cos(passband_edge) == 1.0:
+        raise DegenerateDesignError(
+            f"passband edge {passband_edge:.6g} puts every passband grid node "
+            "at cos = 1: no equiripple design resolves the band")
 
-    h = _remez_lowpass(
-        order,
-        passband_edge,
-        stopband_edge,
-        weight_pass=weight_ratio,
-        weight_stop=1.0,
-    )
+    h = _remez_lowpass(order, passband_edge, stopband_edge, weight_ratio)
     h_hp = -h.copy()
     h_hp[order // 2] += 1.0
 
@@ -355,11 +362,12 @@ def _remez_grid(order, omega_pass, omega_stop):
     return grid, desired, n1
 
 
-def _remez_lowpass(order, omega_pass, omega_stop, weight_pass, weight_stop):
-    """Type-I low-pass Remez exchange; returns the order+1 symmetric taps."""
+def _remez_lowpass(order, omega_pass, omega_stop, weight_pass):
+    """Type-I low-pass Remez exchange under a unit stopband weight; returns
+    the order+1 symmetric taps."""
     m = order // 2  # cosine-polynomial degree
     grid, desired, n_pass = _remez_grid(order, omega_pass, omega_stop)
-    weight = np.where(np.arange(len(grid)) < n_pass, weight_pass, weight_stop)
+    weight = np.where(np.arange(len(grid)) < n_pass, weight_pass, 1.0)
     x_grid = np.cos(grid)
 
     # initial reference: m+2 points spread uniformly in grid index

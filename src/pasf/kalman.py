@@ -180,12 +180,10 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def kf_predict(belief: KalmanBelief, model: SystemModel, u=None) -> KalmanBelief:
+def kf_predict(belief: KalmanBelief, model: SystemModel, u) -> KalmanBelief:
     """Time update: x <- A x + B u, P <- A P A' + Q."""
     if belief.phase != UPDATED:
         raise InvalidArgumentError("kf_predict expects an updated belief")
-    if u is None:
-        u = np.zeros(model.p)
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape != (model.p,):
         raise InvalidArgumentError(f"u must have shape ({model.p},)")

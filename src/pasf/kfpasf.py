@@ -13,7 +13,7 @@ split. Buffers then advance with the updated triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .kalman import (KalmanBelief, SystemModel, check_covariance, kf_predict,
 from .runtime import SeparatorBank, SeparatorCore
 
 
-@dataclass(frozen=True)
-class KfPasfStep:
+class KfPasfStep(NamedTuple):
     """Everything produced at one time step t."""
 
     t: int
@@ -93,16 +92,8 @@ class KfPasfState:
 
         self.core.push(upd.x_hat, xp_upd, xa_upd)
         self.belief = upd
-        # KfPasfStep checks nothing, and its frozen __init__ would cost a
-        # setattr call per field
-        rec = object.__new__(KfPasfStep)
-        rec.__dict__.update(
-            t=upd.t,
-            x_pred=pred.x_hat, xp_pred=xp_pred, xa_pred=xa_pred,
-            x_upd=upd.x_hat, xp_upd=xp_upd, xa_upd=xa_upd,
-            P=upd.P, gain=gain,
-        )
-        return rec
+        return KfPasfStep(upd.t, pred.x_hat, xp_pred, xa_pred,
+                          upd.x_hat, xp_upd, xa_upd, upd.P, gain)
 
     def reconfigure(self, new_spec: SeparationSpec,
                     allow_out_of_band: bool = False) -> None:

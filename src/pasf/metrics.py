@@ -47,8 +47,6 @@ def classify_lifted(x_tau, rho: float, tol: float = 1e-6) -> SpectrumClassificat
     max_low = float(mags[low].max()) if np.any(low) else 0.0
     max_high = float(mags[~low].max()) if np.any(~low) else 0.0
     floor = tol * peak
-    if peak == 0.0:
-        return SpectrumClassification(True, False, False, 0.0, 0.0, tol)
     in_p = max_low > floor
     in_a = max_high > floor
     return SpectrumClassification(

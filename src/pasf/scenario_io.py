@@ -16,7 +16,8 @@ from . import signals as sig
 from .baselines import CombSpec
 from .csvio import read_text
 from .errors import InvalidArgumentError
-from .scenarios import CombBaseline, ControllerSpec, FilterChoice, Scenario
+from .scenarios import (CombBaseline, ControllerSpec, FilterChoice, Scenario,
+                        _stream_seed)
 from .signals import NoiseSpec
 
 
@@ -169,8 +170,7 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
             return sig.GatedSine(num(args[0]), num(args[1], int), num(args[2], int))
         if kind == "noise":
             var, start, end = (num(a) for a in args[:3])
-            stream_seed = int(np.random.SeedSequence(
-                [seed, zlib.crc32(context.encode())]).generate_state(1)[0])
+            stream_seed = _stream_seed(seed, zlib.crc32(context.encode()))
             return sig.NoiseSegment(NoiseSpec(0.0, var, stream_seed), start, end)
     except ScenarioParseError:
         raise

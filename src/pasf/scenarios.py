@@ -128,8 +128,21 @@ class Scenario:
             for name in ("A", "B", "C", "Q", "R", "P0", "input_u"):
                 if getattr(self, name) is None:
                     raise InvalidArgumentError(f"{self.kind} scenario requires {name}")
-        if self.kind == "control" and self.controller is None:
-            raise InvalidArgumentError("control scenario requires a controller")
+            # the runners drive one input u and measure one output y
+            if np.ndim(self.B) == 2 and np.shape(self.B)[1] != 1:
+                raise InvalidArgumentError(
+                    f"B must be one input column, got shape {np.shape(self.B)}")
+            if np.ndim(self.C) == 2 and np.shape(self.C)[0] != 1:
+                raise InvalidArgumentError(
+                    f"C must be one measurement row, got shape {np.shape(self.C)}")
+        if self.kind == "control":
+            if self.controller is None:
+                raise InvalidArgumentError("control scenario requires a controller")
+            # the PD law feeds back the first two states: position and rate
+            n = np.atleast_2d(self.A).shape[1]
+            if n < 2:
+                raise InvalidArgumentError(
+                    f"control scenario needs at least 2 states in A, got {n}")
         if self.kind == "separation" and (self.truth_p is None or self.truth_a is None):
             raise InvalidArgumentError("separation scenario requires truth_p/truth_a")
 

@@ -104,7 +104,7 @@ class GatedSine:
 
 @dataclass(frozen=True)
 class NoiseSegment:
-    """Seeded Gaussian noise inside [start_s, end_s), zero outside.
+    """Seeded Gaussian noise inside (start_s, end_s], zero outside.
 
     The t-th sample is the t-th draw of the seeded stream, so evaluation is a
     pure function of (t, seed) regardless of call order: a stream's first k
@@ -115,8 +115,6 @@ class NoiseSegment:
     noise: NoiseSpec
     start_s: float
     end_s: float
-    include_start: bool = False
-    include_end: bool = True
 
     def __post_init__(self):
         if self.start_s < 0:
@@ -179,9 +177,7 @@ def eval_signal_array(desc, t, sampling_time: float) -> np.ndarray:
         gate = np.mod(t, desc.gate_period) < desc.duty
         return np.where(gate, np.sin(desc.omega * tt), 0.0)
     if isinstance(desc, NoiseSegment):
-        lo = tt >= desc.start_s if desc.include_start else tt > desc.start_s
-        hi = tt <= desc.end_s if desc.include_end else tt < desc.end_s
-        mask = lo & hi
+        mask = (tt > desc.start_s) & (tt <= desc.end_s)
         out = np.zeros(t.shape)
         on = t[mask].astype(int)
         if on.size:
@@ -215,9 +211,7 @@ def derivative(desc):
     Pulses and constants differentiate to zero (the distributional edges are
     deliberately dropped; derivative commands feed rate feedforward only).
     """
-    if isinstance(desc, Constant):
-        return Constant(0.0)
-    if isinstance(desc, Pulse):
+    if isinstance(desc, (Constant, Pulse)):
         return Constant(0.0)
     if isinstance(desc, Sinusoid):
         return Sinusoid(desc.amplitude * desc.omega, desc.omega, desc.phase + math.pi / 2.0)

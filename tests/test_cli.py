@@ -77,6 +77,26 @@ def test_design_iir_non_finite_spec_is_validation_error(tmp_path, rho_tilde,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    # every passband grid node of a lifted edge of 1e-10 has cos = 1.0
+    ["design-fir", "--rho-tilde", "1e-9", "--period", "10",
+     "--sampling-time", "0.01", "--order", "50"],
+    # rho = rho_tilde * period * T overflows to inf
+    ["design-iir", "--rho-tilde", "1e308", "--period", "10",
+     "--sampling-time", "0.01", "--order", "1", "--allow-out-of-band"],
+    # (2 + rho)^8 overflows in the expanded denominator
+    ["design-iir", "--rho-tilde", "1e40", "--period", "1",
+     "--sampling-time", "1", "--order", "8", "--allow-out-of-band"],
+])
+def test_degenerate_design_is_one_line_validation_error(tmp_path, args):
+    """A warning from the design's arithmetic would print a traceback under
+    the CLI's warnings-are-errors rule, not one line."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), *args)
+    _assert_validation_error(res)
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",
@@ -556,6 +576,13 @@ def test_scenario_file_hole_is_validation_error_naming_its_line(
 
 @pytest.mark.parametrize("line, bad, message", [
     ("A = 1 T 0 ; 0 1 T ; 0 0 0", "A = 1 T", "A must be square"),
+    ("B = 0 0 1", "B = 0 0 ; 0 0 ; 1 1", "B must be one input column"),
+    ("C = 1 0 0\nQ = diag 0 0 1e-4\nR = 0.25",
+     "C = 1 0 0 ; 0 1 0\nQ = diag 0 0 1e-4\nR = diag 0.25 0.25",
+     "C must be one measurement row"),
+    ("A = 1 T 0 ; 0 1 T ; 0 0 0\nB = 0 0 1\nC = 1 0 0\nQ = diag 0 0 1e-4",
+     "A = 1\nB = 1\nC = 1\nQ = 1e-4",
+     "control scenario needs at least 2 states in A"),
     ("Q = diag 0 0 1e-4", "Q = diag 0 0 1e-4\nP0 = 1 2 0 ; 0 1 0 ; 0 0 1",
      "P0 must be symmetric"),
     ("Q = diag 0 0 1e-4", "Q = diag 0 0 1e-4\nP0 = diag -1 1 1",
@@ -563,9 +590,10 @@ def test_scenario_file_hole_is_validation_error_naming_its_line(
 ])
 def test_failed_scenario_run_leaves_no_output_directory(tmp_path, line, bad,
                                                         message):
-    """The model and P0 are checked when the run builds the estimator, after
-    the file parsed; the output directory is created only once the runs
-    succeed."""
+    """The runners' model contract (one input column, one measurement row,
+    2 states for control) is checked as the file is parsed, the model and P0
+    when the run builds the estimator; the output directory is created only
+    once the runs succeed."""
     path = tmp_path / "model.scn"
     path.write_text(NUMBERS_SCENARIO.replace(line, bad))
     out = tmp_path / "out"

@@ -108,6 +108,20 @@ def test_iir_rejects_degenerate_and_out_of_band():
     assert check_stability(p).stable
 
 
+@pytest.mark.parametrize("realization, rho_tilde, period, T, order", [
+    ("fir", 1e-9, 10, 0.01, 50),  # every passband grid node at cos = 1.0
+    ("iir", 1e308, 10, 0.01, 1),  # rho = rho_tilde * period * T is inf
+    ("iir", 1e40, 1, 1.0, 8),     # (2 + rho)^8 overflows
+])
+def test_degenerate_design_raises_before_any_warning(realization, rho_tilde,
+                                                     period, T, order):
+    """Under the suite's warnings-as-errors rule, a warning from the
+    design's arithmetic would fail this test before the typed error."""
+    with pytest.raises(DegenerateDesignError):
+        design_for(realization, SeparationSpec(rho_tilde, period, T), order,
+                   allow_out_of_band=True)
+
+
 def test_iir_rejects_high_order():
     with pytest.raises(InvalidArgumentError):
         design_iir(SeparationSpec(0.5, 100, 0.01), 9)

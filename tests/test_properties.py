@@ -1,7 +1,8 @@
 """Properties the paper's separation filters have by construction, checked
 under hypothesis on the one-channel (Python-float) path of ``PasfState.run``:
 each pass function is linear, and a complementary pair splits its input
-into two parts that sum back to it.
+into two parts that sum back to it. Coefficient text and files round-trip
+every finite filter bitwise.
 
 Both hold exactly in exact arithmetic. In binary64 each output carries the
 rounding of its own products and sums, fed back through the filter's poles,
@@ -11,7 +12,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasf.design import SeparationSpec, design_for
+from pasf.design import (
+    APERIODIC_PASS,
+    PERIODIC_PASS,
+    FilterCoefficients,
+    SeparationSpec,
+    design_for,
+    format_coefficients,
+    load_coefficients,
+    parse_coefficients,
+    save_coefficients,
+)
 from pasf.runtime import PasfState
 
 # Lifted-domain rho ranges where every design of these orders converges
@@ -89,3 +100,45 @@ def test_complementary_outputs_sum_to_the_input(pair, seed, length):
     x = _signal(seed, length)
     xp, xa = PasfState(*pair).run(x)
     assert _max(xp + xa - x) <= _REL_TOL * _max(x, xp, xa)
+
+
+# signed zeros, subnormals and magnitudes near the top of the range, which
+# plain float draws reach only rarely
+_EDGE_TAPS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+              np.finfo(float).max, -np.finfo(float).max]
+
+
+def _taps(size):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(st.one_of(finite, st.sampled_from(_EDGE_TAPS)),
+                    min_size=size, max_size=size)
+
+
+@st.composite
+def coefficient_sets(draw):
+    """A valid FilterCoefficients of either kind, FIR or IIR, orders 1-50."""
+    order = draw(st.integers(1, 50))
+    fir = draw(st.booleans())
+    feedback = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=order,
+                             max_size=order) if fir else _taps(order))
+    return FilterCoefficients(
+        kind=draw(st.sampled_from([PERIODIC_PASS, APERIODIC_PASS])),
+        realization="fir" if fir else "iir", order=order,
+        period=draw(st.integers(1, 10 ** 6)),
+        sampling_time=draw(st.floats(min_value=0.0, exclude_min=True,
+                                     allow_infinity=False)),
+        feedback=feedback, feedforward=draw(_taps(order + 1)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(coeffs=coefficient_sets())
+def test_coefficient_text_and_file_round_trip_bitwise(coeffs, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    save_coefficients(coeffs, path)
+    for back in (parse_coefficients(format_coefficients(coeffs)),
+                 load_coefficients(path)):
+        assert (back.kind, back.realization, back.order, back.period) == (
+            coeffs.kind, coeffs.realization, coeffs.order, coeffs.period)
+        assert back.sampling_time.hex() == coeffs.sampling_time.hex()
+        assert back.feedback.tobytes() == coeffs.feedback.tobytes()
+        assert back.feedforward.tobytes() == coeffs.feedforward.tobytes()

@@ -193,6 +193,21 @@ def test_reconfigure_rejects_period_change():
         state.reconfigure(bad)
 
 
+@pytest.mark.parametrize("period, order", [(21, 1), (20, 2)])
+def test_swap_coefficients_rejects_other_period_or_order_and_keeps_bank(
+        period, order):
+    (p, a), _ = _pair()
+    state = PasfState(p, a)
+    state.step(1.0)
+    bank = state.bank
+    ref = PasfState(p, a)
+    ref.step(1.0)
+    with pytest.raises(UnsupportedReconfigurationError):
+        state.swap_coefficients(*_pair(period=period, order=order)[0])
+    assert state.bank is bank
+    assert state.step(0.5) == ref.step(0.5)
+
+
 @pytest.mark.parametrize("field", ["rho_tilde", "sampling_time"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
@@ -505,17 +520,23 @@ def test_theta_table_build_memory_is_bounded():
     assert peak < 1_000_000
 
 
-def test_poisoned_state_refuses_until_reset():
+@pytest.mark.parametrize("dims", [None, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_poisoned_state_refuses_until_reset(dims, bad):
     (p, a), _ = _pair()
-    state = PasfState(p, a)
-    state.step(1.0)
+    state = PasfState(p, a, dims=dims)
+
+    def sample(value):  # at dims 2, one bad channel poisons the state
+        return value if dims is None else [0.0, value]
+
+    state.step(sample(1.0))
     with pytest.raises(PoisonedStateError):
-        state.step(float("nan"))
+        state.step(sample(bad))
     with pytest.raises(PoisonedStateError):
-        state.step(1.0)
+        state.step(sample(1.0))
     state.reset()
-    xp, xa = state.step(0.0)
-    assert xp == 0.0 and xa == 0.0
+    xp, xa = state.step(sample(0.0))
+    assert np.all(np.asarray(xp) == 0.0) and np.all(np.asarray(xa) == 0.0)
 
 
 def test_dimension_mismatch_rejected():

@@ -80,6 +80,23 @@ def test_derivative_of_harmonics():
         assert analytic == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("desc", [
+    sig.Pulse(1.0, 2.0, 5.0),
+    sig.Scaled(-2.5, sig.Sinusoid(1.5, 3.0, 0.2)),
+    sig.Scaled(4.0, sig.Pulse(0.5, 1.5, 2.0, include_start=False)),
+])
+def test_derivative_matches_central_difference(desc):
+    """Away from a pulse's edges (whose impulses the derivative drops), the
+    analytic derivative equals a central difference of the signal."""
+    ddesc = sig.derivative(desc)
+    t = np.arange(0, 3000, 37).astype(float)
+    t = t[np.min(np.abs(t[:, None] - [500.0, 1000.0, 1500.0, 2000.0]), axis=1) > 1]
+    h = 1e-3  # samples
+    diff = (eval_signal_array(desc, t + h, T)
+            - eval_signal_array(desc, t - h, T)) / (2.0 * h * T)
+    assert np.allclose(eval_signal_array(ddesc, t, T), diff, rtol=1e-6, atol=1e-6)
+
+
 def test_noise_zero_variance_is_constant():
     stream = GaussianStream(NoiseSpec(mean=1.5, variance=0.0, seed=3))
     assert np.all(stream.draw(100) == 1.5)
