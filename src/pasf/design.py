@@ -321,8 +321,9 @@ def design_fir_equiripple(
             f"band edges must satisfy 0 < passband ({passband_edge:.6g}) < "
             f"stopband ({stopband_edge:.6g}) < pi"
         )
-    if weight_ratio <= 0:
-        raise InvalidArgumentError("weight_ratio must be positive")
+    if not (math.isfinite(weight_ratio) and weight_ratio > 0):
+        raise InvalidArgumentError(
+            f"weight_ratio must be positive and finite, got {weight_ratio}")
     # the exchange needs distinct cosines of its reference nodes; this close
     # to 0 every passband node has cos = 1.0
     if math.cos(passband_edge) == 1.0:
@@ -397,12 +398,12 @@ def _remez_lowpass(order, omega_pass, omega_stop, weight_pass):
 
 
 def _barycentric_gamma(x):
+    """gamma_k = 1 / prod_{j != k} (x_k - x_j). Each row of differences
+    keeps j in order and multiply.reduce runs left to right along it, so
+    the products are those of the per-node loop, bit for bit."""
     n = len(x)
-    gamma = np.empty(n)
-    for k in range(n):
-        diff = x[k] - np.delete(x, k)
-        gamma[k] = 1.0 / np.prod(diff)
-    return gamma
+    diff = (x[:, None] - x[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    return 1.0 / np.multiply.reduce(diff, axis=1)
 
 
 def _levelled_values(x_ref, d_ref, w_ref):
@@ -425,7 +426,7 @@ def _chebyshev_solution(x_ref, d_ref, w_ref, x_eval):
     wts = _barycentric_gamma(xs)
 
     diff = x_eval[:, None] - xs[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
+    exact = np.abs(diff) <= 1e-15
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = wts[None, :] / diff
         amp = (ratio @ ys) / ratio.sum(axis=1)
@@ -441,31 +442,35 @@ def _select_extrema(error, n_pass, count, prev_ref):
     alternates exactly there, which guarantees at least ``count`` alternating
     candidates even when the interim error is one-sided across the band gap.
     """
-    candidates = []
+    candidates = [prev_ref]
     for lo, hi in ((0, n_pass), (n_pass, len(error))):
         seg = error[lo:hi]
         d = np.diff(seg)
-        for i in range(1, len(seg) - 1):
-            if d[i - 1] == 0.0:
-                continue
-            if (d[i - 1] > 0) != (d[i] > 0) or d[i] == 0.0:
-                candidates.append(lo + i)
+        left, right = d[:-1], d[1:]
+        # a slope that changes sign or flattens, after a slope that is not flat
+        turn = (left != 0.0) & (((left > 0) != (right > 0)) | (right == 0.0))
+        candidates.append(lo + 1 + np.flatnonzero(turn))
         # band endpoints act as boundary extrema
         if len(seg) >= 2:
             if abs(seg[0]) >= abs(seg[1]):
-                candidates.append(lo)
+                candidates.append([lo])
             if abs(seg[-1]) >= abs(seg[-2]):
-                candidates.append(hi - 1)
-    candidates = sorted(set(candidates) | set(int(i) for i in prev_ref))
+                candidates.append([hi - 1])
+    candidates = np.array(sorted(set(np.concatenate(candidates).tolist())),
+                          dtype=int)
+    values = error[candidates]
+    signs = np.sign(values).tolist()
+    mags = np.abs(values).tolist()
 
     # enforce strict sign alternation: keep the largest within same-sign runs
+    # (a NaN sign equals nothing, so NaN starts a run of its own)
     merged = []
-    for idx in candidates:
-        if merged and np.sign(error[idx]) == np.sign(error[merged[-1]]):
-            if abs(error[idx]) > abs(error[merged[-1]]):
-                merged[-1] = idx
+    for pos, sign in enumerate(signs):
+        if merged and sign == signs[merged[-1]]:
+            if mags[pos] > mags[merged[-1]]:
+                merged[-1] = pos
         else:
-            merged.append(idx)
+            merged.append(pos)
 
     if len(merged) < count:
         raise DesignFailureError(
@@ -474,11 +479,11 @@ def _select_extrema(error, n_pass, count, prev_ref):
             ripple=float(np.max(np.abs(error))),
         )
     while len(merged) > count:
-        if abs(error[merged[0]]) <= abs(error[merged[-1]]):
+        if mags[merged[0]] <= mags[merged[-1]]:
             merged.pop(0)
         else:
             merged.pop()
-    return np.asarray(merged, dtype=int)
+    return candidates[merged]
 
 
 def _taps_from_reference(m, x_ref, d_ref, w_ref):

@@ -97,6 +97,20 @@ def test_degenerate_design_is_one_line_validation_error(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_design_fir_non_finite_weight_ratio_is_validation_error(tmp_path, ratio):
+    """Rejected before the exchange runs, whose arithmetic would warn (a
+    traceback under the CLI's warnings-are-errors rule) or end in a
+    misleading message about the taps."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-fir", "--rho-tilde", "0.5",
+                  "--period", "1000", "--sampling-time", "0.001",
+                  "--order", "50", "--weight-ratio", ratio)
+    _assert_validation_error(res)
+    assert "weight_ratio" in res.stderr
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",

@@ -1,6 +1,8 @@
 """Design-time checks: closed forms, stability, complements, equiripple FIR."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from pasf.design import (
 )
 from pasf.errors import (
     DegenerateDesignError,
+    DesignFailureError,
     InvalidArgumentError,
     OutOfBandError,
+    PasfError,
 )
 
 
@@ -277,6 +281,158 @@ def test_fir_rejects_bad_arguments():
         design_fir_equiripple(spec, 2)  # too small
     with pytest.raises(InvalidArgumentError):
         design_fir_equiripple(spec, 10, passband_edge=2.0, stopband_edge=1.0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_fir_rejects_non_positive_or_non_finite_weight_ratio(ratio):
+    """Rejected before the exchange runs: under the suite's
+    warnings-as-errors rule, a warning from its arithmetic fails the test."""
+    with pytest.raises(InvalidArgumentError, match="weight_ratio"):
+        design_fir_equiripple(SeparationSpec(0.5, 1000, 0.001), 50,
+                              weight_ratio=ratio)
+
+
+# The per-node loops the exchange used before its array forms: oracles that
+# the array forms must match bit for bit.
+def _barycentric_gamma_loop(x):
+    n = len(x)
+    gamma = np.empty(n)
+    for k in range(n):
+        diff = x[k] - np.delete(x, k)
+        gamma[k] = 1.0 / np.prod(diff)
+    return gamma
+
+
+def _select_extrema_loop(error, n_pass, count, prev_ref):
+    candidates = []
+    for lo, hi in ((0, n_pass), (n_pass, len(error))):
+        seg = error[lo:hi]
+        d = np.diff(seg)
+        for i in range(1, len(seg) - 1):
+            if d[i - 1] == 0.0:
+                continue
+            if (d[i - 1] > 0) != (d[i] > 0) or d[i] == 0.0:
+                candidates.append(lo + i)
+        if len(seg) >= 2:
+            if abs(seg[0]) >= abs(seg[1]):
+                candidates.append(lo)
+            if abs(seg[-1]) >= abs(seg[-2]):
+                candidates.append(hi - 1)
+    candidates = sorted(set(candidates) | set(int(i) for i in prev_ref))
+    merged = []
+    for idx in candidates:
+        if merged and np.sign(error[idx]) == np.sign(error[merged[-1]]):
+            if abs(error[idx]) > abs(error[merged[-1]]):
+                merged[-1] = idx
+        else:
+            merged.append(idx)
+    if len(merged) < count:
+        raise DesignFailureError(
+            f"Remez exchange collapsed: found {len(merged)} alternations, "
+            f"need {count}",
+            ripple=float(np.max(np.abs(error))),
+        )
+    while len(merged) > count:
+        if abs(error[merged[0]]) <= abs(error[merged[-1]]):
+            merged.pop(0)
+        else:
+            merged.pop()
+    return np.asarray(merged, dtype=int)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-120, 1e120])
+def test_barycentric_gamma_matches_the_per_node_loop_bitwise(scale):
+    """Node sets of 2..130 points; at the extreme scales the products
+    overflow to inf (gamma 0) or underflow to 0 (gamma inf)."""
+    rng = np.random.default_rng(16)
+    for n in range(2, 131):
+        x = np.cos(np.sort(rng.uniform(0.0, math.pi, n))) * scale
+        with np.errstate(all="ignore"):
+            want = _barycentric_gamma_loop(x)
+            got = design._barycentric_gamma(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def _error_vectors(rng):
+    """Weighted-error vectors with plateaus, exact +-0.0, NaN, band ends of
+    equal magnitude and one-sided stretches."""
+    alphabet = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    for case in range(400):
+        n = int(rng.integers(2, 60))
+        kind = case % 4
+        if kind == 0:  # a small alphabet: plateaus, ties, signed zeros
+            e = rng.choice(alphabet, n)
+        elif kind == 1:  # a smooth ripple with flattened runs
+            e = np.round(np.sin(rng.uniform(0.3, 3.0) * np.arange(n)), 1)
+        elif kind == 2:  # random values, some NaN and some signed zeros
+            e = rng.standard_normal(n)
+            e[rng.random(n) < 0.1] = np.nan
+            e[rng.random(n) < 0.1] = -0.0
+        else:  # one-sided: too few alternations unless prev_ref supplies them
+            e = np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0])
+        n_pass = int(rng.integers(0, n + 1))
+        if n_pass >= 2 and rng.random() < 0.5:  # band ends of equal magnitude
+            e[n_pass - 1] = -e[n_pass - 2]
+        count = int(rng.integers(1, max(2, n // 2 + 2)))
+        prev_ref = np.sort(rng.choice(n, size=min(count, n), replace=False))
+        yield e, n_pass, count, prev_ref
+
+
+def test_select_extrema_matches_the_per_node_loop_bitwise():
+    rng = np.random.default_rng(16)
+    outcomes = set()
+    for e, n_pass, count, prev_ref in _error_vectors(rng):
+        results = []
+        for select in (_select_extrema_loop, design._select_extrema):
+            with np.errstate(all="ignore"):
+                try:
+                    results.append(select(e, n_pass, count, prev_ref))
+                except DesignFailureError as exc:
+                    results.append((str(exc), np.float64(exc.ripple).tobytes()))
+        want, got = results
+        if isinstance(want, tuple):
+            assert got == want
+            outcomes.add("collapsed")
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            outcomes.add("selected")
+    assert outcomes == {"collapsed", "selected"}
+
+
+# The FIR sweep of ROADMAP item 7 plus two specs that fail: orders 4, 12,
+# ..., 116 at eight lifted rho values, and FIR50 at lifted rho 0.794 and 1.0.
+_SWEEP = ([(SeparationSpec(rho, 1, 1.0), order)
+           for order in range(4, 117, 8)
+           for rho in (1e-3, 0.01, 0.05, 0.1, 0.37, 0.6, 0.794, 1.0)]
+          + [(SeparationSpec(39.719222053050196, 2, 0.01), 50),
+             (SeparationSpec(1.0, 1000, 0.001), 50)])
+# recorded with the per-node loop forms of the exchange
+_SWEEP_DIGEST = "a2bbfa2f6c3ea21de5659167ceb747c4a91447e658c3a3db67df79c7c3d8ad96"
+
+
+def test_fir_design_sweep_matches_its_recorded_digest():
+    """Each design's taps bytes, or its exception's class and message, fold
+    into one digest. Warnings are recorded by category only: an array and a
+    scalar divide word the same warning differently."""
+    total = hashlib.sha256()
+    failed, warned = 0, []
+    for spec, order in _SWEEP:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                p, a = design_fir_equiripple(spec, order)
+                record = p.feedforward.tobytes() + a.feedforward.tobytes()
+            except PasfError as exc:
+                record = f"{type(exc).__name__}: {exc}".encode()
+                failed += 1
+        if caught:
+            warned.append((spec.rho, order,
+                           sorted({w.category.__name__ for w in caught})))
+        total.update(hashlib.sha256(record).hexdigest().encode())
+    assert failed == 35
+    assert warned == [(1.0, 28, ["RuntimeWarning"]),
+                      (1.0, 84, ["RuntimeWarning"])]
+    assert total.hexdigest() == _SWEEP_DIGEST
 
 
 def test_coefficient_text_round_trip():

@@ -2,11 +2,14 @@
 under hypothesis on the one-channel (Python-float) path of ``PasfState.run``:
 each pass function is linear, and a complementary pair splits its input
 into two parts that sum back to it. Coefficient text and files round-trip
-every finite filter bitwise.
+every finite filter bitwise. A periodic and an aperiodic part whose lifted
+channels occupy disjoint bands are orthogonal.
 
 Both hold exactly in exact arithmetic. In binary64 each output carries the
 rounding of its own products and sums, fed back through the filter's poles,
 so each test states its tolerance relative to the magnitudes involved."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from pasf.design import (
     parse_coefficients,
     save_coefficients,
 )
+from pasf.lifting import unlift
+from pasf.metrics import classify_lifted, orthogonality_defect, synthesize_banded
 from pasf.runtime import PasfState
 
 # Lifted-domain rho ranges where every design of these orders converges
@@ -142,3 +147,38 @@ def test_coefficient_text_and_file_round_trip_bitwise(coeffs, tmp_path_factory):
         assert back.sampling_time.hex() == coeffs.sampling_time.hex()
         assert back.feedback.tobytes() == coeffs.feedback.tobytes()
         assert back.feedforward.tobytes() == coeffs.feedforward.tobytes()
+
+
+@st.composite
+def banded_channels(draw):
+    """A period, a lifted length, a cut bin and per-channel bin sets: low
+    bins in 0..cut, high bins in cut+1..length//2."""
+    period = draw(st.integers(1, 12))
+    length = draw(st.integers(8, 128))
+    cut = draw(st.integers(0, length // 2 - 1))
+    low = st.lists(st.integers(0, cut), min_size=1, max_size=4, unique=True)
+    high = st.lists(st.integers(cut + 1, length // 2), min_size=1, max_size=4,
+                    unique=True)
+    bins = [(draw(low), draw(high)) for _ in range(period)]
+    return period, length, cut, bins, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=banded_channels())
+def test_disjoint_lifted_bands_are_orthogonal(case):
+    """The paper's orthogonality: when every lifted channel of x_p lies in
+    the band |omega| <= rho and every channel of x_a above it, the unlifted
+    x_p and x_a are orthogonal (Parseval, channel by channel)."""
+    period, length, cut, bins, seed = case
+    rng = np.random.default_rng(seed)
+    rho = 2.0 * math.pi * cut / length
+
+    def channel(bin_set):
+        coeffs = rng.standard_normal(len(bin_set)) + 1j * rng.standard_normal(len(bin_set))
+        return synthesize_banded(length, bin_set, coeffs)
+
+    subs_p, subs_a = zip(*((channel(lo), channel(hi)) for lo, hi in bins))
+    assert orthogonality_defect(unlift(subs_p, period), unlift(subs_a, period)) < 1e-10
+    for sp, sa in zip(subs_p, subs_a):
+        assert not classify_lifted(sp, rho).in_aperiodic_set
+        assert not classify_lifted(sa, rho).in_periodic_set
