@@ -305,7 +305,10 @@ def design_fir_equiripple(
     which is the corresponding equiripple high-pass and keeps linear phase.
 
     Band edges default to rho and min(pi, 3*rho). ``weight_ratio`` is the
-    passband weight relative to a unit stopband weight.
+    passband weight relative to a unit stopband weight. A ratio whose
+    reciprocal overflows (below 1/DBL_MAX, about 5.6e-309), or one that
+    overflows the weighted passband error during the exchange, is an
+    ``InvalidArgumentError``.
     """
     if order < 4 or order % 2 != 0:
         raise InvalidArgumentError(
@@ -324,6 +327,11 @@ def design_fir_equiripple(
     if not (math.isfinite(weight_ratio) and weight_ratio > 0):
         raise InvalidArgumentError(
             f"weight_ratio must be positive and finite, got {weight_ratio}")
+    # the levelled system divides by the weights: every design overflows
+    if math.isinf(1.0 / weight_ratio):
+        raise InvalidArgumentError(
+            f"weight_ratio {weight_ratio:.6g} is below 1/DBL_MAX: "
+            "its reciprocal overflows")
     # the exchange needs distinct cosines of its reference nodes; this close
     # to 0 every passband node has cos = 1.0
     if math.cos(passband_edge) == 1.0:
@@ -379,7 +387,15 @@ def _remez_lowpass(order, omega_pass, omega_stop, weight_pass):
         delta, amp = _chebyshev_solution(
             x_grid[ref], desired[ref], weight[ref], x_grid
         )
-        error = weight * (amp - desired)
+        try:
+            with np.errstate(over="raise"):
+                error = weight * (amp - desired)
+        except FloatingPointError:
+            # under a unit stopband weight only a passband weight above 1
+            # can turn a finite error into an overflow
+            raise InvalidArgumentError(
+                f"weight_ratio {weight_pass:.6g} overflows the weighted "
+                "passband error") from None
         new_ref = _select_extrema(error, n_pass, m + 2, ref)
         ref_err = np.abs(error[new_ref])
         stationary = np.array_equal(new_ref, ref)

@@ -28,8 +28,8 @@ record of its source, so a chain rebuilt through ``KalmanBelief`` each step
 never freezes: it is the per-step oracle the freeze is tested against.
 
 Every matrix product here, and in the plant loops of ``pasf.scenarios``,
-goes through ``matmul`` (or ``left_product``, the same rule bound to one
-left operand). With a contracted dimension above 1 it calls
+follows one rule, that of ``matmul`` (``left_product`` is the same rule
+bound to one left operand). With a contracted dimension above 1 it calls
 ``ndarray.dot``, which reaches the same OpenBLAS gemv/gemm as ``@`` with
 about a third of the dispatch cost, and whose bytes equal those of ``@``,
 signed zeros, NaN and infinities included (a property test holds it to
@@ -38,11 +38,21 @@ scales by the one-element operand instead, which turns 0 * NaN and
 0 * Inf into 0 (so it would hide a poisoned state) and gives other signs
 of zero than ``@``. So ``B u`` keeps ``@`` when p = 1, and ``g r`` and
 ``g C`` keep it when m = 1.
+
+A ``SystemModel`` applies the rule once, when it is built: it resolves
+each product of the recursion (A x, A P, (AP) A', B u, C x, C P, CP C',
+g r, g C and (I - gC) P) to its ``dot`` or ``@``, bound to A, B or C where
+that is the left operand, and keeps n, m and p as plain attributes.
+``kf_predict`` and ``kf_update`` call those products and write the
+re-symmetrization ``0.5 * (P + P')`` out, so a step makes no per-product
+dispatch: the same NumPy operations in the same order, so the same bytes,
+with fewer Python calls around them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,10 +72,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _product(k: int):
+    """The product of an ``a`` whose contracted dimension is ``k``:
+    ``ndarray.dot`` when k is above 1, else ``@`` (the rule of the module
+    docstring), as a function of (a, b)."""
+    return np.ndarray.dot if k > 1 else operator.matmul
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, through ``a.dot(b)`` when the contracted dimension
-    ``a.shape[-1]`` is above 1 (the rule of the module docstring)."""
-    return a.dot(b) if a.shape[-1] > 1 else a @ b
+    """``a @ b`` by the rule of ``_product``."""
+    return _product(a.shape[-1])(a, b)
 
 
 def left_product(a: np.ndarray):
@@ -87,7 +103,9 @@ class SystemModel:
     """LTI plant x(t+1) = A x + B u + v, y = C x + w with cov(v) = Q, cov(w) = R.
 
     The matrices are read-only copies, so a recursion frozen under a model
-    object stays valid for as long as that object lives."""
+    object stays valid for as long as that object lives. n, m and p are the
+    state, output and input dimensions; the ``_`` attributes are the
+    recursion's products, resolved once by the rule of ``matmul``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -103,7 +121,7 @@ class SystemModel:
         for name in ("A", "C", "Q", "R"):
             mat = _read_only(np.array(getattr(self, name), dtype=float))
             object.__setattr__(self, name, np.atleast_2d(mat))
-        n = self.A.shape[0]
+        n, m, p = self.A.shape[0], self.C.shape[0], self.B.shape[1]
         if self.A.shape != (n, n):
             raise InvalidArgumentError("A must be square")
         if self.B.shape[0] != n:
@@ -112,28 +130,23 @@ class SystemModel:
             raise InvalidArgumentError("C must have n columns")
         if self.Q.shape != (n, n):
             raise InvalidArgumentError("Q must be n x n")
-        m = self.C.shape[0]
         if self.R.shape != (m, m):
             raise InvalidArgumentError("R must be m x m")
         for name in ("Q", "R"):
             check_covariance(name, getattr(self, name))
-        # for the per-step (I - gC)P
-        object.__setattr__(self, "_eye", _read_only(np.eye(n)))
+        for name, value in (
+                ("n", n), ("m", m), ("p", p),
+                ("_A", left_product(self.A)),  # A x and A P
+                ("_B", left_product(self.B)),  # B u
+                ("_C", left_product(self.C)),  # C x and C P
+                ("_by_n", _product(n)),  # (AP) A', CP C' and (I - gC) P
+                ("_by_m", _product(m)),  # g r and g C
+                ("_AT", self.A.T), ("_CT", self.C.T),
+                ("_eye", _read_only(np.eye(n)))):  # for (I - gC) P
+            object.__setattr__(self, name, value)
         obs = np.vstack([self.C @ np.linalg.matrix_power(self.A, k) for k in range(n)])
         if np.linalg.matrix_rank(obs) < n:
             warnings.warn("model is not observable", stacklevel=2)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
 
 
 class _FixedPoint(NamedTuple):
@@ -162,7 +175,8 @@ class KalmanBelief:
 
     def __post_init__(self):
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
-        object.__setattr__(self, "P", _symmetrize(np.asarray(self.P, dtype=float)))
+        P = np.asarray(self.P, dtype=float)
+        object.__setattr__(self, "P", 0.5 * (P + P.T))
 
 
 def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str,
@@ -176,24 +190,23 @@ def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str,
     return belief
 
 
-def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
-
-
 def kf_predict(belief: KalmanBelief, model: SystemModel, u) -> KalmanBelief:
     """Time update: x <- A x + B u, P <- A P A' + Q."""
     if belief.phase != UPDATED:
         raise InvalidArgumentError("kf_predict expects an updated belief")
-    u = np.asarray(u, dtype=float).reshape(-1)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:  # a 1-D u is used as given
+        u = u.reshape(-1)
     if u.shape != (model.p,):
         raise InvalidArgumentError(f"u must have shape ({model.p},)")
     if belief.x_hat.shape != (model.n,):
         raise InvalidArgumentError("belief dimension does not match model")
-    x = matmul(model.A, belief.x_hat) + matmul(model.B, u)
+    x = model._A(belief.x_hat) + model._B(u)
     fixed = belief._fixed
     if fixed is not None and fixed.model is model:
         return _belief(x, fixed.P_pred, belief.t + 1, PREDICTED, fixed)
-    P = _symmetrize(matmul(matmul(model.A, belief.P), model.A.T) + model.Q)
+    P = model._by_n(model._A(belief.P), model._AT) + model.Q
+    P = 0.5 * (P + P.T)
     return _belief(x, P, belief.t + 1, PREDICTED, source=(model, belief.P))
 
 
@@ -209,21 +222,21 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
     """
     if belief.phase != PREDICTED:
         raise InvalidArgumentError("kf_update expects a predicted belief")
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        y = y.reshape(-1)
     if y.shape != (model.m,):
         raise InvalidArgumentError(f"y must have shape ({model.m},)")
     fixed = belief._fixed
     if fixed is not None and fixed.model is model:
         g = fixed.gain
-        x = belief.x_hat + matmul(g, y - matmul(model.C, belief.x_hat))
+        x = belief.x_hat + model._by_m(g, y - model._C(belief.x_hat))
         return _belief(x, fixed.P_upd, belief.t, UPDATED, fixed), g
     P = belief.P
-    if model.m == 1:
-        g = _scalar_gain(P, model)
-    else:
-        g = _general_gain(P, model)
-    x = belief.x_hat + matmul(g, y - matmul(model.C, belief.x_hat))
-    P_new = _symmetrize(matmul(model._eye - matmul(g, model.C), P))
+    g = _scalar_gain(P, model) if model.m == 1 else _general_gain(P, model)
+    x = belief.x_hat + model._by_m(g, y - model._C(belief.x_hat))
+    P_new = model._by_n(model._eye - model._by_m(g, model.C), P)
+    P_new = 0.5 * (P_new + P_new.T)
     source = belief._source
     if (source is not None and source[0] is model
             and P_new.tobytes() == source[1].tobytes()):
@@ -234,8 +247,8 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
 
 
 def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
-    CP = matmul(model.C, P)
-    s = float((matmul(CP, model.C.T) + model.R)[0, 0])
+    CP = model._C(P)
+    s = float((model._by_n(CP, model._CT) + model.R)[0, 0])
     s = 0.5 * (s + s)  # the symmetrization of the general path
     # NaN passes on, as in the general path: the estimate turns non-finite
     if s <= 0.0:
@@ -243,15 +256,16 @@ def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
             f"innovation covariance is singular (s = {s:.3e})"
         )
     d = math.sqrt(s)  # the Cholesky factor; rounding as in the module docstring
-    if CP.shape[1] == 1:
+    if model.n == 1:
         return ((CP / d) / d).T
     r = 1.0 / d
     return ((CP * r) * r).T
 
 
 def _general_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
-    CP = matmul(model.C, P)
-    S = _symmetrize(matmul(CP, model.C.T) + model.R)
+    CP = model._C(P)
+    S = model._by_n(CP, model._CT) + model.R
+    S = 0.5 * (S + S.T)
     eigs = np.linalg.eigvalsh(S)
     if eigs[-1] <= 0.0 or eigs[0] / eigs[-1] < 1e-12:
         raise SingularInnovationError(

@@ -4,7 +4,7 @@ Each step runs the standard predict/update recursion on the periodic/aperiodic
 state and splits both the predicted and updated estimates into quasi-periodic
 and quasi-aperiodic parts, one coefficient pair for every state element. The
 split adds the delayed-history terms (read once per step from the separator
-core's per-period table over the N*period-deep buffers of past UPDATED
+core's per-period rows over the N*period-deep buffers of past UPDATED
 estimates; two floats for a one-state model) to the direct term times the
 current estimate; the same history terms serve the predicted and the updated
 split. Buffers then advance with the updated triple.
@@ -78,7 +78,7 @@ class KfPasfState:
             raise PoisonedStateError("estimator is poisoned by non-finite data")
         pred = kf_predict(self.belief, self.model, u)
         theta_p, theta_a = self.core.theta()
-        bank = self.bank
+        bank = self.core.bank
         xp_pred = theta_p + bank.sp * pred.x_hat
         xa_pred = theta_a + bank.sa * pred.x_hat
 

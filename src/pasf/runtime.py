@@ -14,26 +14,30 @@ Instances are single-threaded; stepping mutates the buffers.
 Every delayed term reads a sample at least one period old, so the sums theta
 (everything but the i = 0 term) of the steps t0 .. t0+period-1 depend only on
 samples pushed before t0: the whole period is known at its first step.
-``SeparatorCore`` computes it there in one vectorized pass into a
-(period, n) table per output, and ``theta()`` returns one (periodic,
-aperiodic) row pair per step: Python floats when n == 1, views of the
-table's n-vector rows when n > 1. The table is rebuilt when t leaves its
-period, and from the current t after ``swap_bank``, ``inject`` or ``reset``.
+``SeparatorCore`` computes it there in one vectorized pass and keeps the
+period's rows, and ``theta()`` returns one (periodic, aperiodic) row pair per
+step: Python floats when n == 1, views of the pass's n-vector sums when
+n > 1. The rows are rebuilt when t leaves their period, and from the current
+t after ``swap_bank``, ``inject`` or ``reset``.
 
-The table is bitwise equal to summing each step on its own because it keeps
-that sum's reduction order. NumPy sums a per-step (order, 1) array as one
-contiguous row, pairwise; it sums an (order, n) array with n > 1 in sequence
-over the outer order axis. So a build gathers (rows, order) blocks and
-reduces their contiguous last axis when n == 1, and gathers (order, n, rows)
-blocks and reduces their outer order axis when n > 1. It runs in row slices
-of at most ``_BUILD_PRODUCTS`` products per output, so its temporaries stay
-well under a megabyte at any period (FIR50, n = 3, period 1000 would
-otherwise allocate several 1.2 MB arrays per pass).
+The rows are bitwise equal to summing each step on its own because a build
+keeps that sum's reduction order. NumPy sums a per-step (order, 1) array as
+one contiguous row, pairwise; it sums an (order, n) array with n > 1 in
+sequence over the outer order axis. So a build gathers (rows, order) blocks
+and reduces their contiguous last axis when n == 1, and gathers
+(order, rows, n) blocks and reduces their outer order axis when n > 1. The
+gather indices come from a lag grid computed once per core (one slice's lags
+relative to its first row), shifted by the slice's first t and wrapped into
+the ring; each slice's rows are taken straight from its sums, with no
+period-long table. A build runs in row slices of at most ``_BUILD_PRODUCTS``
+products per output, so its temporaries stay well under a megabyte at any
+period (FIR50, n = 3, period 1000 would otherwise allocate several 1.2 MB
+arrays per pass).
 
 A one-channel separator steps in Python floats: the input is coerced once,
-the build converts the period's theta pairs to floats with one ``tolist()``
-per output, ``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on
-floats and stored in 1-d views of the histories. That is bitwise equal to
+the build converts each slice's theta pairs to floats with one ``tolist()``,
+``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats and
+stored in 1-d views of the histories. That is bitwise equal to
 the NumPy form, because ``tolist()`` keeps every binary64 value (the sign of
 zero included) and CPython and NumPy both round each ``*`` and ``+`` on its
 own, neither fusing them into one multiply-add. n > 1 takes the NumPy form on
@@ -81,13 +85,13 @@ class SeparatorBank:
         self.sp, self.sa = p.feedforward[0].item(), a.feedforward[0].item()
 
 
-# Products per output in one row slice of a theta-table build: bounds the
+# Products per output in one row slice of a theta build: bounds the
 # build's temporaries.
 _BUILD_PRODUCTS = 8192
 
 
 class SeparatorCore:
-    """Ring buffers of ``n`` channels plus the per-period table of
+    """Ring buffers of ``n`` channels plus the per-period rows of
     delayed-history sums shared by the runtime and the estimator
     integration."""
 
@@ -103,13 +107,17 @@ class SeparatorCore:
         self.in_buf, self.p_buf, self.a_buf = self._hist
         # first-channel columns: a 1-d store is cheaper than a row broadcast
         self._columns = tuple(self._hist[:, :, 0])
+        self._flat = self._hist.reshape(3, -1)
         self._strides = bank.period * np.arange(1, bank.order + 1)
-        self._width = max(1, _BUILD_PRODUCTS // (bank.order * n))
-        self._channels = np.arange(n)[:, None]
+        self._width = min(bank.period, max(1, _BUILD_PRODUCTS // (bank.order * n)))
+        # a slice's lags before its first row's t is added, as indices into
+        # _flat: (rows, order) for one channel, (order, rows, n) for several
+        lags = np.arange(self._width) - self._strides[:, None]
+        self._grid = lags.T.copy() if n == 1 else lags[..., None] * n + np.arange(n)
         self._invalidate()
 
     def _invalidate(self) -> None:
-        """Empty the table window, so the next theta() builds from its t."""
+        """Empty the rows' window, so the next theta() builds from its t."""
         self._start = self._end = self.t
 
     def inject(self, in_hist, p_hist, a_hist) -> None:
@@ -136,34 +144,35 @@ class SeparatorCore:
     def theta(self):
         """Delayed-history sums (periodic, aperiodic) for the current step
         (call before push): two floats when n == 1, else two n-vectors that
-        are views of the table's rows: read them, do not write them."""
+        are views of the build's sums: read them, do not write them."""
         t = self.t
         if not self._start <= t < self._end:
             self._build()
         return self._rows[t - self._start]
 
     def _build(self) -> None:
-        """Tabulate theta for the steps t .. t+period-1 from the buffers."""
+        """Compute the theta rows of the steps t .. t+period-1 from the
+        buffers, one slice of at most ``_width`` rows at a time."""
         b = self.bank
         n = self.n
         start = self.t
-        flat = self._hist.reshape(3, -1)
-        table = np.empty((2, b.period, n))
+        span = self.capacity * n
+        if n == 1:  # (rows, order) blocks, pairwise along the order axis
+            G, H, axis = b.G[:, None, :], b.H[:, None, :], 2
+        else:       # (order, rows, n) blocks, in sequence over the order axis
+            G, H, axis = b.G[..., None, None], b.H[..., None, None], 1
+        rows = []
         for r0 in range(0, b.period, self._width):
-            r1 = min(r0 + self._width, b.period)
-            lags = np.arange(start + r0, start + r1) - self._strides[:, None]
-            lags %= self.capacity
-            if n == 1:  # (rows, order) blocks, pairwise along the order axis
-                idx, G, H, axis = lags.T, b.G[:, None, :], b.H[:, None, :], 2
-            else:       # (order, n, rows) blocks, in sequence over the order axis
-                idx = lags[:, None, :] * n + self._channels
-                G, H, axis = b.G[..., None, None], b.H[..., None, None], 1
-            hist = flat.take(idx, axis=1)
+            k = min(self._width, b.period - r0)
+            idx = (self._grid[:k] if n == 1 else self._grid[:, :k]) + (start + r0) * n
+            idx %= span
+            hist = self._flat.take(idx, axis=1)
             prod = G * hist[1:]
             prod += H * hist[0]
             sums = np.add.reduce(prod, axis=axis)
-            table[:, r0:r1] = sums.reshape(2, n, -1).transpose(0, 2, 1)
-        self._rows = list(zip(*(table[:, :, 0].tolist() if n == 1 else table)))
+            # floats when n == 1, else views of the n-vector rows
+            rows += zip(*(sums.tolist() if n == 1 else sums))
+        self._rows = rows
         self._start, self._end = start, start + b.period
 
     def push(self, x, xp, xa) -> None:

@@ -23,7 +23,7 @@ from .design import SeparationSpec, design_for, forget_designs
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import InvalidArgumentError
-from .kalman import SystemModel, left_product, matmul
+from .kalman import SystemModel, left_product
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
@@ -402,14 +402,15 @@ class EstimationRun:
 def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States x(1..steps) of x(t+1) = A x(t) + B u'(t) from x(0) = x0."""
     out = np.empty((len(u_plus_v), A.shape[0]))
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     # each row is the single-rounded B u'(i) the per-step form computes
     Bu = np.multiply.outer(u_plus_v, B.reshape(-1))
-    Ax = left_product(A)
-    for i, bu in enumerate(Bu):
-        x = Ax(x)
-        x += bu
-        out[i] = x
+    # matmul's rule, written into the row: A.__matmul__ takes no out=
+    Ax = A.dot if A.shape[1] > 1 else partial(np.matmul, A)
+    for row, bu in zip(out, Bu):
+        Ax(x, out=row)
+        row += bu
+        x = row
     return out
 
 
@@ -482,13 +483,14 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     # with no feedback u is known up front, so B (u + v) is formed once
     Bu = None if is_control else np.multiply.outer(u_base + v, Bf)
     x = x0
+    Ax, Cx = left_product(scn.A), left_product(scn.C)
     switches = dict(switches)
     P = None
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
-        x = matmul(scn.A, x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
-        y = float(matmul(scn.C, x)[0] + w[i])
+        x = Ax(x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
+        y = float(Cx(x)[0] + w[i])
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
         rec = est.step([u_prev], [y])

@@ -111,6 +111,20 @@ def test_design_fir_non_finite_weight_ratio_is_validation_error(tmp_path, ratio)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["1e308", "1e-320"])
+def test_design_fir_extreme_finite_weight_ratio_is_validation_error(tmp_path, ratio):
+    """A finite ratio whose weighted error (1e308) or reciprocal (1e-320)
+    overflows is one line, not an overflow traceback under the CLI's
+    warnings-are-errors rule."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-fir", "--rho-tilde", "0.5",
+                  "--period", "1000", "--sampling-time", "0.001",
+                  "--order", "50", "--weight-ratio", ratio)
+    _assert_validation_error(res)
+    assert "weight_ratio" in res.stderr
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",

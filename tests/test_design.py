@@ -292,6 +292,29 @@ def test_fir_rejects_non_positive_or_non_finite_weight_ratio(ratio):
                               weight_ratio=ratio)
 
 
+@pytest.mark.parametrize("ratio", [1e308, 1e304, 1.7976931348623157e308,
+                                   1e-320, 5e-324, 5.5e-309])
+def test_fir_rejects_finite_weight_ratio_that_overflows(ratio):
+    """A reciprocal beyond DBL_MAX is rejected before the exchange; a
+    weighted passband error beyond it, when the exchange forms it. Under
+    the suite's warnings-as-errors rule an overflow warning fails the test."""
+    with pytest.raises(InvalidArgumentError, match="weight_ratio"):
+        design_fir_equiripple(SeparationSpec(0.5, 1000, 0.001), 50,
+                              weight_ratio=ratio)
+
+
+@pytest.mark.parametrize("ratio, digest", [(1e-84, "bbe1d745dbaf3952"),
+                                           (1e-12, "43f0da06dc1b51cc"),
+                                           (10.0, "a6e9abe0930eac1a")])
+def test_fir_weight_ratio_designs_keep_their_taps(ratio, digest):
+    """The overflow checks leave designs that converge alone: order 4 at
+    passband weights down to 1e-84 (reciprocal 1e84), taps digests recorded
+    before the checks existed."""
+    p, _ = design_fir_equiripple(SeparationSpec(0.5, 1000, 0.001), 4,
+                                 weight_ratio=ratio)
+    assert hashlib.sha256(p.feedforward.tobytes()).hexdigest()[:16] == digest
+
+
 # The per-node loops the exchange used before its array forms: oracles that
 # the array forms must match bit for bit.
 def _barycentric_gamma_loop(x):

@@ -274,10 +274,12 @@ def _assert_memoized_chain_matches_oracle(model, P0, inputs):
 
 @st.composite
 def _stable_models(draw):
-    """A model with n = 1..4 states, m = 1 (closed-form gain) or m = 2
-    (Cholesky path), A scaled to spectral radius 0.1..0.95, and enough
-    random inputs and measurements to pass its fixed point."""
+    """A model with n = 1..4 states, p = 1 (``B u`` through ``@``) or p = 2
+    inputs (through ``dot``), m = 1 (closed-form gain) or m = 2 (Cholesky
+    path), A scaled to spectral radius 0.1..0.95, and enough random inputs
+    and measurements to pass its fixed point."""
     n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 2))
     m = draw(st.integers(1, 2))
     unit = st.floats(-1, 1)
     M = draw(hnp.arrays(float, (n, n), elements=unit))
@@ -286,11 +288,12 @@ def _stable_models(draw):
     Lq = draw(hnp.arrays(float, (n, n), elements=unit))
     Lr = draw(hnp.arrays(float, (m, m), elements=unit))
     C = draw(hnp.arrays(float, (m, n), elements=st.floats(-2, 2)))
-    model = SystemModel(A=A, B=np.ones((n, 1)), C=C,
+    B = draw(hnp.arrays(float, (n, p), elements=unit))
+    model = SystemModel(A=A, B=B, C=C,
                         Q=Lq @ Lq.T + 1e-3 * np.eye(n),
                         R=Lr @ Lr.T + 1e-2 * np.eye(m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    inputs = [(rng.standard_normal(1), rng.standard_normal(m))
+    inputs = [(rng.standard_normal(p), rng.standard_normal(m))
               for _ in range(300)]
     return model, np.eye(n), inputs
 
@@ -421,6 +424,44 @@ def test_matmul_bytes_equal_the_at_operator(operands):
     a, b = operands
     with np.errstate(all="ignore"):
         assert kalman.matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+@st.composite
+def _model_and_operands(draw):
+    """A model with n, m, p = 1..3 and finite matrices that hold signed
+    zeros, and right operands of every product of the recursion with
+    signed zeros, NaN and infinities."""
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+    specials = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+    elements = st.one_of(specials, st.floats(-1e3, 1e3))
+    A, B, C = (draw(hnp.arrays(float, shape, elements=finite))
+               for shape in ((n, n), (n, p), (m, n)))
+    model = SystemModel(A=A, B=B, C=C, Q=np.eye(n), R=np.eye(m))
+    ops = {name: draw(hnp.arrays(float, shape, elements=elements))
+           for name, shape in (("x", n), ("u", p), ("P", (n, n)),
+                               ("CP", (m, n)), ("g", (n, m)), ("r", m))}
+    return model, ops
+
+
+@pytest.mark.filterwarnings("ignore:model is not observable")
+@settings(max_examples=200, deadline=None)
+@given(_model_and_operands())
+def test_model_products_equal_the_at_operator(case):
+    """Each product a model resolves once gives the bytes of ``@``."""
+    model, o = case
+    A, B, C = model.A, model.B, model.C
+    with np.errstate(all="ignore"):
+        pairs = [(model._A(o["x"]), A @ o["x"]), (model._A(o["P"]), A @ o["P"]),
+                 (model._by_n(o["P"], model._AT), o["P"] @ A.T),
+                 (model._B(o["u"]), B @ o["u"]),
+                 (model._C(o["x"]), C @ o["x"]), (model._C(o["P"]), C @ o["P"]),
+                 (model._by_n(o["CP"], model._CT), o["CP"] @ C.T),
+                 (model._by_m(o["g"], o["r"]), o["g"] @ o["r"]),
+                 (model._by_m(o["g"], C), o["g"] @ C),
+                 (model._by_n(o["P"], o["P"]), o["P"] @ o["P"])]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
 
 
 def _frozen_scalar_chain(model, steps=200):

@@ -22,6 +22,7 @@ from pasf.errors import (
     PoisonedStateError,
     UnsupportedReconfigurationError,
 )
+from pasf import runtime
 from pasf.response import eval_response
 from pasf.runtime import (
     PasfState,
@@ -244,6 +245,39 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _assert_theta_equals_sum(core, rng, events, steps):
+    """Step ``core`` with random pushes (signed zeros among them), applying
+    each (step, "swap" | "inject" | "reset") event before its step, and hold
+    every theta row to the per-step np.sum over the order axis, raw bits
+    included (so the sign of zero counts)."""
+    cap, dims, order, period = (core.capacity, core.n, core.bank.order,
+                                core.bank.period)
+    for step in range(steps):
+        for event in [e for at, e in events if at == step]:
+            if event == "swap":
+                core.swap_bank(_random_bank(rng, order, period))
+            elif event == "inject":
+                core.inject(*rng.standard_normal((3, cap, dims)))
+            else:
+                core.reset()
+        G, H = core.bank.G[..., None], core.bank.H[..., None]
+        lags = (core.t - core._strides) % cap
+        hin = core.in_buf[lags]
+        tp, ta = core.theta()
+        if dims == 1:
+            assert type(tp) is float and type(ta) is float
+        else:
+            assert tp.shape == ta.shape == (dims,)
+        assert np.array_equal(_bits(np.atleast_1d(tp)), _bits(
+            np.sum(G[0] * core.p_buf[lags] + H[0] * hin, axis=0)))
+        assert np.array_equal(_bits(np.atleast_1d(ta)), _bits(
+            np.sum(G[1] * core.a_buf[lags] + H[1] * hin, axis=0)))
+        scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
+        values = rng.standard_normal((3, dims)) * scales
+        values[rng.random((3, dims)) < 0.2] = -0.0
+        core.push(*values)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 50])
 @pytest.mark.parametrize("dims", [1, 3])
 def test_theta_bitwise_equals_sum_formulation(order, dims):
@@ -263,30 +297,25 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
         r = max(mid, 1)
         events = [(0, "inject"), (r, "reset"), (r + cap + mid, "swap"),
                   (r + 2 * cap + 2 * mid, "inject"), (r + 3 * cap + 3 * mid, "reset")]
-        for step in range(4 * cap + 2 * period):  # wraps the ring three times
-            for event in [e for at, e in events if at == step]:
-                if event == "swap":
-                    core.swap_bank(_random_bank(rng, order, period))
-                elif event == "inject":
-                    core.inject(*rng.standard_normal((3, cap, dims)))
-                else:
-                    core.reset()
-            G, H = core.bank.G[..., None], core.bank.H[..., None]
-            lags = (core.t - core._strides) % cap
-            hin = core.in_buf[lags]
-            tp, ta = core.theta()
-            if dims == 1:
-                assert type(tp) is float and type(ta) is float
-            else:
-                assert tp.shape == ta.shape == (dims,)
-            assert np.array_equal(_bits(np.atleast_1d(tp)), _bits(
-                np.sum(G[0] * core.p_buf[lags] + H[0] * hin, axis=0)))
-            assert np.array_equal(_bits(np.atleast_1d(ta)), _bits(
-                np.sum(G[1] * core.a_buf[lags] + H[1] * hin, axis=0)))
-            scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
-            values = rng.standard_normal((3, dims)) * scales
-            values[rng.random((3, dims)) < 0.2] = -0.0
-            core.push(*values)
+        # wraps the ring three times
+        _assert_theta_equals_sum(core, rng, events, 4 * cap + 2 * period)
+
+
+@pytest.mark.parametrize("dims", [1, 3])
+def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims):
+    """A period of more than three ``_width`` row slices, the last one
+    partial: every row of every slice equals the per-step np.sum, across a
+    swap and an inject in the middle of a period, which start the slices
+    off the period's grid."""
+    rng = np.random.default_rng(7 + dims)
+    order = 50
+    period = 3 * (runtime._BUILD_PRODUCTS // (order * dims)) + 7
+    core = SeparatorCore(_random_bank(rng, order, period), dims)
+    assert period >= 3 * core._width
+    swap_at = period // 2 + 1
+    inject_at = swap_at + period + period // 3
+    events = [(0, "inject"), (swap_at, "swap"), (inject_at, "inject")]
+    _assert_theta_equals_sum(core, rng, events, inject_at + period + 5)
 
 
 class _PerStepOracle:
