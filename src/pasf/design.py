@@ -308,7 +308,8 @@ def design_fir_equiripple(
     passband weight relative to a unit stopband weight. A ratio whose
     reciprocal overflows (below 1/DBL_MAX, about 5.6e-309), or one that
     overflows the weighted passband error during the exchange, is an
-    ``InvalidArgumentError``.
+    ``InvalidArgumentError``; an exchange whose levelled system overflows
+    raises ``DesignFailureError``.
     """
     if order < 4 or order % 2 != 0:
         raise InvalidArgumentError(
@@ -428,10 +429,15 @@ def _levelled_values(x_ref, d_ref, w_ref):
     xs that this levelled error gives."""
     gamma = _barycentric_gamma(x_ref)
     signs = (-1.0) ** np.arange(len(x_ref))
-    delta = float(np.dot(gamma, d_ref) / np.dot(gamma, signs / w_ref))
-    xs = x_ref[:-1]
-    ys = d_ref[:-1] - signs[:-1] * delta / w_ref[:-1]
-    return delta, xs, ys
+    try:
+        # huge barycentric weights (at a tiny passband edge) or a tiny
+        # passband weight can overflow here
+        with np.errstate(over="raise"):
+            delta = float(np.dot(gamma, d_ref) / np.dot(gamma, signs / w_ref))
+            ys = d_ref[:-1] - signs[:-1] * delta / w_ref[:-1]
+    except FloatingPointError:
+        raise DesignFailureError("Remez exchange overflowed its levelled system") from None
+    return delta, x_ref[:-1], ys
 
 
 def _chebyshev_solution(x_ref, d_ref, w_ref, x_eval):

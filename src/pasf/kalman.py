@@ -28,23 +28,15 @@ record of its source, so a chain rebuilt through ``KalmanBelief`` each step
 never freezes: it is the per-step oracle the freeze is tested against.
 
 Every matrix product here, and in the plant loops of ``pasf.scenarios``,
-follows one rule, that of ``matmul`` (``left_product`` is the same rule
-bound to one left operand). With a contracted dimension above 1 it calls
-``ndarray.dot``, which reaches the same OpenBLAS gemv/gemm as ``@`` with
-about a third of the dispatch cost, and whose bytes equal those of ``@``,
-signed zeros, NaN and infinities included (a property test holds it to
-that). With a contracted dimension of 1 it keeps ``@``: there ``dot``
-scales by the one-element operand instead, which turns 0 * NaN and
-0 * Inf into 0 (so it would hide a poisoned state) and gives other signs
-of zero than ``@``. So ``B u`` keeps ``@`` when p = 1, and ``g r`` and
-``g C`` keep it when m = 1.
-
-A ``SystemModel`` applies the rule once, when it is built: it resolves
-each product of the recursion (A x, A P, (AP) A', B u, C x, C P, CP C',
-g r, g C and (I - gC) P) to its ``dot`` or ``@``, bound to A, B or C where
-that is the left operand, and keeps n, m and p as plain attributes.
-``kf_predict`` and ``kf_update`` call those products and write the
-re-symmetrization ``0.5 * (P + P')`` out, so a step makes no per-product
+is formed by ``product(k)`` for its contracted dimension k: ``ndarray.dot``
+when k is above 1, which reaches the same OpenBLAS gemv/gemm as ``@`` with
+about a third of the dispatch cost and gives the bytes of ``@``, signed
+zeros, NaN and infinities included (a property test holds it to that);
+else ``np.matmul``, the ufunc ``@`` calls, since there ``dot`` scales by
+the one-element operand, which turns 0 * NaN and 0 * Inf into 0 (hiding a
+poisoned state) and gives other signs of zero. Both take ``out=``. A
+``SystemModel`` resolves one product per contracted dimension (n, m and p)
+when it is built, so ``kf_predict`` and ``kf_update`` make no per-product
 dispatch: the same NumPy operations in the same order, so the same bytes,
 with fewer Python calls around them.
 """
@@ -52,7 +44,6 @@ with fewer Python calls around them.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -72,22 +63,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _product(k: int):
-    """The product of an ``a`` whose contracted dimension is ``k``:
-    ``ndarray.dot`` when k is above 1, else ``@`` (the rule of the module
-    docstring), as a function of (a, b)."""
-    return np.ndarray.dot if k > 1 else operator.matmul
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` by the rule of ``_product``."""
-    return _product(a.shape[-1])(a, b)
-
-
-def left_product(a: np.ndarray):
-    """``b -> matmul(a, b)`` as one bound method, for a loop that
-    multiplies by the same ``a`` every step."""
-    return a.dot if a.shape[-1] > 1 else a.__matmul__
+def product(k: int):
+    """The product (a, b, out=None) of operands whose contracted dimension
+    is ``k``, by the rule of the module docstring."""
+    return np.ndarray.dot if k > 1 else np.matmul
 
 
 def check_covariance(name: str, mat: np.ndarray) -> None:
@@ -104,8 +83,8 @@ class SystemModel:
 
     The matrices are read-only copies, so a recursion frozen under a model
     object stays valid for as long as that object lives. n, m and p are the
-    state, output and input dimensions; the ``_`` attributes are the
-    recursion's products, resolved once by the rule of ``matmul``."""
+    state, output and input dimensions; ``_by_n``, ``_by_m`` and ``_by_p``
+    are the recursion's products by each, resolved once by ``product``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -136,11 +115,9 @@ class SystemModel:
             check_covariance(name, getattr(self, name))
         for name, value in (
                 ("n", n), ("m", m), ("p", p),
-                ("_A", left_product(self.A)),  # A x and A P
-                ("_B", left_product(self.B)),  # B u
-                ("_C", left_product(self.C)),  # C x and C P
-                ("_by_n", _product(n)),  # (AP) A', CP C' and (I - gC) P
-                ("_by_m", _product(m)),  # g r and g C
+                ("_by_n", product(n)),  # A x, A P, (AP) A', C x, C P, CP C', (I - gC) P
+                ("_by_m", product(m)),  # g r and g C
+                ("_by_p", product(p)),  # B u
                 ("_AT", self.A.T), ("_CT", self.C.T),
                 ("_eye", _read_only(np.eye(n)))):  # for (I - gC) P
             object.__setattr__(self, name, value)
@@ -201,11 +178,12 @@ def kf_predict(belief: KalmanBelief, model: SystemModel, u) -> KalmanBelief:
         raise InvalidArgumentError(f"u must have shape ({model.p},)")
     if belief.x_hat.shape != (model.n,):
         raise InvalidArgumentError("belief dimension does not match model")
-    x = model._A(belief.x_hat) + model._B(u)
+    by_n, A = model._by_n, model.A
+    x = by_n(A, belief.x_hat) + model._by_p(model.B, u)
     fixed = belief._fixed
     if fixed is not None and fixed.model is model:
         return _belief(x, fixed.P_pred, belief.t + 1, PREDICTED, fixed)
-    P = model._by_n(model._A(belief.P), model._AT) + model.Q
+    P = by_n(by_n(A, belief.P), model._AT) + model.Q
     P = 0.5 * (P + P.T)
     return _belief(x, P, belief.t + 1, PREDICTED, source=(model, belief.P))
 
@@ -230,12 +208,13 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
     fixed = belief._fixed
     if fixed is not None and fixed.model is model:
         g = fixed.gain
-        x = belief.x_hat + model._by_m(g, y - model._C(belief.x_hat))
+        x = belief.x_hat + model._by_m(g, y - model._by_n(model.C, belief.x_hat))
         return _belief(x, fixed.P_upd, belief.t, UPDATED, fixed), g
     P = belief.P
     g = _scalar_gain(P, model) if model.m == 1 else _general_gain(P, model)
-    x = belief.x_hat + model._by_m(g, y - model._C(belief.x_hat))
-    P_new = model._by_n(model._eye - model._by_m(g, model.C), P)
+    by_n, by_m, C = model._by_n, model._by_m, model.C
+    x = belief.x_hat + by_m(g, y - by_n(C, belief.x_hat))
+    P_new = by_n(model._eye - by_m(g, C), P)
     P_new = 0.5 * (P_new + P_new.T)
     source = belief._source
     if (source is not None and source[0] is model
@@ -247,7 +226,7 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
 
 
 def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
-    CP = model._C(P)
+    CP = model._by_n(model.C, P)
     s = float((model._by_n(CP, model._CT) + model.R)[0, 0])
     s = 0.5 * (s + s)  # the symmetrization of the general path
     # NaN passes on, as in the general path: the estimate turns non-finite
@@ -263,7 +242,7 @@ def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
 
 
 def _general_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
-    CP = model._C(P)
+    CP = model._by_n(model.C, P)
     S = model._by_n(CP, model._CT) + model.R
     S = 0.5 * (S + S.T)
     eigs = np.linalg.eigvalsh(S)

@@ -138,6 +138,14 @@ def _matrix(no: int, key: str, value: str, sampling_time: float,
     return np.array(rows, dtype=float)
 
 
+# (fewest, most, form) of each leaf kind's arguments, as the README lists them
+_LEAF_ARGS = {"constant": (1, 1, "L"), "sinusoid": (2, 3, "AMP OMEGA [PHASE]"),
+              "harmonic-sum": (1, math.inf, "BASEHZ amp:harm ..."),
+              "pulse": (3, 5, "START END LEVEL [openstart] [openend]"),
+              "gated-sine": (3, 3, "OMEGA GATE_SAMPLES DUTY_SAMPLES"),
+              "noise": (3, 3, "VARIANCE START END")}
+
+
 def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
     if not tokens:
         raise ScenarioParseError(line_no, "empty signal descriptor")
@@ -147,6 +155,14 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
     def num(text, convert=float):
         return _number(line_no, f"{kind} descriptor", text, convert)
 
+    if kind not in _LEAF_ARGS:
+        raise ScenarioParseError(line_no, f"unknown descriptor kind {kind!r}")
+    low, high, form = _LEAF_ARGS[kind]
+    flags = args[3:] if kind == "pulse" else []
+    if (not low <= len(args) <= high or len(set(flags)) < len(flags)
+            or not set(flags) <= {"openstart", "openend"}):
+        raise ScenarioParseError(line_no, f"bad {kind} descriptor: expected "
+                                          f"{kind} {form}, got {' '.join(tokens)!r}")
     try:
         if kind == "constant":
             return sig.Constant(num(args[0]))
@@ -162,7 +178,6 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
             return sig.HarmonicSum(base, tuple(terms))
         if kind == "pulse":
             start, end, level = (num(a) for a in args[:3])
-            flags = set(args[3:])
             return sig.Pulse(start, end, level,
                              include_start="openstart" not in flags,
                              include_end="openend" not in flags)
@@ -174,9 +189,8 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
             return sig.NoiseSegment(NoiseSpec(0.0, var, stream_seed), start, end)
     except ScenarioParseError:
         raise
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ScenarioParseError(line_no, f"bad {kind} descriptor: {exc}") from exc
-    raise ScenarioParseError(line_no, f"unknown descriptor kind {kind!r}")
 
 
 class _SignalTable:

@@ -23,7 +23,7 @@ from .design import SeparationSpec, design_for, forget_designs
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import InvalidArgumentError
-from .kalman import SystemModel, left_product
+from .kalman import SystemModel, product
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
@@ -96,6 +96,8 @@ class Scenario:
         if not self.sampling_time > 0:
             raise InvalidArgumentError(
                 f"sampling_time must be positive, got {self.sampling_time}")
+        if self.warm_start not in ("zero", "periodic"):
+            raise InvalidArgumentError(f"unknown warm_start {self.warm_start!r}")
         if self.steps < 1:
             raise InvalidArgumentError(
                 f"duration must hold at least one sample, got {self.duration_s}")
@@ -405,10 +407,9 @@ def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     # each row is the single-rounded B u'(i) the per-step form computes
     Bu = np.multiply.outer(u_plus_v, B.reshape(-1))
-    # matmul's rule, written into the row: A.__matmul__ takes no out=
-    Ax = A.dot if A.shape[1] > 1 else partial(np.matmul, A)
+    by_n = product(A.shape[1])
     for row, bu in zip(out, Bu):
-        Ax(x, out=row)
+        by_n(A, x, out=row)
         row += bu
         x = row
     return out
@@ -447,11 +448,9 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
         pre_tail = _periodic_prerun(scn, choice.order * scn.period)
         hist = periodic_warm_history(p, a, pre_tail)
         x0 = pre_tail[-1].copy()
-    elif scn.warm_start == "zero":
+    else:
         hist = zero_histories(model, choice.order, scn.period)
         x0 = np.zeros(n)
-    else:
-        raise InvalidArgumentError(f"unknown warm_start {scn.warm_start!r}")
 
     est = KfPasfState(model, p, a, hist, scn.P0)
 
@@ -483,14 +482,14 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     # with no feedback u is known up front, so B (u + v) is formed once
     Bu = None if is_control else np.multiply.outer(u_base + v, Bf)
     x = x0
-    Ax, Cx = left_product(scn.A), left_product(scn.C)
+    by_n = product(n)
     switches = dict(switches)
     P = None
     for t in range(1, steps + 1):
         i = t - 1
         u_prev = u_base[i]
-        x = Ax(x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
-        y = float(Cx(x)[0] + w[i])
+        x = by_n(scn.A, x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
+        y = float(by_n(scn.C, x)[0] + w[i])
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
         rec = est.step([u_prev], [y])

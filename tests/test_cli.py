@@ -125,6 +125,20 @@ def test_design_fir_extreme_finite_weight_ratio_is_validation_error(tmp_path, ra
     assert not out.exists()
 
 
+def test_design_fir_overflowing_levelled_system_is_runtime_error(tmp_path):
+    """At a passband weight of 1e-308 the exchange's levelled system
+    overflows (huge barycentric weights at tiny passband edges can too):
+    one typed design failure under warnings-as-errors, not an overflow
+    traceback, and not blamed on the weight."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-fir", "--rho-tilde", "0.5",
+                  "--period", "1000", "--sampling-time", "0.001",
+                  "--order", "50", "--weight-ratio", "1e-308")
+    assert res.returncode == 2
+    assert res.stderr == "error: runtime: Remez exchange overflowed its levelled system\n"
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",
@@ -526,6 +540,31 @@ def test_scenario_malformed_number_is_validation_error(tmp_path, line, bad,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("descriptor", [
+    "constant 1 2 3", "constant", "sinusoid 1 2 0 9", "sinusoid 1",
+    "gated-sine 1 20 10 4", "noise 1 0 1 junk", "pulse 1 2 3 opnestart",
+    "pulse 1 2 3 openend openend", "pulse 1 2 3 openstart openend 4", "harmonic-sum",
+])
+def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor):
+    """Only the documented arguments parse (a pulse may add openstart and
+    openend): a missing, extra or misspelled token is an error naming its
+    line, not dropped."""
+    lines = NUMBERS_SCENARIO.splitlines()
+    no = lines.index("expr = constant 0") + 1
+    lines[no - 1] = f"expr = {descriptor}"
+    path = tmp_path / "leaf.scn"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    kind = descriptor.split()[0]
+    assert res.stderr.startswith(
+        f"error: validation: line {no}: bad {kind} descriptor: expected {kind} "), \
+        res.stderr
+    assert repr(descriptor) in res.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, bad, message", [
     ("sampling_time = 0.01", "sampling_time = -0.01", "sampling_time must be positive"),
     ("duration = 1", "duration = 0", "duration must hold at least one sample"),
@@ -670,6 +709,23 @@ def test_plot_script_finds_columns_by_name(tmp_path):
             f'{header.index(name) + 1} with lines title "{name}"'
             for name in ("y", "xp_hat_1", "xa_hat_1")]
     assert plots == want
+
+
+@pytest.mark.parametrize("kind", ["estimation", "separation", "control"])
+def test_unknown_warm_start_is_validation_error(tmp_path, kind):
+    """Checked with the rest of the scenario, before any noise draw or
+    design, for every kind: a separation scenario has no warm start to
+    take, and an unknown value is not read as zero."""
+    text = {"estimation": TWO_STATE_SCENARIO,
+            "separation": COMB_SCENARIO + "variant = 1\n",
+            "control": NUMBERS_SCENARIO}[kind]
+    path = tmp_path / "warm.scn"
+    path.write_text(text.replace("duration = 1\n", "duration = 1\nwarm_start = bogus\n"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr == "error: validation: unknown warm_start 'bogus'\n"
+    assert not out.exists()
 
 
 def test_interference_label_is_reserved(tmp_path):

@@ -320,7 +320,7 @@ def test_marginally_stable_model_never_freezes_and_matches_oracle():
 
 def _at_predict(x, P, model, u):
     """``kf_predict``'s expressions written with ``@``: an independent
-    reference for the products ``kalman.matmul`` forms."""
+    reference for the products ``kalman.product`` forms."""
     x = model.A @ x + model.B @ u
     P = model.A @ P @ model.A.T + model.Q
     return x, 0.5 * (P + P.T)
@@ -414,16 +414,24 @@ def _layout(arr, kind):
     if kind == "row":  # a row of a larger array, as a state row of a table
         big = np.zeros((3,) + arr.shape)
         big[1] = arr
-        return big[1]
+        return big[1, ...]  # a 0-d view, not a scalar, for a 0-d arr
     return arr
 
 
 @settings(max_examples=1500, deadline=None)
-@given(_product_operands())
-def test_matmul_bytes_equal_the_at_operator(operands):
+@given(_product_operands(), st.sampled_from(["c", "row"]))
+def test_product_bytes_equal_the_at_operator(operands, out_layout):
+    """The rule's product for the contracted dimension gives the bytes of
+    ``a @ b``, both returned and written into an ``out=`` array that is
+    C-contiguous or a row of a larger one, as a plant state row."""
     a, b = operands
+    prod = kalman.product(a.shape[-1])
     with np.errstate(all="ignore"):
-        assert kalman.matmul(a, b).tobytes() == (a @ b).tobytes()
+        want = (a @ b).tobytes()
+        assert prod(a, b).tobytes() == want
+        out = _layout(np.full(np.shape(a @ b), 7.0), out_layout)
+        assert prod(a, b, out=out).tobytes() == want
+    assert out.tobytes() == want
 
 
 @st.composite
@@ -448,18 +456,20 @@ def _model_and_operands(draw):
 @settings(max_examples=200, deadline=None)
 @given(_model_and_operands())
 def test_model_products_equal_the_at_operator(case):
-    """Each product a model resolves once gives the bytes of ``@``."""
+    """Each of the three products a model resolves once, by n, m and p,
+    gives the bytes of ``@`` on every operand of the recursion."""
     model, o = case
     A, B, C = model.A, model.B, model.C
+    by_n, by_m, by_p = model._by_n, model._by_m, model._by_p
     with np.errstate(all="ignore"):
-        pairs = [(model._A(o["x"]), A @ o["x"]), (model._A(o["P"]), A @ o["P"]),
-                 (model._by_n(o["P"], model._AT), o["P"] @ A.T),
-                 (model._B(o["u"]), B @ o["u"]),
-                 (model._C(o["x"]), C @ o["x"]), (model._C(o["P"]), C @ o["P"]),
-                 (model._by_n(o["CP"], model._CT), o["CP"] @ C.T),
-                 (model._by_m(o["g"], o["r"]), o["g"] @ o["r"]),
-                 (model._by_m(o["g"], C), o["g"] @ C),
-                 (model._by_n(o["P"], o["P"]), o["P"] @ o["P"])]
+        pairs = [(by_n(A, o["x"]), A @ o["x"]), (by_n(A, o["P"]), A @ o["P"]),
+                 (by_n(o["P"], model._AT), o["P"] @ A.T),
+                 (by_p(B, o["u"]), B @ o["u"]),
+                 (by_n(C, o["x"]), C @ o["x"]), (by_n(C, o["P"]), C @ o["P"]),
+                 (by_n(o["CP"], model._CT), o["CP"] @ C.T),
+                 (by_m(o["g"], o["r"]), o["g"] @ o["r"]),
+                 (by_m(o["g"], C), o["g"] @ C),
+                 (by_n(o["P"], o["P"]), o["P"] @ o["P"])]
     for got, want in pairs:
         assert got.tobytes() == want.tobytes()
 

@@ -372,6 +372,17 @@ def test_empty_signal_section_names_the_referring_line():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("flags, include_start, include_end", [
+    (" openstart", False, True), (" openend", True, False),
+    (" openstart openend", False, False), (" openend openstart", False, False),
+])
+def test_pulse_flags_open_its_ends(flags, include_start, include_end):
+    text = SCENARIO_TEXT.replace("of = @u1 @u2", "of = @u2").replace(
+        "expr = pulse 1.5 1.6 2.0", "expr = pulse 1.5 1.6 2.0" + flags)
+    assert parse_scenario(text).input_u.inner == sig.Pulse(
+        1.5, 1.6, 2.0, include_start=include_start, include_end=include_end)
+
+
 def test_scale_of_one_reference_is_that_signal():
     scn = parse_scenario(SCENARIO_TEXT.replace("of = @u1 @u2", "of = @u2"))
     assert scn.input_u == sig.Scaled(10.0, sig.Pulse(1.5, 1.6, 2.0))
