@@ -3,6 +3,8 @@ every input text file (CSVs, coefficient files, scenario files)."""
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -69,27 +71,27 @@ def read_text(path) -> str:
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read back a numeric CSV written by export_csv.
 
-    An empty file, a row whose field count differs from the header's, or a
-    field that is not a number is an ``InvalidArgumentError`` (a row names
-    its line), as is a file that is not UTF-8; a file that cannot be read
-    raises its ``OSError``.
+    Lines are stripped and blank ones dropped; the first is the header. The
+    body is parsed in one pass: a check of every row's comma count, then
+    one ``float()`` per field of the rows joined by commas (the fields of
+    each row in order, so the same values as parsing row by row), reshaped
+    to the header's width. An empty file, a row whose field count differs
+    from the header's, or a field that is not a number is an
+    ``InvalidArgumentError`` naming the first such line, as is a file that
+    is not UTF-8; a file that cannot be read raises its ``OSError``.
     """
     lines = [ln.strip() for ln in read_text(path).split("\n")]
     rows = [ln for ln in lines if ln]
     if not rows:
         raise InvalidArgumentError(f"{path} is empty")
-    header = rows[0].split(",")
-    try:
-        data = np.array(
-            [[float(v) for v in ln.split(",")] for ln in rows[1:]], dtype=float
-        )
-    except ValueError:
-        data = None
-    if data is None or data.size and data.shape[1] != len(header):
-        raise InvalidArgumentError(f"{path}: {_first_bad_row(lines, len(header))}")
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return header, data
+    header, body = rows[0].split(","), rows[1:]
+    if set(map(str.count, body, repeat(","))) <= {len(header) - 1}:
+        try:
+            values = map(float, ",".join(body).split(",") if body else ())
+            return header, np.array(list(values), dtype=float).reshape(-1, len(header))
+        except ValueError:
+            pass
+    raise InvalidArgumentError(f"{path}: {_first_bad_row(lines, len(header))}")
 
 
 def data_line(path, row: int) -> int:

@@ -309,7 +309,8 @@ def design_fir_equiripple(
     reciprocal overflows (below 1/DBL_MAX, about 5.6e-309), or one that
     overflows the weighted passband error during the exchange, is an
     ``InvalidArgumentError``; an exchange whose levelled system overflows
-    raises ``DesignFailureError``.
+    raises ``DesignFailureError``, as does one whose interpolant overflows
+    to inf, with no warning before it.
     """
     if order < 4 or order % 2 != 0:
         raise InvalidArgumentError(
@@ -401,7 +402,8 @@ def _remez_lowpass(order, omega_pass, omega_stop, weight_pass):
         ref_err = np.abs(error[new_ref])
         stationary = np.array_equal(new_ref, ref)
         ref = new_ref
-        q = (ref_err.max() - ref_err.min()) / ref_err.max()
+        top = ref_err.max()  # 0 or inf when the interpolant is exact or overflows
+        q = (top - ref_err.min()) / top if 0.0 < top < math.inf else math.inf
         # a stationary reference is the exchange's fixed point on this grid
         if q < _REMEZ_TOL or stationary:
             return _taps_from_reference(
@@ -467,7 +469,8 @@ def _select_extrema(error, n_pass, count, prev_ref):
     candidates = [prev_ref]
     for lo, hi in ((0, n_pass), (n_pass, len(error))):
         seg = error[lo:hi]
-        d = np.diff(seg)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN slope, not flat
+            d = np.diff(seg)
         left, right = d[:-1], d[1:]
         # a slope that changes sign or flattens, after a slope that is not flat
         turn = (left != 0.0) & (((left > 0) != (right > 0)) | (right == 0.0))

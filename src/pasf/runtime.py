@@ -26,22 +26,25 @@ one contiguous row, pairwise; it sums an (order, n) array with n > 1 in
 sequence over the outer order axis. So a build gathers (rows, order) blocks
 and reduces their contiguous last axis when n == 1, and gathers
 (order, rows, n) blocks and reduces their outer order axis when n > 1. The
-gather indices come from a lag grid computed once per core (one slice's lags
-relative to its first row), shifted by the slice's first t and wrapped into
-the ring; each slice's rows are taken straight from its sums, with no
-period-long table. A build runs in row slices of at most ``_BUILD_PRODUCTS``
-products per output, so its temporaries stay well under a megabyte at any
-period (FIR50, n = 3, period 1000 would otherwise allocate several 1.2 MB
-arrays per pass).
+gather indices come from a lag grid computed once per core (one slice's
+lags relative to its first row, all in [-span, 0) for a ring of span
+values). The slice's first t is reduced into the ring before it is added,
+so one ``take`` with ``mode="wrap"`` wraps each index at most once. The
+taps' views shaped to broadcast over the blocks are formed once per bank,
+when the core is made and at ``swap_bank``. Each slice's rows are taken
+straight from its sums, with no period-long table. A build runs in row
+slices of at most ``_BUILD_PRODUCTS`` products per output, so its
+temporaries stay well under a megabyte at any period (FIR50, n = 3, period
+1000 would otherwise allocate several 1.2 MB arrays per pass).
 
 A one-channel separator steps in Python floats: the input is coerced once,
 the build converts each slice's theta pairs to floats with one ``tolist()``,
-``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats and
-stored in 1-d views of the histories. That is bitwise equal to
-the NumPy form, because ``tolist()`` keeps every binary64 value (the sign of
-zero included) and CPython and NumPy both round each ``*`` and ``+`` on its
-own, neither fusing them into one multiply-add. n > 1 takes the NumPy form on
-n-vectors.
+``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats, and
+``PasfState.step`` stores them in 1-d views of the histories and advances
+the core's t itself. That is bitwise equal to the NumPy form, because
+``tolist()`` keeps every binary64 value (the sign of zero included) and
+CPython and NumPy both round each ``*`` and ``+`` on its own, neither
+fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors.
 
 ``PasfState.run(xs, switches)`` is the one loop over a stream: it applies
 each scheduled reconfiguration or coefficient swap before its sample and
@@ -98,14 +101,13 @@ class SeparatorCore:
     def __init__(self, bank: SeparatorBank, n: int):
         if n < 1:
             raise InvalidArgumentError(f"channel count must be >= 1, got {n}")
-        self.bank = bank
         self.n = n
         self.capacity = bank.order * bank.period
         self.t = 0
         # input, periodic and aperiodic histories, (capacity, n) each
         self._hist = np.zeros((3, self.capacity, n))
         self.in_buf, self.p_buf, self.a_buf = self._hist
-        # first-channel columns: a 1-d store is cheaper than a row broadcast
+        # first-channel columns for PasfState.step: cheaper than a row store
         self._columns = tuple(self._hist[:, :, 0])
         self._flat = self._hist.reshape(3, -1)
         self._strides = bank.period * np.arange(1, bank.order + 1)
@@ -114,6 +116,15 @@ class SeparatorCore:
         # _flat: (rows, order) for one channel, (order, rows, n) for several
         lags = np.arange(self._width) - self._strides[:, None]
         self._grid = lags.T.copy() if n == 1 else lags[..., None] * n + np.arange(n)
+        self._taps, self._axis = ((2, 1, -1), 2) if n == 1 else ((2, -1, 1, 1), 1)
+        self._use(bank)
+
+    def _use(self, bank: SeparatorBank) -> None:
+        """Run on ``bank``, with its taps as views that broadcast over a
+        build's blocks: (2, 1, order) against (rows, order) blocks for one
+        channel, (2, order, 1, 1) against (order, rows, n) for several."""
+        self.bank = bank
+        self._G, self._H = bank.G.reshape(self._taps), bank.H.reshape(self._taps)
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -131,6 +142,8 @@ class SeparatorCore:
                 raise InvalidArgumentError(
                     f"{name} history must hold {shape[0]} samples of "
                     f"{shape[1]} channels, got shape {h.shape}")
+            if not np.isfinite(h).all():
+                raise InvalidArgumentError(f"{name} history must be finite")
         for buf, h in zip((self.in_buf, self.p_buf, self.a_buf), hists):
             buf[:] = h.reshape(shape)
         self._invalidate()
@@ -153,27 +166,24 @@ class SeparatorCore:
     def _build(self) -> None:
         """Compute the theta rows of the steps t .. t+period-1 from the
         buffers, one slice of at most ``_width`` rows at a time."""
-        b = self.bank
-        n = self.n
+        n, period, width = self.n, self.bank.period, self._width
         start = self.t
         span = self.capacity * n
-        if n == 1:  # (rows, order) blocks, pairwise along the order axis
-            G, H, axis = b.G[:, None, :], b.H[:, None, :], 2
-        else:       # (order, rows, n) blocks, in sequence over the order axis
-            G, H, axis = b.G[..., None, None], b.H[..., None, None], 1
+        G, H, grid = self._G, self._H, self._grid
         rows = []
-        for r0 in range(0, b.period, self._width):
-            k = min(self._width, b.period - r0)
-            idx = (self._grid[:k] if n == 1 else self._grid[:, :k]) + (start + r0) * n
-            idx %= span
-            hist = self._flat.take(idx, axis=1)
+        for r0 in range(0, period, width):
+            if period - r0 < width:  # the last slice, partial
+                grid = grid[..., :period - r0, :]
+            # the offset is reduced first: each index wraps at most once
+            hist = self._flat.take(grid + (start + r0) * n % span, axis=1,
+                                   mode="wrap")
             prod = G * hist[1:]
             prod += H * hist[0]
-            sums = np.add.reduce(prod, axis=axis)
+            sums = np.add.reduce(prod, axis=self._axis)
             # floats when n == 1, else views of the n-vector rows
             rows += zip(*(sums.tolist() if n == 1 else sums))
         self._rows = rows
-        self._start, self._end = start, start + b.period
+        self._start, self._end = start, start + period
 
     def push(self, x, xp, xa) -> None:
         slot = self.t % self.capacity
@@ -182,22 +192,12 @@ class SeparatorCore:
         self.a_buf[slot] = xa
         self.t += 1
 
-    def push_scalar(self, x: float, xp: float, xa: float) -> None:
-        """push() for a one-channel core, from Python floats."""
-        slot = self.t % self.capacity
-        c_in, c_p, c_a = self._columns
-        c_in[slot] = x
-        c_p[slot] = xp
-        c_a[slot] = xa
-        self.t += 1
-
     def swap_bank(self, bank: SeparatorBank) -> None:
         old = self.bank
         if bank.period != old.period or bank.order != old.order:
             raise UnsupportedReconfigurationError(
                 "reconfiguration cannot change period or order")
-        self.bank = bank
-        self._invalidate()
+        self._use(bank)
 
     def redesign(self, spec: SeparationSpec, allow_out_of_band: bool = False) -> None:
         """Swap in the pair ``design_for`` gives the bank's realization and
@@ -246,7 +246,12 @@ class PasfState:
             tp, ta = core.theta()
             xp = tp + bank.sp * x
             xa = ta + bank.sa * x
-            core.push_scalar(x, xp, xa)
+            slot = core.t % core.capacity
+            c_in, c_p, c_a = core._columns
+            c_in[slot] = x
+            c_p[slot] = xp
+            c_a[slot] = xa
+            core.t += 1
             return xp, xa
         xv = self._input(x)
         if not np.isfinite(xv).all():

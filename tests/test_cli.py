@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pasf import cli, csvio
 from pasf.csvio import export_csv, format_value, read_csv
@@ -139,6 +141,25 @@ def test_design_fir_overflowing_levelled_system_is_runtime_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho, order, message", [
+    ("1.0", "20", "Remez exchange did not converge within 25 iterations"),
+    ("0.794", "44", "Remez exchange collapsed: found 2 alternations, need 24"),
+])
+def test_design_fir_tiny_weight_ratio_is_runtime_error(tmp_path, rho, order, message):
+    """At a passband weight of 1e-30 the exchange's interpolant overflows
+    to inf: the ripple quotient (inf/inf, at order 20) and the extrema's
+    slopes (inf - inf, at order 44) must not warn, which is a traceback
+    under warnings-as-errors, before the design fails as one typed line."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-fir", "--rho-tilde", rho,
+                  "--period", "1", "--sampling-time", "1.0",
+                  "--order", order, "--weight-ratio", "1e-30")
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: runtime: {message}")
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",
@@ -158,6 +179,90 @@ def test_csv_export_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(InvalidArgumentError, match="unequal length"):
         export_csv(path, {"a": [1, 2], "b": [1.0]})
     assert not path.exists()
+
+
+def _read_csv_per_field(path):
+    """The row-by-row reader: ``(header, data)``, or the error text of the
+    first row in line order whose field count differs from the header's or
+    whose field is not a number (the per-field ``float`` reference for
+    ``read_csv``)."""
+    lines = [ln.strip() for ln in csvio.read_text(path).split("\n")]
+    numbered = [(no, ln) for no, ln in enumerate(lines, 1) if ln]
+    if not numbered:
+        return f"{path} is empty"
+    header = numbered[0][1].split(",")
+    data = []
+    for no, ln in numbered[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            return f"{path}: line {no} has {len(fields)} fields, the header {len(header)}"
+        row = []
+        for v in fields:
+            try:
+                row.append(float(v))
+            except ValueError:
+                return f"{path}: line {no}: {v!r} is not a number"
+        data.append(row)
+    return header, np.array(data, dtype=float).reshape(len(data), len(header))
+
+
+# field spellings: float() accepts every one in the first list
+_GOOD_FIELDS = ["0", "-0.0", "+0", "0e5", "-0E-3", "nan", "NaN", "-nan", "+NAN",
+                "inf", "-Infinity", "+INF", "infinity", "1e-320", "-4.9e-324",
+                "1.7976931348623157e308", "1.5E+3", ".5", "5.", " 2.5 ", "\t3",
+                "1_0", "-1_000.5", "0.1", "-123456789.123456789"]
+_BAD_FIELDS = ["", " ", "abc", "1__0", "_1", "0x10", "1e", "--1", "1.2.3", "nan1",
+               "in f", "1 2"]
+_field = st.one_of(st.sampled_from(_GOOD_FIELDS),
+                   st.floats(allow_nan=False, width=64).map(repr),
+                   st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: a header of 1-4 names, then rows of mostly that many fields,
+    some with one more or one fewer or a field that is not a number, with
+    blank lines, surrounding spaces and LF or CRLF endings."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(f"c{i}" for i in range(width))]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "ragged", "bad"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        fields = [draw(_field) for _ in range(n)]
+        if kind == "bad" and fields:
+            fields[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+        pad = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(pad + ",".join(fields) + pad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+# rows of 3 and 1 fields under a 2-field header: 4 fields in all, two rows' worth
+@example(text="t,x\n0,1,2\n3\n")
+@example(text="t,x\n0,1\n2\n3,4,5\n")
+@example(text="t,x\n")
+@example(text="\n \r\n")
+def test_read_csv_bitwise_equals_per_field_parse(tmp_path_factory, text):
+    """``read_csv`` returns the per-field ``float`` parse, raw bits included
+    (signed zeros, NaN payloads' signs), and for a bad file the same error
+    text, word for word."""
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _read_csv_per_field(path)
+    if isinstance(want, str):
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_csv(path)
+        assert str(exc.value) == want
+        return
+    header, data = read_csv(path)
+    assert header == want[0]
+    assert data.dtype == np.float64 and data.shape == want[1].shape
+    assert np.array_equal(data.view(np.int64), want[1].view(np.int64))
 
 
 def test_csv_export_empty_and_round_trip(tmp_path):
@@ -321,6 +426,8 @@ def _separate_inputs(tmp_path, rows):
     (["0,1.0", "", "1,2.0", "2.000001,3.0"],
      "line 5: column t must be finite and an integer, got 2.000001"),
     (["0,1.0", "-1e-300,2.0"], "line 3: column t must be finite"),
+    # the right number of fields in all, but not row by row
+    (["0,1.0,2.0", "1"], "line 2 has 3 fields, the header 2"),
 ])
 def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
     out = tmp_path / "out"

@@ -42,6 +42,29 @@ def test_wrong_history_depth_rejected():
         PasfState(p, a, history=(short, short, short))
 
 
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_history_rejected(which, bad):
+    """A warm history holding a NaN or an infinity is refused, naming the
+    history, by the estimator's initial expectations, the runtime's
+    ``history`` and ``SeparatorCore.inject``, which keeps its buffers; it
+    would otherwise give non-finite outputs for a stretch of samples."""
+    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
+    p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
+    hists = [np.full((2, 1), 1.0 + i) for i in range(3)]
+    hists[which][1, 0] = bad
+    message = f"{('input', 'periodic', 'aperiodic')[which]} history must be finite"
+    with pytest.raises(InvalidArgumentError, match=message):
+        KfPasfState(model, p, a, hists, [[0.0]])
+    with pytest.raises(InvalidArgumentError, match=message):
+        PasfState(p, a, history=hists)
+    state = PasfState(p, a, history=np.ones((3, 2)))
+    with pytest.raises(InvalidArgumentError, match=message):
+        state.core.inject(*hists)
+    assert np.array_equal(state.core._hist, np.ones((3, 2, 1)))
+    assert state.step(1.0) == PasfState(p, a, history=np.ones((3, 2))).step(1.0)
+
+
 def test_explicit_histories_accepted_verbatim():
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
     spec = SeparationSpec(1.0, 2, 0.5)

@@ -318,6 +318,24 @@ def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims):
     _assert_theta_equals_sum(core, rng, events, inject_at + period + 5)
 
 
+@pytest.mark.parametrize("order", [1, 3, 50])
+@pytest.mark.parametrize("dims", [1, 3])
+def test_theta_bitwise_equals_sum_formulation_after_many_wraps(order, dims):
+    """t * n passes the ring's span dozens of times before a swap and an
+    inject in the middle of a period. A build reduces its slice's offset
+    into the ring before adding the lag grid, so every gathered index wraps
+    at most once at any t: each row still equals the per-step np.sum."""
+    rng = np.random.default_rng(31 * order + dims)
+    for period in (1, 2, 7):
+        core = SeparatorCore(_random_bank(rng, order, period), dims)
+        cap = core.capacity
+        swap_at = 30 * cap + period // 2
+        inject_at = 45 * cap + period // 2 + 1
+        events = [(0, "inject"), (swap_at, "swap"), (inject_at, "inject")]
+        _assert_theta_equals_sum(core, rng, events, inject_at + 2 * period + 3)
+        assert core.t * dims > 45 * cap * dims
+
+
 class _PerStepOracle:
     """The per-step separator formula, summed at every step."""
 
