@@ -109,11 +109,14 @@ def _cmd_separate(args) -> int:
         )
     t, x = data[:, 0], data[:, 1]
     # t is written back as integers, so any other value is refused, not cut
-    bad = np.flatnonzero(~np.isfinite(t) | (np.floor(t) != t))
-    if bad.size:
-        raise InvalidArgumentError(
-            f"{args.input}: line {data_line(args.input, bad[0])}: "
-            f"column t must be finite and an integer, got {float(t[bad[0]])!r}")
+    for name, col, bad, rule in (
+            ("t", t, ~np.isfinite(t) | (np.floor(t) != t), "finite and an integer"),
+            ("x", x, ~np.isfinite(x), "finite")):
+        if bad.any():
+            row = int(bad.argmax())
+            raise InvalidArgumentError(
+                f"{args.input}: line {data_line(args.input, row)}: "
+                f"column {name} must be {rule}, got {float(col[row])!r}")
     xp, xa = PasfState(p, a).run(x)
     os.makedirs(args.out_dir, exist_ok=True)
     path = args.out or os.path.join(args.out_dir, "separated.csv")

@@ -310,7 +310,8 @@ def design_fir_equiripple(
     overflows the weighted passband error during the exchange, is an
     ``InvalidArgumentError``; an exchange whose levelled system overflows
     raises ``DesignFailureError``, as does one whose interpolant overflows
-    to inf, with no warning before it.
+    to inf, one whose reference holds two nodes of equal cosine, and one
+    whose final Chebyshev fit is rank-deficient, with no warning before it.
     """
     if order < 4 or order % 2 != 0:
         raise InvalidArgumentError(
@@ -419,9 +420,13 @@ def _remez_lowpass(order, omega_pass, omega_stop, weight_pass):
 def _barycentric_gamma(x):
     """gamma_k = 1 / prod_{j != k} (x_k - x_j). Each row of differences
     keeps j in order and multiply.reduce runs left to right along it, so
-    the products are those of the per-node loop, bit for bit."""
+    the products are those of the per-node loop, bit for bit. Two equal
+    nodes are a ``DesignFailureError``, raised before the division."""
     n = len(x)
     diff = (x[:, None] - x[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    # nodes whose cosines are equal in floating point have no weight
+    if not diff.all():
+        raise DesignFailureError("Remez exchange reference nodes coincide")
     return 1.0 / np.multiply.reduce(diff, axis=1)
 
 
@@ -429,12 +434,13 @@ def _levelled_values(x_ref, d_ref, w_ref):
     """The ripple delta making the weighted error alternate exactly on the
     m+2 reference nodes, and the amplitude values ys at the first m+1 nodes
     xs that this levelled error gives."""
-    gamma = _barycentric_gamma(x_ref)
     signs = (-1.0) ** np.arange(len(x_ref))
     try:
-        # huge barycentric weights (at a tiny passband edge) or a tiny
-        # passband weight can overflow here
-        with np.errstate(over="raise"):
+        # huge barycentric weights (at a tiny passband edge, or distinct
+        # nodes whose difference product underflows to 0 at a stopband
+        # edge near pi) or a tiny passband weight can overflow here
+        with np.errstate(over="raise", divide="raise"):
+            gamma = _barycentric_gamma(x_ref)
             delta = float(np.dot(gamma, d_ref) / np.dot(gamma, signs / w_ref))
             ys = d_ref[:-1] - signs[:-1] * delta / w_ref[:-1]
     except FloatingPointError:
@@ -522,7 +528,14 @@ def _taps_from_reference(m, x_ref, d_ref, w_ref):
     conditioned.
     """
     _, xs, ys = _levelled_values(x_ref, d_ref, w_ref)
-    coef = np.polynomial.chebyshev.chebfit(xs, ys, deg=m)
+    # full=True returns the same coefficients with the rank, in place of
+    # a RankWarning
+    coef, (_, rank, _, _) = np.polynomial.chebyshev.chebfit(xs, ys, deg=m,
+                                                             full=True)
+    if rank < m + 1:
+        raise DesignFailureError(
+            f"Remez exchange reference is rank-deficient: Chebyshev fit "
+            f"of rank {rank}, need {m + 1}")
     taps = np.empty(2 * m + 1)
     taps[m] = coef[0]
     taps[m + 1:] = 0.5 * coef[1:]

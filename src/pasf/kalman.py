@@ -7,11 +7,13 @@ return new ones.
 
 With a scalar measurement (m = 1) the innovation covariance is a number s
 and its Cholesky factor is d = sqrt(s), so the gain has a closed form that
-skips the per-step eigvalsh, Cholesky and two solves. It is rounded the way
-the general path's two solves round with NumPy's bundled OpenBLAS: with
-several right-hand sides (n > 1) the triangular solve multiplies by the
-reciprocal of the diagonal, g' = (CP * r) * r with r = 1/d; with one (n = 1)
-it divides, g' = (CP / d) / d. So the closed form is bitwise equal to the
+skips the per-step eigvalsh, Cholesky and two solves. s is CP C' + R added
+in Python floats, the same IEEE addition as NumPy's (1, 1) array sum. The
+gain is rounded the way the general path's two solves round with NumPy's
+bundled OpenBLAS: with several right-hand sides (n > 1) the triangular
+solve multiplies by the reciprocal of the diagonal, g' = (CP * r) * r with
+r = 1/d; with one (n = 1) it divides, g' = (CP / d) / d. So the closed
+form is bitwise equal to the
 general path, and a property test holds it to that on the installed BLAS.
 
 The covariance and gain depend only on the model and P0, not on u or y
@@ -227,7 +229,7 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
 
 def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
     CP = model._by_n(model.C, P)
-    s = float((model._by_n(CP, model._CT) + model.R)[0, 0])
+    s = float(model._by_n(CP, model._CT)[0, 0]) + float(model.R[0, 0])
     s = 0.5 * (s + s)  # the symmetrization of the general path
     # NaN passes on, as in the general path: the estimate turns non-finite
     if s <= 0.0:

@@ -1,19 +1,25 @@
 """Kalman filter integrated with the separation filter.
 
 Each step runs the standard predict/update recursion on the periodic/aperiodic
-state and splits both the predicted and updated estimates into quasi-periodic
-and quasi-aperiodic parts, one coefficient pair for every state element. The
+state and splits the updated estimate into quasi-periodic and
+quasi-aperiodic parts, one coefficient pair for every state element. The
 split adds the delayed-history terms (read once per step from the separator
 core's per-period rows over the N*period-deep buffers of past UPDATED
 estimates; two floats for a one-state model) to the direct term times the
-current estimate; the same history terms serve the predicted and the updated
-split. Buffers then advance with the updated triple.
+current estimate. Buffers then advance with the updated triple.
+
+The split of the predicted estimate is formed only when it is read: the
+step's record keeps its theta pair and bank, and ``xp_pred`` and ``xa_pred``
+compute theta + s * x_pred from them, the same operations on the same
+operands as a split taken at the step, so the same bits however late the
+read. Nothing writes those operands again: a theta row is a float or a view
+of a build's sums, a build never rewrites its sums, a coefficient swap
+installs a new bank object, and the filter makes a new x_pred every step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,18 +30,37 @@ from .kalman import (KalmanBelief, SystemModel, check_covariance, kf_predict,
 from .runtime import SeparatorBank, SeparatorCore
 
 
-class KfPasfStep(NamedTuple):
-    """Everything produced at one time step t."""
+class KfPasfStep:
+    """Everything produced at one time step t.
 
-    t: int
-    x_pred: np.ndarray
-    xp_pred: np.ndarray
-    xa_pred: np.ndarray
-    x_upd: np.ndarray
-    xp_upd: np.ndarray
-    xa_upd: np.ndarray
-    P: np.ndarray
-    gain: np.ndarray
+    ``xp_pred`` and ``xa_pred``, the split of the predicted estimate, are
+    formed when read from the step's own theta pair and bank and from
+    ``x_pred``, bitwise equal to forming them at the step (see the module
+    docstring) as long as the caller does not write into ``x_pred``."""
+
+    __slots__ = ("t", "x_pred", "x_upd", "xp_upd", "xa_upd", "P", "gain",
+                 "_theta", "_bank")
+
+    def __init__(self, t: int, x_pred: np.ndarray, x_upd: np.ndarray,
+                 xp_upd: np.ndarray, xa_upd: np.ndarray, P: np.ndarray,
+                 gain: np.ndarray, theta, bank: SeparatorBank):
+        self.t = t
+        self.x_pred = x_pred
+        self.x_upd = x_upd
+        self.xp_upd = xp_upd
+        self.xa_upd = xa_upd
+        self.P = P
+        self.gain = gain
+        self._theta = theta
+        self._bank = bank
+
+    @property
+    def xp_pred(self) -> np.ndarray:
+        return self._theta[0] + self._bank.sp * self.x_pred
+
+    @property
+    def xa_pred(self) -> np.ndarray:
+        return self._theta[1] + self._bank.sa * self.x_pred
 
 
 class KfPasfState:
@@ -77,23 +102,23 @@ class KfPasfState:
         if self._poisoned:
             raise PoisonedStateError("estimator is poisoned by non-finite data")
         pred = kf_predict(self.belief, self.model, u)
-        theta_p, theta_a = self.core.theta()
+        theta = self.core.theta()
+        theta_p, theta_a = theta
         bank = self.core.bank
-        xp_pred = theta_p + bank.sp * pred.x_hat
-        xa_pred = theta_a + bank.sa * pred.x_hat
 
         upd, gain = kf_update(pred, self.model, y)
-        xp_upd = theta_p + bank.sp * upd.x_hat
-        xa_upd = theta_a + bank.sa * upd.x_hat
+        x_upd = upd.x_hat
+        xp_upd = theta_p + bank.sp * x_upd
+        xa_upd = theta_a + bank.sa * x_upd
 
-        if not all(map(math.isfinite, upd.x_hat.tolist())):
+        if not all(map(math.isfinite, x_upd.tolist())):
             self._poisoned = True
             raise PoisonedStateError("estimate diverged to non-finite values")
 
-        self.core.push(upd.x_hat, xp_upd, xa_upd)
+        self.core.push(x_upd, xp_upd, xa_upd)
         self.belief = upd
-        return KfPasfStep(upd.t, pred.x_hat, xp_pred, xa_pred,
-                          upd.x_hat, xp_upd, xa_upd, upd.P, gain)
+        return KfPasfStep(upd.t, pred.x_hat, x_upd, xp_upd, xa_upd, upd.P,
+                          gain, theta, bank)
 
     def reconfigure(self, new_spec: SeparationSpec,
                     allow_out_of_band: bool = False) -> None:

@@ -160,6 +160,19 @@ def test_design_fir_tiny_weight_ratio_is_runtime_error(tmp_path, rho, order, mes
     assert not out.exists()
 
 
+def test_design_fir_rank_deficient_fit_is_runtime_error(tmp_path):
+    """This design wrote its taps and exited 0 after NumPy's RankWarning,
+    a traceback under warnings-as-errors; now one typed line."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-fir", "--rho-tilde", "0.6",
+                  "--period", "1", "--sampling-time", "1.0",
+                  "--order", "36", "--weight-ratio", "1e-16")
+    assert res.returncode == 2
+    assert res.stderr == ("error: runtime: Remez exchange reference is "
+                          "rank-deficient: Chebyshev fit of rank 18, need 19\n")
+    assert not out.exists()
+
+
 def test_bode_csv_round_trip(tmp_path):
     run_cli("--out-dir", str(tmp_path), "design-iir",
             "--rho-tilde", "1.0", "--period", "628",
@@ -428,6 +441,10 @@ def _separate_inputs(tmp_path, rows):
     (["0,1.0", "-1e-300,2.0"], "line 3: column t must be finite"),
     # the right number of fields in all, but not row by row
     (["0,1.0,2.0", "1"], "line 2 has 3 fields, the header 2"),
+    # a non-finite x was a runtime error naming no line, with exit 2
+    (["0,1.0", "1,nan"], "line 3: column x must be finite, got nan"),
+    (["0,1.0", "", "1,2.0", "2,-inf"], "line 5: column x must be finite, got -inf"),
+    (["0,inf", "1,2.0"], "line 2: column x must be finite, got inf"),
 ])
 def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
     out = tmp_path / "out"

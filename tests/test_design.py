@@ -475,6 +475,61 @@ def test_fir_tiny_weight_ratio_designs_do_not_warn(ratio):
                 pass
 
 
+def _silent_outcomes(spec, **edges):
+    """How orders 4..116 of ``spec`` end under warnings-as-errors: each
+    design succeeds or raises one DesignFailureError, with no warning."""
+    outcomes = set()
+    for order in range(4, 117, 8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                design_fir_equiripple(spec, order, **edges)
+                outcomes.add("designed")
+            except DesignFailureError:
+                outcomes.add("failed")
+    return outcomes
+
+
+@pytest.mark.parametrize("edge", [1.2e-8, 2e-8, 3e-8, 4.6e-8])
+@pytest.mark.parametrize("stop", [None, 0.5])
+def test_fir_designs_at_tiny_passband_edges_do_not_warn(edge, stop):
+    """The passband edge at ``edge``, where grid nodes crowd at cos = 1,
+    and the stopband edge at 3 * ``edge`` or at 0.5. A rank-deficient
+    Chebyshev fit succeeded with a RankWarning, and coincident reference
+    nodes divided by zero before the taps came out non-finite."""
+    outcomes = _silent_outcomes(SeparationSpec(edge, 1, 1.0), stopband_edge=stop)
+    assert "failed" in outcomes
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8])
+def test_fir_designs_at_stopband_edges_near_pi_do_not_warn(gap):
+    """The stopband edge ``gap`` below pi, where grid nodes crowd at
+    cos = -1: at 1e-6, order 108, distinct reference nodes whose
+    differences multiply to 0 divided by zero; at 1e-8 nodes coincide from
+    order 60. Both came out as non-finite taps after the warnings."""
+    outcomes = _silent_outcomes(SeparationSpec(0.5, 1, 1.0),
+                                stopband_edge=math.pi - gap)
+    assert outcomes == {"designed", "failed"}
+
+
+def test_fir_rank_deficient_fit_is_design_failure():
+    """Order 36 at a passband weight of 1e-16 used to return taps fitted
+    at rank 18 of 19, with a RankWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DesignFailureError, match="rank 18, need 19"):
+            design_fir_equiripple(SeparationSpec(0.6, 1, 1.0), 36,
+                                  weight_ratio=1e-16)
+
+
+def test_barycentric_gamma_refuses_coincident_nodes():
+    x = np.array([1.0, 0.5, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DesignFailureError, match="nodes coincide"):
+            design._barycentric_gamma(x)
+
+
 def test_coefficient_text_round_trip():
     spec = SeparationSpec(0.37, 321, 0.002)
     p, a = design_iir(spec, 3)

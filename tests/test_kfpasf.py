@@ -4,12 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pasf.design import SeparationSpec, design_iir
+from pasf.design import SeparationSpec, design_for, design_iir
 from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
-from pasf.runtime import PasfState
+from pasf.runtime import PasfState, periodic_warm_history
 from pasf.scenarios import build_sec51, build_sec54
 
 
@@ -270,3 +272,57 @@ def test_bad_initial_covariance_is_a_typed_error_at_construction(P0):
     p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
     with pytest.raises(InvalidArgumentError, match="P0"):
         KfPasfState(model, p, a, zero_histories(model, 1, 2), P0)
+
+
+_MODELS = {
+    1: SystemModel(A=[[0.95]], B=[[1.0]], C=[[1.0]], Q=[[1e-3]], R=[[0.2]]),
+    3: SystemModel(A=[[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
+                   B=[0.0, 0.0, 1.0], C=[[1.0, 0.0, 0.0]],
+                   Q=np.diag([1e-4, 2e-4, 3e-4]), R=[[0.1]]),
+}
+
+
+@pytest.mark.parametrize("case", ["late", "reconfigure", "warm"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([1, 3]), period=st.integers(1, 12),
+       filt=st.sampled_from([("iir", 1), ("iir", 2), ("iir", 3), ("fir", 4)]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_predicted_split_read_late_is_bitwise_the_eager_split(
+        case, n, period, filt, seed, data):
+    """``xp_pred`` and ``xa_pred`` are formed when read. Read at the end of
+    the run, every record's pair equals theta + s * x_pred taken at its
+    step (theta and bank as they stood before it), byte for byte: more
+    than three periods of later steps, θ rebuilds and a mid-period
+    coefficient swap, or a periodic warm start, change nothing."""
+    realization, order = filt
+    model = _MODELS[n]
+    T = 0.01
+    spec = SeparationSpec(0.3 / (period * T), period, T)  # lifted rho 0.3
+    p, a = design_for(realization, spec, order)
+    if case == "warm":
+        rng = np.random.default_rng(seed)
+        tail = rng.standard_normal((order * period, n))
+        hist = periodic_warm_history(p, a, tail)
+    else:
+        hist = zero_histories(model, order, period)
+    state = KfPasfState(model, p, a, hist, np.eye(n))
+    steps = 4 * period + data.draw(st.integers(0, period), label="extra")
+    switch = None
+    if case == "reconfigure":  # off a period boundary wherever one exists
+        offset = data.draw(st.integers(1, max(1, period - 1)), label="offset")
+        switch = data.draw(st.integers(0, 2), label="periods") * period + offset
+    rng = np.random.default_rng(seed)
+    first_bank = state.bank
+    records, eager = [], []
+    for t in range(steps):
+        if t == switch:
+            state.reconfigure(dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 1.5))
+        theta_p, theta_a = state.core.theta()
+        bank = state.bank
+        rec = state.step(rng.standard_normal(1), rng.standard_normal(1))
+        eager.append((theta_p + bank.sp * rec.x_pred).tobytes()
+                     + (theta_a + bank.sa * rec.x_pred).tobytes())
+        records.append(rec)
+    assert (state.bank is not first_bank) == (case == "reconfigure")
+    for rec, want in zip(records, eager):
+        assert rec.xp_pred.tobytes() + rec.xa_pred.tobytes() == want, rec.t
