@@ -23,14 +23,8 @@ from .errors import (
     PasfError,
 )
 from .runtime import PasfState
-from .scenario_io import load_scenario
-from .scenarios import (
-    EstimationRun,
-    SeparationRun,
-    built_in,
-    run_estimation,
-    run_scenario,
-)
+from .scenario_io import built_in, load_scenario
+from .scenarios import EstimationRun, SeparationRun, run_estimation, run_scenario
 
 
 def _add_spec_args(p):

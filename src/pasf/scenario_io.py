@@ -1,13 +1,15 @@
 """Text format for scenario files.
 
 Line-oriented sections of key = value pairs; '#' starts a comment. The README
-documents the grammar. Parsing produces the same Scenario values as the
-embedded built-ins, so any built-in can be overridden by a file.
+documents the grammar. The paper's four scenarios are files in this grammar,
+shipped next to this module as ``sec51.scn``..``sec54.scn``: ``built_in``
+parses them as ``load_scenario`` parses any other.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import zlib
 
 import numpy as np
@@ -408,3 +410,15 @@ def _comb_baseline(label: str, ck: dict, period: int,
 
 def load_scenario(path, seed: int = 0) -> Scenario:
     return parse_scenario(read_text(path), seed)
+
+
+BUILT_INS = ("sec51", "sec52", "sec53", "sec54")
+
+
+def built_in(name: str, seed: int = 0) -> Scenario:
+    """The packaged scenario file ``<name>.scn``, parsed with ``seed``; only
+    the names in ``BUILT_INS`` are looked up."""
+    if name not in BUILT_INS:
+        raise InvalidArgumentError(
+            f"unknown scenario {name!r}; built-ins: {list(BUILT_INS)}")
+    return load_scenario(os.path.join(os.path.dirname(__file__), f"{name}.scn"), seed)

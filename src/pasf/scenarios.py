@@ -1,15 +1,11 @@
-"""Built-in simulation scenarios and their runners.
+"""Scenario values and their runners.
 
-Four scenarios are embedded: an estimation run with a scheduled separation
-frequency (sec51), a realization comparison across filter orders (sec52), a
-comparison of the separator against classical comb baselines (sec53), and a
-closed-loop separation control run (sec54). Scenario files parsed from text
-produce the same Scenario values (see scenario_io).
+A Scenario is parsed from a scenario file (see scenario_io); the paper's
+four scenarios, sec51..sec54, are such files shipped with the package.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -17,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from . import signals as sig
-from .baselines import CombSpec, comb_pair
+from .baselines import comb_pair
 from .csvio import export_csv
 from .design import SeparationSpec, design_for, forget_designs
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
@@ -98,6 +94,11 @@ class Scenario:
                 f"sampling_time must be positive, got {self.sampling_time}")
         if self.warm_start not in ("zero", "periodic"):
             raise InvalidArgumentError(f"unknown warm_start {self.warm_start!r}")
+        if not np.isfinite(self.duration_s / self.sampling_time):
+            # a subnormal sampling_time overflows the ratio that steps rounds
+            raise InvalidArgumentError(
+                f"duration / sampling_time must be finite, got {self.duration_s} / "
+                f"{self.sampling_time}")
         if self.steps < 1:
             raise InvalidArgumentError(
                 f"duration must hold at least one sample, got {self.duration_s}")
@@ -197,163 +198,6 @@ def _scheduled_pair(scn, source, steps: int):
             switches.append((i, change(value)))
             current = value
     return start(schedule[pieces[0]][1]), switches
-
-
-# ---------------------------------------------------------------------------
-# Built-in scenario definitions
-# ---------------------------------------------------------------------------
-
-_T = 0.001
-_PI = 1000
-
-
-def _model_matrices(stiff_row: bool):
-    A = np.array(
-        [[1.0, _T, 0.0], [0.0, 1.0, _T],
-         [-2500.0, -100.0, 0.0] if stiff_row else [0.0, 0.0, 0.0]]
-    )
-    B = np.array([0.0, 0.0, 1.0])
-    C = np.array([[1.0, 0.0, 0.0]])
-    Q = np.diag([0.0, 0.0, 1e-8])
-    R = np.array([[0.25]])
-    P0 = np.zeros((3, 3))
-    return dict(A=A, B=B, C=C, Q=Q, R=R, P0=P0,
-                process_noise_variance=1e-8, observation_noise_variance=0.25)
-
-
-def _sec51_input():
-    alt = tuple(((-1.0) ** (i + 1) / i, float(i)) for i in range(1, 11))
-    sq = tuple((0.01 * i * i, float(i)) for i in range(1, 11))
-    odd = tuple((1.0 / (2 * i - 1), float(2 * i - 1)) for i in range(1, 11))
-    u1 = sig.Schedule((
-        (0.0, 10.0, sig.Constant(0.0)),
-        (10.0, 40.0, sig.HarmonicSum(1.0, alt)),
-        (40.0, 80.0, sig.HarmonicSum(1.0, sq)),
-        (80.0, None, sig.HarmonicSum(1.0, odd)),
-    ))
-    u2 = sig.Sum((
-        sig.Pulse(25.0, 25.3, 1.0),
-        sig.Pulse(70.0, 70.3, 1.0),
-        sig.Pulse(110.0, 110.3, 1.0),
-    ))
-    return sig.Scaled(2500.0, sig.Sum((u1, u2)))
-
-
-def _sec52_input():
-    sq = tuple((0.01 * i * i, float(i)) for i in range(1, 11))
-    u1 = sig.Sum((sig.Constant(1.0), sig.HarmonicSum(1.0, sq)))
-    u2 = sig.Pulse(15.0, 15.3, 2.0, include_start=False)
-    return sig.Scaled(2500.0, sig.Sum((u1, u2)))
-
-
-def _sec54_commands():
-    odd = tuple((1.0 / (2 * i - 1), float(2 * i - 1)) for i in range(1, 11))
-    cmd_p = sig.Sum((sig.Constant(2.0), sig.HarmonicSum(1.0, odd)))
-    cmd_a = sig.Schedule((
-        (25.0, 26.0, sig.Sinusoid(1.0, math.pi, -25.0 * math.pi)),
-    ))
-    return cmd_p, cmd_a
-
-
-def build_sec51() -> Scenario:
-    return Scenario(
-        name="sec51",
-        kind="estimation",
-        period=_PI,
-        sampling_time=_T,
-        duration_s=120.0,
-        rho_schedule=((0.0, 10.0), (40.0, 0.2), (80.0, 10.0), (100.0, 0.01)),
-        filters=(FilterChoice("iir", 1),),
-        input_u=_sec51_input(),
-        **_model_matrices(stiff_row=True),
-    )
-
-
-def build_sec52() -> Scenario:
-    return Scenario(
-        name="sec52",
-        kind="estimation",
-        period=_PI,
-        sampling_time=_T,
-        duration_s=30.0,
-        rho_schedule=((0.0, 0.01),),
-        filters=(
-            FilterChoice("iir", 1),
-            FilterChoice("iir", 2),
-            FilterChoice("iir", 3),
-            FilterChoice("fir", 50),
-        ),
-        input_u=_sec52_input(),
-        warm_start="periodic",
-        interference_window_s=(17.0, 30.0),
-        **_model_matrices(stiff_row=True),
-    )
-
-
-def build_sec53(seed: int = 0) -> Scenario:
-    truth_p = sig.GatedSine(omega=4.0 * math.pi, gate_period=500, duty=250)
-    truth_a = sig.Sum((
-        sig.Pulse(5.125, 5.135, 0.5, include_start=False),
-        sig.NoiseSegment(NoiseSpec(0.0, 0.01**2, _stream_seed(seed, 3)), 10.0, 12.0),
-    ))
-    comb3 = CombBaseline(
-        label="comb3",
-        schedule=(
-            (0.0, CombSpec(3, _PI, _T, gain_mag=0.708, q=1.717)),
-            (4.0, CombSpec(3, _PI, _T, gain_mag=0.708, q=1591.0)),
-        ),
-    )
-    return Scenario(
-        name="sec53",
-        kind="separation",
-        period=_PI,
-        sampling_time=_T,
-        duration_s=15.0,
-        rho_schedule=((0.0, 1000.0), (4.0, 0.001)),
-        filters=(FilterChoice("iir", 3, label="pasf_n3"),),
-        truth_p=truth_p,
-        truth_a=truth_a,
-        combs=(
-            CombBaseline("comb1", ((0.0, CombSpec(1, _PI, _T, b=0.0, g=0.0)),)),
-            CombBaseline("comb2", ((0.0, CombSpec(2, _PI, _T, b=0.5, g=0.0)),)),
-            comb3,
-        ),
-        interference_window_s=(4.0, 15.0),
-    )
-
-
-def build_sec54() -> Scenario:
-    cmd_p, cmd_a = _sec54_commands()
-    controller = ControllerSpec(
-        start_s=5.0, kp_p=900.0, kd_p=60.0, kp_a=2500.0, kd_a=100.0,
-        cmd_p=cmd_p, cmd_a=cmd_a,
-    )
-    return Scenario(
-        name="sec54",
-        kind="control",
-        period=_PI,
-        sampling_time=_T,
-        duration_s=30.0,
-        rho_schedule=((0.0, 10.0), (20.0, 0.01)),
-        filters=(FilterChoice("iir", 1),),
-        input_u=sig.Constant(0.0),
-        controller=controller,
-        **_model_matrices(stiff_row=False),
-    )
-
-
-def built_in(name: str, seed: int = 0) -> Scenario:
-    builders = {
-        "sec51": build_sec51,
-        "sec52": build_sec52,
-        "sec53": lambda: build_sec53(seed),
-        "sec54": build_sec54,
-    }
-    if name not in builders:
-        raise InvalidArgumentError(
-            f"unknown scenario {name!r}; built-ins: {sorted(builders)}"
-        )
-    return builders[name]()
 
 
 def _stream_seed(seed: int, stream: int) -> int:
@@ -580,17 +424,13 @@ def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(name_or_scenario, seed: int = 0, out_dir: str = ".",
+def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
                  plot_script: bool = True) -> dict:
-    """Run a built-in (by name) or explicit Scenario; returns output paths
-    plus in-memory results. The run starts from an empty design memo (see
-    ``design.design_for``), so it designs each distinct pair once: the
-    second passes and the interference trace reuse the first pass's pairs."""
+    """Run a Scenario; returns output paths plus in-memory results. The run
+    starts from an empty design memo (see ``design.design_for``), so it
+    designs each distinct pair once: the second passes and the interference
+    trace reuse the first pass's pairs."""
     forget_designs()
-    if isinstance(name_or_scenario, Scenario):
-        scn = name_or_scenario
-    else:
-        scn = built_in(str(name_or_scenario), seed)
     scn.validate()
     if scn.kind == "separation":
         runs = run_separation(scn, seed)

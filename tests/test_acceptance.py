@@ -28,10 +28,9 @@ from pasf.metrics import (
 )
 from pasf.response import bode_table, default_grid, eval_response
 from pasf.runtime import PasfState
+from pasf.scenario_io import built_in
 from pasf.scenarios import (
     FilterChoice,
-    build_sec52,
-    built_in,
     interference_trace,
     run_estimation,
     run_separation,
@@ -307,7 +306,7 @@ def test_criterion_09_covariance_decomposition(monte_carlo_stats):
 # --- criterion 10 ----------------------------------------------------------
 
 def test_criterion_10_interference_ordering():
-    scn = build_sec52()
+    scn = built_in("sec52", 0)
     lo, hi = scn.interference_window_s
     window = (int(lo / scn.sampling_time), int(hi / scn.sampling_time))
     zeros = np.zeros(scn.steps)

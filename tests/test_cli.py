@@ -19,7 +19,8 @@ from pasf.design import SeparationSpec, design_iir, save_coefficients
 from pasf.errors import InvalidArgumentError
 from pasf.response import bode_table, default_grid
 from pasf.runtime import PasfState
-from pasf.scenarios import FilterChoice, build_sec52, run_estimation
+from pasf.scenario_io import built_in
+from pasf.scenarios import FilterChoice, run_estimation
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -310,7 +311,7 @@ def _row_sets():
                             * 10.0 ** rng.uniform(-300, 300, 300)])
     rng.shuffle(mixed)
     t = np.arange(len(mixed))
-    scn = replace(build_sec52(), duration_s=0.05, interference_window_s=None)
+    scn = replace(built_in("sec52", 0), duration_s=0.05, interference_window_s=None)
     run = run_estimation(scn, FilterChoice("iir", 1), seed=0)
     p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 1)
     bode = bode_table(p, default_grid(p, n_points=50))
@@ -695,6 +696,10 @@ def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor
     ("duration = 1", "duration = 0.004", "duration must hold at least one sample"),
     ("duration = 1", "duration = 1\nsettle = -5\nwarm_start = periodic",
      "settle must be >= 0"),
+    ("sampling_time = 0.01", "sampling_time = 1e-320",
+     "duration / sampling_time must be finite"),
+    ("sampling_time = 0.01", "sampling_time = 5e-324",
+     "duration / sampling_time must be finite"),
 ])
 def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
                                                         message):
@@ -885,6 +890,15 @@ def test_scenario_determinism_byte_identical(tmp_path):
         assert res.returncode == 0, res.stderr
     for name in os.listdir(a_dir):
         assert filecmp.cmp(a_dir / name, b_dir / name, shallow=False), name
+
+
+def test_built_in_scenario_runs_from_any_working_directory(tmp_path):
+    """The packaged scenario files are found next to the package, not in
+    the working directory."""
+    res = run_cli("--out-dir", "out", "--no-plot-script", "scenario", "sec53",
+                  cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "out" / "sec53_pasf_n3.csv").exists()
 
 
 def test_scenario_unknown_name_is_validation_failure(tmp_path):

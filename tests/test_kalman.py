@@ -17,7 +17,7 @@ from pasf.errors import (
 )
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
-from pasf.scenarios import build_sec54
+from pasf.scenario_io import built_in
 
 
 def _scalar_model(a=1.0, q=0.01, r=1.0):
@@ -310,7 +310,7 @@ def test_frozen_recursion_equals_per_step_oracle_bitwise(case):
 
 
 def test_marginally_stable_model_never_freezes_and_matches_oracle():
-    scn = build_sec54()  # the closed loop's plant: P creeps and never repeats
+    scn = built_in("sec54", 0)  # the closed loop's plant: P creeps and never repeats
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
     rng = np.random.default_rng(5)
     inputs = [(rng.standard_normal(1), rng.standard_normal(1))
@@ -372,7 +372,7 @@ def test_kalman_products_equal_the_at_reference_bitwise(case):
 
 
 def test_sec54_kalman_products_equal_the_at_reference_bitwise():
-    scn = build_sec54()  # never freezes: every step recomputes P and the gain
+    scn = built_in("sec54", 0)  # never freezes: every step recomputes P and the gain
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
     rng = np.random.default_rng(11)
     inputs = [(rng.standard_normal(1), rng.standard_normal(1))

@@ -12,7 +12,7 @@ from pasf.errors import InvalidArgumentError
 from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.runtime import PasfState, periodic_warm_history
-from pasf.scenarios import build_sec51, build_sec54
+from pasf.scenario_io import built_in
 
 
 def _scalar_setup(P0=1.0):
@@ -215,7 +215,7 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
 def test_scalar_measurement_step_runs_without_dense_linalg(monkeypatch):
     """The m = 1 estimator step needs no eigvalsh, Cholesky or solve; a
     fallback to the general innovation path raises here."""
-    scn = build_sec54()
+    scn = built_in("sec54", 0)
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
     p, a = design_iir(SeparationSpec(10.0, scn.period, scn.sampling_time), 1,
                       allow_out_of_band=True)
@@ -233,9 +233,9 @@ def test_scalar_measurement_step_runs_without_dense_linalg(monkeypatch):
     assert np.all(np.isfinite(rec.x_upd))
 
 
-@pytest.mark.parametrize("build, froze", [(build_sec51, True), (build_sec54, False)])
-def test_gain_frozen_at_is_the_oracles_first_repeating_step(build, froze):
-    scn = build()
+@pytest.mark.parametrize("name, froze", [("sec51", True), ("sec54", False)])
+def test_gain_frozen_at_is_the_oracles_first_repeating_step(name, froze):
+    scn = built_in(name, 0)
     model = SystemModel(A=scn.A, B=scn.B, C=scn.C, Q=scn.Q, R=scn.R)
     p, a = design_iir(SeparationSpec(10.0, scn.period, scn.sampling_time), 1,
                       allow_out_of_band=True)

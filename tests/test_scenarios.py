@@ -1,12 +1,14 @@
 """Scenario definitions, runners, and the text-file grammar."""
 
+import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pasf import design, scenarios
+from pasf import design, scenario_io, scenarios
 from pasf import signals as sig
 from pasf.baselines import CombSpec, comb_pair
 from pasf.design import (
@@ -16,18 +18,15 @@ from pasf.design import (
     forget_designs,
     make_complementary,
 )
-from pasf.errors import InvalidArgumentError, UnsupportedReconfigurationError
+from pasf.errors import InvalidArgumentError, PasfError, UnsupportedReconfigurationError
 from pasf.kalman import SystemModel
 from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.runtime import PasfState, SeparatorBank, SeparatorCore
-from pasf.scenario_io import parse_scenario
+from pasf.scenario_io import BUILT_INS, built_in, parse_scenario
 from pasf.scenarios import (
     CombBaseline,
     FilterChoice,
     Scenario,
-    build_sec51,
-    build_sec52,
-    built_in,
     design_pair,
     rho_at,
     rho_series,
@@ -37,12 +36,53 @@ from pasf.scenarios import (
 )
 
 
-def test_built_in_names():
+def test_built_in_names(monkeypatch):
     for name in ("sec51", "sec52", "sec53", "sec54"):
         scn = built_in(name, 0)
         scn.validate()
-    with pytest.raises(InvalidArgumentError):
-        built_in("sec99")
+
+    def load_scenario(path, seed=0):
+        raise AssertionError(f"opened {path}")
+
+    # a name outside the four is refused before any file is looked up
+    monkeypatch.setattr(scenario_io, "load_scenario", load_scenario)
+    for name in ("sec99", "../sec51", "sec51.scn", "/sec51", ""):
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                "built-ins: ['sec51', 'sec52', 'sec53', 'sec54']")):
+            built_in(name)
+
+
+# each value token of a packaged file is replaced in turn by each of these
+_MUTANT_TOKENS = ("nan", "inf", "1e309", "1e-320", "5e-324", "-0", "", "x", "@nope")
+
+
+@pytest.mark.parametrize("name", BUILT_INS)
+def test_packaged_file_mutants_parse_or_raise_typed_errors(name):
+    """A packaged scenario file with one value token replaced by a bad one
+    either parses or raises one of the package's typed errors: nothing else
+    escapes parse_scenario (and the validate it ends with), and nothing
+    warns."""
+    path = os.path.join(os.path.dirname(scenario_io.__file__), f"{name}.scn")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    mutants = 0
+    for no, line in enumerate(lines):
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        tokens = value.split()
+        for i in range(len(tokens) if eq else 0):
+            for bad in _MUTANT_TOKENS:
+                mutated = f"{key}= {' '.join(tokens[:i] + [bad] + tokens[i + 1:])}"
+                text = "\n".join(lines[:no] + [mutated] + lines[no + 1:])
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        parse_scenario(text, seed=0)
+                except PasfError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{name}.scn line {no + 1}: {mutated!r}: {exc!r}")
+                mutants += 1
+    assert mutants > 100
 
 
 def test_rho_schedule_lookup():
@@ -102,7 +142,7 @@ def test_estimation_designs_first_filter_at_reported_rho(monkeypatch):
     """A rho switch within the rho series' tolerance of the first sample
     time: the first filter is designed at the rho the CSV reports, and no
     reconfiguration follows."""
-    scn = replace(build_sec52(), period=4, duration_s=0.02, warm_start="zero",
+    scn = replace(built_in("sec52", 0), period=4, duration_s=0.02, warm_start="zero",
                   rho_schedule=((0.0, 1.0), (0.0010000000000005, 2.0)),
                   interference_window_s=None)
     choice = FilterChoice("iir", 1)
@@ -169,10 +209,10 @@ def test_every_redesign_installs_the_designed_pair(realization, order, design,
 
 
 def test_sec51_full_run_row_count_and_switches(tmp_path):
-    out = run_scenario("sec51", seed=0, out_dir=str(tmp_path),
+    out = run_scenario(built_in("sec51", 0), seed=0, out_dir=str(tmp_path),
                        plot_script=False)
     run = out["results"]["iir1"]
-    scn = build_sec51()
+    scn = built_in("sec51", 0)
     assert len(run.t) == scn.steps == int(scn.duration_s / scn.sampling_time)
     assert run.rho[39_998] == 10.0 and run.rho[39_999] == 0.2
     assert run.rho[79_998] == 0.2 and run.rho[79_999] == 10.0
@@ -180,7 +220,7 @@ def test_sec51_full_run_row_count_and_switches(tmp_path):
 
 
 def test_sec53_outputs_and_interference_file(tmp_path):
-    out = run_scenario("sec53", seed=0, out_dir=str(tmp_path),
+    out = run_scenario(built_in("sec53", 0), seed=0, out_dir=str(tmp_path),
                        plot_script=True)
     names = sorted(f.split("/")[-1] for f in out["files"])
     assert names == [
@@ -200,7 +240,7 @@ def test_sec53_outputs_and_interference_file(tmp_path):
 
 def test_scaled_estimation_run_tracks_truth():
     """A short scaled scenario sanity check: estimates stay near the truth."""
-    scn = replace(build_sec52(), duration_s=3.0, interference_window_s=None)
+    scn = replace(built_in("sec52", 0), duration_s=3.0, interference_window_s=None)
     run = run_estimation(scn, FilterChoice("iir", 1), seed=0)
     err = run.x_true[:, 0] - run.x_upd[:, 0]
     assert np.sqrt(np.mean(err[1000:] ** 2)) < 0.05
@@ -230,7 +270,7 @@ def test_simulate_plant_equals_the_per_step_form_bitwise(n):
 def test_estimation_run_equals_the_per_tick_form_bitwise(monkeypatch):
     """The estimation kind forms B (u + v) up front and takes trace(P) only
     for a new P; the plant states and trP match the per-tick forms."""
-    scn = replace(build_sec52(), duration_s=1.0, interference_window_s=None)
+    scn = replace(built_in("sec52", 0), duration_s=1.0, interference_window_s=None)
     traces = []
     step = KfPasfState.step
 
@@ -444,7 +484,7 @@ def test_sec54_estimates_converge_to_commands():
 
 
 def test_sec52_warm_start_suppresses_initial_transient():
-    scn = replace(build_sec52(), duration_s=2.0, interference_window_s=None)
+    scn = replace(built_in("sec52", 0), duration_s=2.0, interference_window_s=None)
     run = run_estimation(scn, FilterChoice("iir", 1), seed=0)
     # with histories given beforehand the split is already settled at t = 0:
     # the quasi-aperiodic estimate carries no startup step

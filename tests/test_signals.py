@@ -7,7 +7,7 @@ import pytest
 
 from pasf import signals as sig
 from pasf.errors import InvalidArgumentError
-from pasf.scenarios import _sec51_input, build_sec53
+from pasf.scenario_io import built_in
 from pasf.signals import GaussianStream, NoiseSpec, eval_signal, eval_signal_array
 
 
@@ -15,7 +15,7 @@ T = 0.001
 
 
 def test_sec51_pulse_window():
-    u = _sec51_input()
+    u = built_in("sec51", 0).input_u
     # descriptor is scaled by 2500; probe the pulse leg via differences
     inside = eval_signal(u, int(25.1 / T), T)
     outside = eval_signal(u, int(26.0 / T), T)
@@ -28,7 +28,7 @@ def test_sec51_pulse_window():
 
 
 def test_sec53_gated_sine():
-    scn = build_sec53(seed=0)
+    scn = built_in("sec53", 0)
     xp = scn.truth_p
     t_on = 500 * 7 + 100
     assert eval_signal(xp, t_on, T) == pytest.approx(
