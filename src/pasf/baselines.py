@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .design import APERIODIC_PASS, PERIODIC_PASS, FilterCoefficients, _complement
 from .errors import InvalidArgumentError
 
@@ -68,8 +66,8 @@ def design_comb(spec: CombSpec) -> FilterCoefficients:
         order=1,
         period=spec.period,
         sampling_time=spec.sampling_time,
-        feedback=np.array([c1]),
-        feedforward=np.array([d0, d1]),
+        feedback=[c1],
+        feedforward=[d0, d1],
     )
 
 

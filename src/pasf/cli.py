@@ -255,8 +255,8 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, OutOfBandError, DegenerateDesignError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
-    except PasfError as exc:
-        print(f"error: runtime: {exc}", file=sys.stderr)
+    except (PasfError, MemoryError) as exc:
+        print(f"error: runtime: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ i*period fast-time samples. ``feedback`` holds a_1..a_N (a_0 = 1 implicit),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,13 @@ class SeparationSpec:
 
 @dataclass(frozen=True)
 class FilterCoefficients:
-    """One rational filter in the lifted delay variable."""
+    """One rational filter in the lifted delay variable.
+
+    It holds read-only float copies of the taps it is given, so the
+    caller's arrays stay writeable and no two values share taps. The
+    sampling time must be finite and positive, and large enough that the
+    Nyquist rate pi/T does not overflow.
+    """
 
     kind: str
     realization: str
@@ -80,8 +86,9 @@ class FilterCoefficients:
     feedforward: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        fb = np.atleast_1d(np.asarray(self.feedback, dtype=float))
-        ff = np.atleast_1d(np.asarray(self.feedforward, dtype=float))
+        fb = np.array(self.feedback, dtype=float, ndmin=1)
+        ff = np.array(self.feedforward, dtype=float, ndmin=1)
+        fb.flags.writeable = ff.flags.writeable = False
         object.__setattr__(self, "feedback", fb)
         object.__setattr__(self, "feedforward", ff)
         if self.kind not in (PERIODIC_PASS, APERIODIC_PASS):
@@ -90,6 +97,11 @@ class FilterCoefficients:
             raise InvalidArgumentError("order must be >= 1")
         if self.period < 1:
             raise InvalidArgumentError("period must be >= 1")
+        T = float(self.sampling_time)
+        if not 0.0 < T < math.inf or math.isinf(math.pi / T):
+            raise InvalidArgumentError(
+                f"sampling_time must be positive and finite, with pi/T finite, "
+                f"got {T!r}")
         if len(fb) != self.order:
             raise InvalidArgumentError(
                 f"feedback must have exactly {self.order} entries, got {len(fb)}"
@@ -163,7 +175,7 @@ def design_iir(
         kind=PERIODIC_PASS, realization="iir", feedback=a, feedforward=b, **common
     )
     aperiodic = FilterCoefficients(
-        kind=APERIODIC_PASS, realization="iir", feedback=a.copy(), feedforward=d, **common
+        kind=APERIODIC_PASS, realization="iir", feedback=a, feedforward=d, **common
     )
     return periodic, aperiodic
 
@@ -198,7 +210,7 @@ def _complement(coeffs: FilterCoefficients, out_kind: str) -> FilterCoefficients
         order=coeffs.order,
         period=coeffs.period,
         sampling_time=coeffs.sampling_time,
-        feedback=coeffs.feedback.copy(),
+        feedback=coeffs.feedback,
         feedforward=ff,
     )
 
@@ -228,8 +240,9 @@ def design_for(
     ``make_complementary``. Any other realization, such as a comb or its
     complement, has no design from a separation spec.
 
-    Designs are memoized: equal arguments return the identical pair, whose
-    tap arrays are read-only copies, so no caller can change the pair another
+    Designs are memoized: equal arguments return the identical pair, kept
+    exactly as designed. Its taps are read-only from construction (see
+    ``FilterCoefficients``), so no caller can change the pair another
     caller is given. The memo holds the last ``_MAX_DESIGNS`` distinct
     designs; a design that raises is not kept, so it raises on every call.
     ``forget_designs`` empties it.
@@ -238,19 +251,11 @@ def design_for(
                                        spec.sampling_time, order, allow_out_of_band))
     pair = _DESIGNS.get(key)
     if pair is None:
-        pair = tuple(map(_read_only, _design(realization, spec, order,
-                                             allow_out_of_band)))
+        pair = _design(realization, spec, order, allow_out_of_band)
         if len(_DESIGNS) >= _MAX_DESIGNS:
             del _DESIGNS[next(iter(_DESIGNS))]
         _DESIGNS[key] = pair
     return pair
-
-
-def _read_only(coeffs: FilterCoefficients) -> FilterCoefficients:
-    """``coeffs`` with read-only copies of its tap arrays."""
-    fb, ff = coeffs.feedback.copy(), coeffs.feedforward.copy()
-    fb.flags.writeable = ff.flags.writeable = False
-    return replace(coeffs, feedback=fb, feedforward=ff)
 
 
 def _design(realization, spec, order, allow_out_of_band):
@@ -274,7 +279,7 @@ def check_stability(coeffs: FilterCoefficients) -> StabilityReport:
     Roots of z^N + a_1 z^(N-1) + ... + a_N; stable iff all magnitudes are
     strictly below 1 - 1e-9.
     """
-    poly = np.concatenate(([1.0], np.asarray(coeffs.feedback, dtype=float)))
+    poly = np.concatenate(([1.0], coeffs.feedback))
     roots = np.roots(poly)
     max_mag = float(np.max(np.abs(roots))) if roots.size else 0.0
     return StabilityReport(stable=max_mag < 1.0 - 1e-9, max_root_magnitude=max_mag)
@@ -343,7 +348,7 @@ def design_fir_equiripple(
             "at cos = 1: no equiripple design resolves the band")
 
     h = _remez_lowpass(order, passband_edge, stopband_edge, weight_ratio)
-    h_hp = -h.copy()
+    h_hp = -h
     h_hp[order // 2] += 1.0
 
     common = dict(order=order, period=spec.period, sampling_time=spec.sampling_time)
@@ -352,11 +357,8 @@ def design_fir_equiripple(
         kind=PERIODIC_PASS, realization="fir", feedback=zeros, feedforward=h, **common
     )
     aperiodic = FilterCoefficients(
-        kind=APERIODIC_PASS,
-        realization="fir",
-        feedback=zeros.copy(),
-        feedforward=h_hp,
-        **common,
+        kind=APERIODIC_PASS, realization="fir", feedback=zeros, feedforward=h_hp,
+        **common
     )
     return periodic, aperiodic
 

@@ -297,8 +297,6 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             label = tokens[2] if len(tokens) > 2 else ""
             order = _number(no, "filter order", tokens[1], int)
             filters.append(FilterChoice(tokens[0], order, label))
-    if not filters:
-        raise InvalidArgumentError("[scenario] needs at least one filter")
 
     if "rho" not in sections:
         raise InvalidArgumentError("scenario file needs a [rho] section")
@@ -369,9 +367,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
                            sampling_time)
             for name, entries in sections.items() if name.startswith("comb "))
 
-    scn = Scenario(**fields)
-    scn.validate()
-    return scn
+    return Scenario(**fields)
 
 
 def _comb_baseline(label: str, ck: dict, period: int,

@@ -58,6 +58,11 @@ class CombBaseline:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One study: its kind, sampling, ``[rho]`` schedule, filters and, by
+    kind, its model, controller or truth signals and combs. It checks itself
+    when made, so every Scenario, one from ``dataclasses.replace`` too, is
+    valid: an invalid one raises ``InvalidArgumentError`` instead."""
+
     name: str
     kind: str  # estimation | separation | control
     period: int
@@ -86,7 +91,7 @@ class Scenario:
     def steps(self) -> int:
         return int(round(self.duration_s / self.sampling_time))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("estimation", "separation", "control"):
             raise InvalidArgumentError(f"unknown scenario kind {self.kind!r}")
         if not self.sampling_time > 0:
@@ -213,7 +218,6 @@ def _stream_seed(seed: int, stream: int) -> int:
 class EstimationRun:
     scenario: Scenario
     choice: FilterChoice
-    seed: int
     t: np.ndarray
     u: np.ndarray
     rho: np.ndarray
@@ -271,7 +275,6 @@ def _periodic_prerun(scn: Scenario, depth: int) -> np.ndarray:
 
 
 def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> EstimationRun:
-    scn.validate()
     steps = scn.steps
     T = scn.sampling_time
     n = scn.A.shape[0]
@@ -311,7 +314,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
         u_base = eval_signal_array(scn.input_u, np.arange(steps), T)
 
     out = EstimationRun(
-        scenario=scn, choice=choice, seed=seed,
+        scenario=scn, choice=choice,
         t=np.arange(1, steps + 1),
         u=u_base[:steps], rho=rho, y=np.empty(steps),
         x_true=np.empty((steps, n)), x_upd=np.empty((steps, n)),
@@ -401,7 +404,6 @@ def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
     """Separate the scenario's signal with each filter and comb, then pass
     each quasi-periodic output through a fresh copy of its separator: the
     aperiodic output of that second pass is the interference trace."""
-    scn.validate()
     steps = scn.steps
     T = scn.sampling_time
     t_idx = np.arange(steps)
@@ -431,7 +433,6 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     designs each distinct pair once: the second passes and the interference
     trace reuse the first pass's pairs."""
     forget_designs()
-    scn.validate()
     if scn.kind == "separation":
         runs = run_separation(scn, seed)
         traces = {run.label: run.interference for run in runs}
@@ -452,7 +453,7 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
 
     # created only now, so a run that fails leaves no directory behind
     os.makedirs(out_dir, exist_ok=True)
-    outputs: dict = {"name": scn.name, "files": [], "results": results}
+    outputs: dict = {"files": [], "results": results}
     for fname, columns in tables.items():
         path = os.path.join(out_dir, fname)
         export_csv(path, columns)

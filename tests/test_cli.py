@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, CSV formats, exit codes, determinism."""
 
 import filecmp
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pasf import cli, csvio
+from pasf.baselines import CombSpec, comb_pair
 from pasf.csvio import export_csv, format_value, read_csv
-from pasf.design import SeparationSpec, design_iir, save_coefficients
-from pasf.errors import InvalidArgumentError
+from pasf.design import (
+    SeparationSpec,
+    design_fir_equiripple,
+    design_iir,
+    format_coefficients,
+    parse_coefficients,
+    save_coefficients,
+)
+from pasf.errors import InvalidArgumentError, PasfError
 from pasf.response import bode_table, default_grid
 from pasf.runtime import PasfState
 from pasf.scenario_io import built_in
@@ -481,6 +491,54 @@ def test_separate_non_numeric_coefficient_file_is_validation_error(
     assert message in res.stderr
 
 
+# each token of a coefficient file is replaced in turn by each of these
+_COEFF_MUTANT_TOKENS = ("nan", "inf", "1e309", "1e-320", "5e-324", "-0", "", "x",
+                        "@nope", "-1", "0")
+
+
+def test_coefficient_file_mutants_load_valid_or_raise_typed_errors(tmp_path, capsys):
+    """IIR2, FIR8 and comb-3 pairs at period 20 and T 0.01, with one token
+    replaced by a bad one: each either raises one of the package's typed
+    errors or loads with a finite, positive T whose pi/T is finite, and
+    nothing warns. A mutated header also goes through ``pasf bode``: it
+    exits 0, or prints one ``error:`` line and exits 1."""
+    spec = SeparationSpec(2.5, 20, 0.01)
+    texts = [format_coefficients(c) for pair in (
+        design_iir(spec, 2), design_fir_equiripple(spec, 8),
+        comb_pair(CombSpec(3, 20, 0.01, gain_mag=0.708, q=1.717))) for c in pair]
+    path, out = tmp_path / "mutant.txt", str(tmp_path / "out")
+    mutants = 0
+    for text in texts:
+        lines = text.splitlines()
+        for no, line in enumerate(lines):
+            tokens = line.split()
+            for i in range(len(tokens)):
+                for bad in _COEFF_MUTANT_TOKENS:
+                    mutated = " ".join(tokens[:i] + [bad] + tokens[i + 1:])
+                    mutant = "\n".join(lines[:no] + [mutated] + lines[no + 1:])
+                    mutants += 1
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            T = parse_coefficients(mutant).sampling_time
+                        except PasfError:
+                            pass
+                        else:
+                            assert 0.0 < T < math.inf, mutant
+                            assert math.isfinite(math.pi / T), mutant
+                        if no == 0:
+                            path.write_text(mutant)
+                            code = cli.main(["--out-dir", out, "bode", "--coeffs",
+                                             str(path), "--points", "16"])
+                    if no == 0:
+                        err = capsys.readouterr().err
+                        assert (code, err) == (0, "") or (
+                            code == 1 and err.startswith("error: ")
+                            and len(err.splitlines()) == 1), (mutant, code, err)
+    # 80 tokens: 5 + N + (N + 1) per file of order N, two files per pair
+    assert mutants == 80 * len(_COEFF_MUTANT_TOKENS)
+
+
 def test_separate_steps_once_per_row(tmp_path, monkeypatch):
     """The benchmark's count guard in miniature: one PasfState.step per row."""
     rows = [f"{i},{v!r}" for i, v in enumerate(np.sin(np.arange(45.0)).tolist())]
@@ -796,6 +854,24 @@ def test_failed_scenario_run_leaves_no_output_directory(tmp_path, line, bad,
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)
     assert message in res.stderr
+    assert not out.exists()
+
+
+def test_scenario_out_of_memory_is_one_runtime_error_line(tmp_path):
+    """sec53 over 1e15 s holds 1e18 samples: its first sample array (8e18
+    bytes, beyond any address space) is refused before anything is
+    allocated. That is one runtime error line, exit 2, and no output
+    directory."""
+    with open(os.path.join(_SRC, "pasf", "sec53.scn"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("duration = 15\n") == 1
+    path = tmp_path / "huge.scn"
+    path.write_text(text.replace("duration = 15\n", "duration = 1e15\n"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "--no-plot-script", "scenario", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: runtime: ")
+    assert len(res.stderr.splitlines()) == 1, res.stderr
     assert not out.exists()
 
 

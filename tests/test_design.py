@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -556,6 +557,28 @@ def test_coefficient_invariants_enforced():
                            feedback=np.zeros(2), feedforward=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, -1.0, 1e-320,
+                                 5e-324, 1.7e-308])
+def test_sampling_time_must_be_positive_finite_with_finite_nyquist(bad):
+    """T must be finite and positive, and pi/T must not overflow: a
+    subnormal T would give a Bode grid of NaN. The coefficient-file reader
+    goes through the same check."""
+    p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 2)
+    with pytest.raises(InvalidArgumentError, match="sampling_time"):
+        FilterCoefficients(p.kind, p.realization, 2, 5, bad,
+                           feedback=p.feedback, feedforward=p.feedforward)
+    head, *taps = format_coefficients(p).splitlines()
+    with pytest.raises(InvalidArgumentError, match="sampling_time"):
+        parse_coefficients("\n".join([head.rsplit(" ", 1)[0] + f" {bad!r}", *taps]))
+    # the smallest T whose pi/T is finite loads
+    smallest = math.pi / sys.float_info.max
+    if math.isinf(math.pi / smallest):
+        smallest = math.nextafter(smallest, 1.0)
+    assert FilterCoefficients(p.kind, p.realization, 2, 5, smallest,
+                              feedback=p.feedback,
+                              feedforward=p.feedforward).sampling_time == smallest
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("taps", ["feedback", "feedforward"])
 def test_non_finite_taps_rejected(bad, taps):
@@ -594,19 +617,21 @@ def test_design_for_memoizes_equal_specs_as_one_read_only_pair(realization, orde
                 taps[0] = 1.0
 
 
-def test_design_for_freezes_copies_not_the_designers_arrays(monkeypatch):
-    """The memo's pair holds read-only copies: the arrays a designer hands
-    over stay writeable and unshared."""
-    spec = SeparationSpec(1.0, 8, 0.01)
-    handed = design_iir(spec, 2)
-    monkeypatch.setattr(design, "design_iir", lambda *args: handed)
-    forget_designs()
-    pair = design_for("iir", spec, 2)
-    for mine, cached in zip(handed, pair):
-        for name in ("feedback", "feedforward"):
-            assert getattr(mine, name).flags.writeable
-            assert not np.shares_memory(getattr(mine, name), getattr(cached, name))
-            assert np.array_equal(getattr(mine, name), getattr(cached, name))
+def test_coefficients_freeze_copies_not_the_callers_arrays():
+    """A FilterCoefficients holds read-only copies: the arrays a caller
+    hands over stay writeable and unshared, also when both filters of a
+    pair are given the same array."""
+    taps = {"feedback": np.array([-0.5, 0.25]),
+            "feedforward": np.array([0.25, 0.5, 0.25])}
+    pair = [FilterCoefficients(kind, "iir", 2, 8, 0.01, **taps)
+            for kind in ("periodic-pass", "aperiodic-pass")]
+    for coeffs in pair:
+        for name, mine in taps.items():
+            held = getattr(coeffs, name)
+            assert mine.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(mine, held)
+            assert np.array_equal(mine, held)
+    assert not np.shares_memory(pair[0].feedback, pair[1].feedback)
 
 
 def test_design_for_keeps_no_failed_design(monkeypatch):

@@ -276,15 +276,17 @@ def _assert_memoized_chain_matches_oracle(model, P0, inputs):
 def _stable_models(draw):
     """A model with n = 1..4 states, p = 1 (``B u`` through ``@``) or p = 2
     inputs (through ``dot``), m = 1 (closed-form gain) or m = 2 (Cholesky
-    path), A scaled to spectral radius 0.1..0.95, and enough random inputs
-    and measurements to pass its fixed point."""
+    path), A scaled to a spectral norm r of 0.1..0.95 (less when ‖M‖₂ is
+    below 1e-3), and enough random inputs and measurements to pass its
+    fixed point. Scaling by the norm,
+    not the spectral radius, keeps P bounded: a nilpotent M has radius 0
+    (see ``test_nilpotent_model_raises_at_the_same_step_as_the_oracle``)."""
     n = draw(st.integers(1, 4))
     p = draw(st.integers(1, 2))
     m = draw(st.integers(1, 2))
     unit = st.floats(-1, 1)
     M = draw(hnp.arrays(float, (n, n), elements=unit))
-    radius = max(np.max(np.abs(np.linalg.eigvals(M))), 1e-3)
-    A = M * (draw(st.floats(0.1, 0.95)) / radius)
+    A = M * (draw(st.floats(0.1, 0.95)) / max(np.linalg.norm(M, 2), 1e-3))
     Lq = draw(hnp.arrays(float, (n, n), elements=unit))
     Lr = draw(hnp.arrays(float, (m, m), elements=unit))
     C = draw(hnp.arrays(float, (m, n), elements=st.floats(-2, 2)))
@@ -307,6 +309,35 @@ def test_frozen_recursion_equals_per_step_oracle_bitwise(case):
     # the chain freezes exactly where the oracle's updated P first repeats
     assert frozen_at == repeat_at
     event("froze" if frozen_at else "did not freeze in 300 steps")
+
+
+def _failing_step(beliefs) -> int:
+    """The step whose update raises ``SingularInnovationError``."""
+    t = 0
+    with pytest.raises(SingularInnovationError):
+        for t, _ in enumerate(beliefs, start=1):
+            pass
+    return t + 1
+
+
+def test_nilpotent_model_raises_at_the_same_step_as_the_oracle():
+    """Outside the domain a chain can run: M nilpotent, scaled as if its
+    spectral radius were 1e-3, gives A = 950 M. P grows until the
+    innovation covariance is singular. The chain that may freeze and the
+    constructor-rebuilt oracle raise at the same step."""
+    model = SystemModel(A=950.0 * np.triu(np.ones((3, 3)), 1), B=np.ones((3, 1)),
+                        C=np.ones((2, 3)), Q=1e-3 * np.eye(3), R=1e-2 * np.eye(2))
+    rng = np.random.default_rng(0)
+    inputs = [(rng.standard_normal(1), rng.standard_normal(2)) for _ in range(300)]
+
+    def chain():
+        belief = KalmanBelief(x_hat=np.zeros(model.n), P=np.eye(3))
+        for u, y in inputs:
+            belief, _ = kf_update(kf_predict(belief, model, u), model, y)
+            yield belief
+
+    assert _failing_step(chain()) == _failing_step(
+        _oracle_chain(model, np.eye(3), inputs)) == 2
 
 
 def test_marginally_stable_model_never_freezes_and_matches_oracle():

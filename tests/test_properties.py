@@ -121,7 +121,8 @@ def _taps(size):
 
 @st.composite
 def coefficient_sets(draw):
-    """A valid FilterCoefficients of either kind, FIR or IIR, orders 1-50."""
+    """A valid FilterCoefficients of either kind, FIR or IIR, orders 1-50,
+    with any sampling time whose pi/T is finite."""
     order = draw(st.integers(1, 50))
     fir = draw(st.booleans())
     feedback = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=order,
@@ -131,7 +132,8 @@ def coefficient_sets(draw):
         realization="fir" if fir else "iir", order=order,
         period=draw(st.integers(1, 10 ** 6)),
         sampling_time=draw(st.floats(min_value=0.0, exclude_min=True,
-                                     allow_infinity=False)),
+                                     allow_infinity=False).filter(
+            lambda t: math.isfinite(math.pi / t))),
         feedback=feedback, feedforward=draw(_taps(order + 1)))
 
 

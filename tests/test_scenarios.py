@@ -14,6 +14,7 @@ from pasf.baselines import CombSpec, comb_pair
 from pasf.design import (
     SeparationSpec,
     design_fir_equiripple,
+    design_for,
     design_iir,
     forget_designs,
     make_complementary,
@@ -38,8 +39,7 @@ from pasf.scenarios import (
 
 def test_built_in_names(monkeypatch):
     for name in ("sec51", "sec52", "sec53", "sec54"):
-        scn = built_in(name, 0)
-        scn.validate()
+        assert built_in(name, 0).name == name
 
     def load_scenario(path, seed=0):
         raise AssertionError(f"opened {path}")
@@ -404,6 +404,36 @@ q = 0:1.717 2:100
 """
 
 
+def test_complementary_filters_of_a_file_run_the_designed_pair(monkeypatch):
+    """``filter = iir-complementary 2`` and ``fir-complementary 8`` run, in
+    both passes, the very pair ``design_for`` gives for
+    ``complementary-of-iir`` and ``complementary-of-fir``: the designed
+    periodic-pass filter and its exact complement."""
+    scn = parse_scenario(SEPARATION_TEXT.replace(
+        "filter = iir 1 pasf\n",
+        "filter = iir-complementary 2\nfilter = fir-complementary 8\n"))
+    started = []
+
+    class Recording(PasfState):
+        def __init__(self, p, a, *args, **kwargs):
+            started.append((p, a))
+            super().__init__(p, a, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "PasfState", Recording)
+    runs = run_separation(scn, seed=0)
+    spec = SeparationSpec(2.0, scn.period, scn.sampling_time)
+    for k, (choice, base) in enumerate(zip(scn.filters, ("iir", "fir"))):
+        pair = design_for(f"complementary-of-{base}", spec, choice.order,
+                          allow_out_of_band=True)
+        assert started[2 * k][0] is started[2 * k + 1][0] is pair[0]
+        assert started[2 * k][1] is started[2 * k + 1][1] is pair[1]
+        assert (pair[0].realization, pair[1].realization) == (
+            base, f"complementary-of-{base}")
+        xp, xa = PasfState(*pair).run(runs[k].x_pa)
+        assert np.array_equal(runs[k].xp.view(np.int64), xp.view(np.int64))
+        assert np.array_equal(runs[k].xa.view(np.int64), xa.view(np.int64))
+
+
 def test_empty_signal_section_names_the_referring_line():
     text = SCENARIO_TEXT.replace("expr = pulse 1.5 1.6 2.0\n", "")
     no = text.splitlines().index("of = @u1 @u2") + 1
@@ -436,20 +466,18 @@ def test_scale_of_one_reference_is_that_signal():
     ("filter", "sub/pasf"), ("filter", "."), ("comb", ".."),
     ("comb", "my\\comb"),
 ])
-def test_output_names_must_be_plain_file_names(tmp_path, field, value):
+def test_output_names_must_be_plain_file_names(field, value):
     """The scenario name and each label name an output file in the output
-    directory, so each is one plain path component; validate refuses any
-    other before a run starts."""
+    directory, so each is one plain path component; a Scenario refuses any
+    other when it is made, so no run can start."""
     scn = parse_scenario(SEPARATION_TEXT)
-    if field == "name":
-        bad = replace(scn, name=value)
-    elif field == "filter":
-        bad = replace(scn, filters=(FilterChoice("iir", 1, value),))
-    else:
-        bad = replace(scn, combs=(replace(scn.combs[0], label=value),))
     with pytest.raises(InvalidArgumentError, match="must be a plain file name"):
-        run_scenario(bad, seed=0, out_dir=str(tmp_path / "out"), plot_script=False)
-    assert list(tmp_path.iterdir()) == []
+        if field == "name":
+            replace(scn, name=value)
+        elif field == "filter":
+            replace(scn, filters=(FilterChoice("iir", 1, value),))
+        else:
+            replace(scn, combs=(replace(scn.combs[0], label=value),))
     if field == "name":
         with pytest.raises(InvalidArgumentError, match="must be a plain file name"):
             parse_scenario(SEPARATION_TEXT.replace("name = sepdemo",
