@@ -8,7 +8,8 @@ return new ones.
 With a scalar measurement (m = 1) the innovation covariance is a number s
 and its Cholesky factor is d = sqrt(s), so the gain has a closed form that
 skips the per-step eigvalsh, Cholesky and two solves. s is CP C' + R added
-in Python floats, the same IEEE addition as NumPy's (1, 1) array sum. The
+in Python floats (R's one entry is stored as the float ``_r`` when the
+model is built), the same IEEE addition as NumPy's (1, 1) array sum. The
 gain is rounded the way the general path's two solves round with NumPy's
 bundled OpenBLAS: with several right-hand sides (n > 1) the triangular
 solve multiplies by the reciprocal of the diagonal, g' = (CP * r) * r with
@@ -41,6 +42,14 @@ poisoned state) and gives other signs of zero. Both take ``out=``. A
 when it is built, so ``kf_predict`` and ``kf_update`` make no per-product
 dispatch: the same NumPy operations in the same order, so the same bytes,
 with fewer Python calls around them.
+
+Both re-symmetrize a covariance as ``(M + M.T.copy()) * model._half``,
+with ``_half`` the model's read-only (n, n) array of 0.5: the additions and
+multiplications of ``0.5 * (M + M.T)`` on the same operands, so the same
+bits, but NumPy adds a contiguous copy and multiplies by an array operand
+faster than it walks a strided transpose or broadcasts a scalar. A belief
+they return is built by writing its fields into a fresh instance's dict,
+with none of the public constructor's conversions and checks.
 """
 
 from __future__ import annotations
@@ -86,7 +95,9 @@ class SystemModel:
     The matrices are read-only copies, so a recursion frozen under a model
     object stays valid for as long as that object lives. n, m and p are the
     state, output and input dimensions; ``_by_n``, ``_by_m`` and ``_by_p``
-    are the recursion's products by each, resolved once by ``product``."""
+    are the recursion's products by each, resolved once by ``product``;
+    ``_half`` and ``_r`` = R[0, 0] are the constants of the module
+    docstring."""
 
     A: np.ndarray
     B: np.ndarray
@@ -121,7 +132,9 @@ class SystemModel:
                 ("_by_m", product(m)),  # g r and g C
                 ("_by_p", product(p)),  # B u
                 ("_AT", self.A.T), ("_CT", self.C.T),
-                ("_eye", _read_only(np.eye(n)))):  # for (I - gC) P
+                ("_eye", _read_only(np.eye(n))),  # for (I - gC) P
+                ("_half", _read_only(np.full((n, n), 0.5))),  # symmetrization
+                ("_r", float(self.R[0, 0]))):  # R as a number when m = 1
             object.__setattr__(self, name, value)
         obs = np.vstack([self.C @ np.linalg.matrix_power(self.A, k) for k in range(n)])
         if np.linalg.matrix_rank(obs) < n:
@@ -141,6 +154,14 @@ class _FixedPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class KalmanBelief:
+    """A state estimate x_hat with covariance P at step t, in phase
+    ``updated`` or ``predicted``.
+
+    The constructor flattens x_hat to a float vector and stores the
+    symmetrized float P. It raises ``InvalidArgumentError`` unless P is
+    (len(x_hat), len(x_hat)) and the phase is one of the two; a non-finite
+    P is kept (it poisons the next step)."""
+
     x_hat: np.ndarray
     P: np.ndarray
     t: int = 0
@@ -153,19 +174,31 @@ class KalmanBelief:
     _source = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
+        x_hat = np.asarray(self.x_hat, dtype=float).reshape(-1)
         P = np.asarray(self.P, dtype=float)
+        if P.shape != (len(x_hat),) * 2:
+            raise InvalidArgumentError(
+                f"P must be {len(x_hat)} x {len(x_hat)}, got shape {P.shape}")
+        if self.phase not in (UPDATED, PREDICTED):
+            raise InvalidArgumentError(
+                f"phase must be {UPDATED!r} or {PREDICTED!r}, got {self.phase!r}")
+        object.__setattr__(self, "x_hat", x_hat)
         object.__setattr__(self, "P", 0.5 * (P + P.T))
 
 
 def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str,
             fixed: _FixedPoint | None = None, source=None) -> KalmanBelief:
-    """KalmanBelief from a float 1-D x_hat and an already symmetrized P,
-    skipping the conversions of the public constructor (re-symmetrizing a
-    symmetrized P is the identity)."""
+    """KalmanBelief from a float 1-D x_hat and an already symmetrized P of
+    its dimension, skipping the conversions and checks of the public
+    constructor (re-symmetrizing a symmetrized P is the identity)."""
     belief = object.__new__(KalmanBelief)
-    belief.__dict__.update(x_hat=x_hat, P=P, t=t, phase=phase,
-                           _fixed=fixed, _source=source)
+    fields = belief.__dict__
+    fields["x_hat"] = x_hat
+    fields["P"] = P
+    fields["t"] = t
+    fields["phase"] = phase
+    fields["_fixed"] = fixed
+    fields["_source"] = source
     return belief
 
 
@@ -186,7 +219,7 @@ def kf_predict(belief: KalmanBelief, model: SystemModel, u) -> KalmanBelief:
     if fixed is not None and fixed.model is model:
         return _belief(x, fixed.P_pred, belief.t + 1, PREDICTED, fixed)
     P = by_n(by_n(A, belief.P), model._AT) + model.Q
-    P = 0.5 * (P + P.T)
+    P = (P + P.T.copy()) * model._half
     return _belief(x, P, belief.t + 1, PREDICTED, source=(model, belief.P))
 
 
@@ -207,6 +240,8 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
         y = y.reshape(-1)
     if y.shape != (model.m,):
         raise InvalidArgumentError(f"y must have shape ({model.m},)")
+    if belief.x_hat.shape != (model.n,):
+        raise InvalidArgumentError("belief dimension does not match model")
     fixed = belief._fixed
     if fixed is not None and fixed.model is model:
         g = fixed.gain
@@ -217,7 +252,7 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
     by_n, by_m, C = model._by_n, model._by_m, model.C
     x = belief.x_hat + by_m(g, y - by_n(C, belief.x_hat))
     P_new = by_n(model._eye - by_m(g, C), P)
-    P_new = 0.5 * (P_new + P_new.T)
+    P_new = (P_new + P_new.T.copy()) * model._half
     source = belief._source
     if (source is not None and source[0] is model
             and P_new.tobytes() == source[1].tobytes()):
@@ -229,7 +264,7 @@ def kf_update(belief: KalmanBelief, model: SystemModel, y) -> tuple[KalmanBelief
 
 def _scalar_gain(P: np.ndarray, model: SystemModel) -> np.ndarray:
     CP = model._by_n(model.C, P)
-    s = float(model._by_n(CP, model._CT)[0, 0]) + float(model.R[0, 0])
+    s = float(model._by_n(CP, model._CT)[0, 0]) + model._r
     s = 0.5 * (s + s)  # the symmetrization of the general path
     # NaN passes on, as in the general path: the estimate turns non-finite
     if s <= 0.0:

@@ -104,21 +104,21 @@ class KfPasfState:
         pred = kf_predict(self.belief, self.model, u)
         theta = self.core.theta()
         theta_p, theta_a = theta
-        bank = self.core.bank
+        core = self.core
 
         upd, gain = kf_update(pred, self.model, y)
         x_upd = upd.x_hat
-        xp_upd = theta_p + bank.sp * x_upd
-        xa_upd = theta_a + bank.sa * x_upd
+        xp_upd = theta_p + x_upd * core._sp
+        xa_upd = theta_a + x_upd * core._sa
 
         if not all(map(math.isfinite, x_upd.tolist())):
             self._poisoned = True
             raise PoisonedStateError("estimate diverged to non-finite values")
 
-        self.core.push(x_upd, xp_upd, xa_upd)
+        core.push(x_upd, xp_upd, xa_upd)
         self.belief = upd
         return KfPasfStep(upd.t, pred.x_hat, x_upd, xp_upd, xa_upd, upd.P,
-                          gain, theta, bank)
+                          gain, theta, core.bank)
 
     def reconfigure(self, new_spec: SeparationSpec,
                     allow_out_of_band: bool = False) -> None:

@@ -122,9 +122,13 @@ class SeparatorCore:
     def _use(self, bank: SeparatorBank) -> None:
         """Run on ``bank``, with its taps as views that broadcast over a
         build's blocks: (2, 1, order) against (rows, order) blocks for one
-        channel, (2, order, 1, 1) against (order, rows, n) for several."""
+        channel, (2, order, 1, 1) against (order, rows, n) for several; and
+        its direct terms as n-vectors ``_sp`` and ``_sa``, which multiply
+        an n-vector by NumPy's faster array-operand loop, with the same bits
+        as the float."""
         self.bank = bank
         self._G, self._H = bank.G.reshape(self._taps), bank.H.reshape(self._taps)
+        self._sp, self._sa = np.full(self.n, bank.sp), np.full(self.n, bank.sa)
         self._invalidate()
 
     def _invalidate(self) -> None:

@@ -400,10 +400,11 @@ class SeparationRun:
                 "x_a_true": self.truth_a, "xp": self.xp, "xa": self.xa}
 
 
-def run_separation(scn: Scenario, seed: int) -> list[SeparationRun]:
+def run_separation(scn: Scenario) -> list[SeparationRun]:
     """Separate the scenario's signal with each filter and comb, then pass
     each quasi-periodic output through a fresh copy of its separator: the
-    aperiodic output of that second pass is the interference trace."""
+    aperiodic output of that second pass is the interference trace. It
+    takes no seed: a separation scenario's noise is drawn when it is made."""
     steps = scn.steps
     T = scn.sampling_time
     t_idx = np.arange(steps)
@@ -434,7 +435,7 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     trace reuse the first pass's pairs."""
     forget_designs()
     if scn.kind == "separation":
-        runs = run_separation(scn, seed)
+        runs = run_separation(scn)
         traces = {run.label: run.interference for run in runs}
     else:
         runs = [run_estimation(scn, choice, seed) for choice in scn.filters]

@@ -318,7 +318,7 @@ def test_criterion_10_interference_ordering():
     assert levels[2] < levels[1] < levels[0]
 
     sec53 = built_in("sec53", 0)
-    runs = {r.label: r for r in run_separation(sec53, seed=0)}
+    runs = {r.label: r for r in run_separation(sec53)}
     w53 = (int(4.0 / sec53.sampling_time), sec53.steps)
     z53 = np.zeros(sec53.steps)
     pasf_level = interference_rms(runs["pasf_n3"].interference, z53, w53)

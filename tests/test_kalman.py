@@ -1,5 +1,6 @@
 """Kalman filter unit checks against straight-line oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,36 @@ def test_dimension_validation():
     model = _scalar_model()
     with pytest.raises(InvalidArgumentError):
         kf_predict(KalmanBelief(x_hat=[0.0, 0.0], P=np.eye(2)), model, [0.0])
+
+
+def _three_state_model():
+    return SystemModel(A=np.eye(3, k=1) + 0.5 * np.eye(3), B=np.ones((3, 1)),
+                       C=[[1.0, 0.0, 0.0]], Q=np.eye(3), R=[[1.0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KalmanBelief(x_hat=[0.0, 0.0, 0.0], P=[[1.0, 2.0, 3.0]]),
+     r"P must be 3 x 3, got shape \(1, 3\)"),
+    (lambda: KalmanBelief(x_hat=[0.0], P=5.0), r"P must be 1 x 1, got shape \(\)"),
+    (lambda: KalmanBelief(x_hat=[0.0], P=[[1.0]], phase="bogus"),
+     "phase must be 'updated' or 'predicted', got 'bogus'"),
+    (lambda: kf_update(KalmanBelief(x_hat=[0.0, 0.0], P=np.eye(2), phase="predicted"),
+                       _three_state_model(), [0.0]),
+     "belief dimension does not match model"),
+    (lambda: kf_predict(KalmanBelief(x_hat=[0.0, 0.0], P=np.eye(2)),
+                        _three_state_model(), [0.0]),
+     "belief dimension does not match model"),
+    (lambda: KalmanBelief(x_hat=[0.0, 0.0], P=[[np.nan, 0.0], [0.0, np.inf]]), None),
+], ids=["P-row", "P-0d", "phase", "update-dim", "predict-dim", "non-finite-P-kept"])
+def test_belief_checks_itself_and_its_dimension_against_the_model(make, message):
+    """A belief's P must be (len(x), len(x)) and its phase one of the two;
+    predict and update refuse a belief of another dimension than the model.
+    A non-finite P is kept: it poisons the next step."""
+    if message is None:
+        assert not np.isfinite(make().P).all()
+        return
+    with pytest.raises(InvalidArgumentError, match=message):
+        make()
 
 
 def test_unobservable_model_warns():
@@ -413,14 +444,21 @@ def test_sec54_kalman_products_equal_the_at_reference_bitwise():
 
 @pytest.mark.parametrize("a", [0.5, -1.0, 0.0, -0.0])
 def test_scalar_signed_zero_and_nan_states_equal_the_at_reference(a):
-    """n = 1 keeps ``@`` for every product; signed zeros and NaN must come
-    out as the reference gives them."""
-    model = SystemModel(A=[[a]], B=[[-1.0]], C=[[1.0]], Q=[[0.01]], R=[[1.0]])
+    """Signed zeros and NaN must come out as the reference gives them: at
+    n = 1, where every product keeps ``@``, and at n = 2 and 3 with signed
+    zeros in C and B, where the symmetrization's contiguous transpose and
+    array 1/2 must give the bits of ``0.5 * (P + P.T)``."""
     zeros = [0.0, -0.0]
     inputs = [([u], [y]) for u in zeros for y in zeros] * 3
     inputs += [([-0.0], [np.nan]), ([0.0], [1.0]), ([-0.0], [-0.0])]
-    x = _assert_chain_matches_at_reference(model, [[1.0]], inputs)
-    assert np.isnan(x).all()
+    for n in (1, 2, 3):
+        A = np.eye(n, k=1)  # a shift, so C's first entry observes every state
+        np.fill_diagonal(A, a)
+        model = SystemModel(A=A, B=np.array([[-1.0], [-0.0], [0.0]])[:n],
+                            C=np.array([[1.0, -0.0, 0.0]])[:, :n],
+                            Q=0.01 * np.eye(n), R=[[1.0]])
+        x = _assert_chain_matches_at_reference(model, np.eye(n), inputs)
+        assert np.isnan(x).all(), n
 
 
 @st.composite
@@ -522,6 +560,8 @@ def test_frozen_arrays_are_read_only_and_repeat():
     for a in (pred.P, upd.P, g):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):  # built by its dict
+        upd.P = pred.P
 
 
 def test_frozen_belief_recomputes_under_another_model_instance():

@@ -293,7 +293,10 @@ def test_predicted_split_read_late_is_bitwise_the_eager_split(
     the run, every record's pair equals theta + s * x_pred taken at its
     step (theta and bank as they stood before it), byte for byte: more
     than three periods of later steps, θ rebuilds and a mid-period
-    coefficient swap, or a periodic warm start, change nothing."""
+    coefficient swap, or a periodic warm start, change nothing. The
+    updated pair, formed at the step from the core's array copies of the
+    bank's direct terms, equals theta + s * x_upd with the bank's floats,
+    byte for byte, so a swap refreshes those copies."""
     realization, order = filt
     model = _MODELS[n]
     T = 0.01
@@ -320,6 +323,9 @@ def test_predicted_split_read_late_is_bitwise_the_eager_split(
         theta_p, theta_a = state.core.theta()
         bank = state.bank
         rec = state.step(rng.standard_normal(1), rng.standard_normal(1))
+        # the updated split, formed with the core's array copies of s
+        assert rec.xp_upd.tobytes() == (theta_p + bank.sp * rec.x_upd).tobytes(), t
+        assert rec.xa_upd.tobytes() == (theta_a + bank.sa * rec.x_upd).tobytes(), t
         eager.append((theta_p + bank.sp * rec.x_pred).tobytes()
                      + (theta_a + bank.sa * rec.x_pred).tobytes())
         records.append(rec)

@@ -127,7 +127,7 @@ def test_rho_and_comb_pieces_switch_at_one_sample(monkeypatch):
             switched_at.append(state.core.t)
             return _original(state, *args, **kwargs)
         monkeypatch.setattr(PasfState, name, record)
-    runs = {run.label: run for run in run_separation(scn, seed=0)}
+    runs = {run.label: run for run in run_separation(scn)}
     assert switched_at == [9, 9, 9, 9]  # pasf and comb, two passes each
     for field in ("xp", "xa", "interference"):
         got, want = getattr(runs["late"], field), getattr(runs["plain"], field)
@@ -420,7 +420,7 @@ def test_complementary_filters_of_a_file_run_the_designed_pair(monkeypatch):
             super().__init__(p, a, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "PasfState", Recording)
-    runs = run_separation(scn, seed=0)
+    runs = run_separation(scn)
     spec = SeparationSpec(2.0, scn.period, scn.sampling_time)
     for k, (choice, base) in enumerate(zip(scn.filters, ("iir", "fir"))):
         pair = design_for(f"complementary-of-{base}", spec, choice.order,
@@ -594,7 +594,7 @@ def test_scheduled_runs_equal_per_sample_switching(monkeypatch):
     rho = rho_series(scn.rho_schedule, scn.steps, scn.sampling_time)
     assert list(np.flatnonzero(rho[1:] != rho[:-1]) + 1) == [9, 14]
     swaps = _count_calls(monkeypatch, SeparatorCore, "swap_bank")
-    runs = run_separation(scn, seed=0)
+    runs = run_separation(scn)
     run_swaps = len(swaps)
     del swaps[:]
     for source, run in zip((*scn.filters, *scn.combs), runs):
@@ -637,7 +637,7 @@ def test_separation_second_pass_redesigns_nothing(monkeypatch):
 
     monkeypatch.setattr(PasfState, "run", counted_run)
     forget_designs()
-    run_separation(scn, seed=0)
+    run_separation(scn)
     # rho 2.0 (the start pair), then 6.0 and back to 2.0 in each pass
     assert per_run == [1, 0]
     assert len(designs) == 2
