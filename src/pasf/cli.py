@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: design-iir, design-fir, complement, bode, separate, kfpasf,
-scenario. Exit codes: 0 success, 1 validation failure, 2 runtime failure.
-Errors print one machine-parsable line: ``error: <category>: <message>``.
+scenario. Exit codes: 0 success, 1 validation failure (a malformed command
+line included), 2 runtime failure. Errors print one machine-parsable line:
+``error: <category>: <message>``.
 """
 
 from __future__ import annotations
@@ -184,8 +185,16 @@ def _replica_summary(scn, outputs) -> dict:
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation error, on the one
+    error line, instead of argparse's usage block and exit 2."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pasf",
         description="Periodic/aperiodic separation filters, comb baselines, "
                     "and a separation-aware Kalman estimator.",
@@ -248,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidArgumentError, OutOfBandError, DegenerateDesignError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)

@@ -128,6 +128,24 @@ class StabilityReport:
     max_root_magnitude: float
 
 
+def check_order(realization: str, order: int) -> None:
+    """Raise ``InvalidArgumentError`` unless ``order`` is one the
+    realization (``iir`` or ``fir``) is designed at: IIR 1 to
+    ``_MAX_IIR_ORDER``, FIR even and >= 4."""
+    if realization == "fir":
+        if order < 4 or order % 2 != 0:
+            raise InvalidArgumentError(
+                f"FIR order must be even and >= 4 (type-I linear phase), got {order}"
+            )
+    elif order < 1:
+        raise InvalidArgumentError(f"order must be >= 1, got {order}")
+    elif order > _MAX_IIR_ORDER:
+        raise InvalidArgumentError(
+            f"IIR order {order} > {_MAX_IIR_ORDER}: repeated-convolution "
+            "expansion is ill-conditioned at high order"
+        )
+
+
 def design_iir(
     spec: SeparationSpec, order: int, allow_out_of_band: bool = False
 ) -> tuple[FilterCoefficients, FilterCoefficients]:
@@ -144,13 +162,7 @@ def design_iir(
     are expanded by repeated polynomial convolution, which stays well
     conditioned only for small orders; N > 8 is rejected.
     """
-    if order < 1:
-        raise InvalidArgumentError(f"order must be >= 1, got {order}")
-    if order > _MAX_IIR_ORDER:
-        raise InvalidArgumentError(
-            f"IIR order {order} > {_MAX_IIR_ORDER}: repeated-convolution "
-            "expansion is ill-conditioned at high order"
-        )
+    check_order("iir", order)
     spec.validate(allow_out_of_band=allow_out_of_band)
     r = spec.rho
 
@@ -318,10 +330,7 @@ def design_fir_equiripple(
     to inf, one whose reference holds two nodes of equal cosine, and one
     whose final Chebyshev fit is rank-deficient, with no warning before it.
     """
-    if order < 4 or order % 2 != 0:
-        raise InvalidArgumentError(
-            f"FIR order must be even and >= 4 (type-I linear phase), got {order}"
-        )
+    check_order("fir", order)
     spec.validate()
     if passband_edge is None:
         passband_edge = spec.rho

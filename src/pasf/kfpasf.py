@@ -3,18 +3,11 @@
 Each step runs the standard predict/update recursion on the periodic/aperiodic
 state and splits the updated estimate into quasi-periodic and
 quasi-aperiodic parts, one coefficient pair for every state element. The
-split adds the delayed-history terms (read once per step from the separator
-core's per-period rows over the N*period-deep buffers of past UPDATED
-estimates; two floats for a one-state model) to the direct term times the
-current estimate. Buffers then advance with the updated triple.
-
-The split of the predicted estimate is formed only when it is read: the
-step's record keeps its theta pair and bank, and ``xp_pred`` and ``xa_pred``
-compute theta + s * x_pred from them, the same operations on the same
-operands as a split taken at the step, so the same bits however late the
-read. Nothing writes those operands again: a theta row is a float or a view
-of a build's sums, a build never rewrites its sums, a coefficient swap
-installs a new bank object, and the filter makes a new x_pred every step.
+split is one ``SeparatorCore.split`` step over the N*period-deep buffers of
+past UPDATED estimates: the delayed-history terms plus the direct term times
+the current estimate, after which the buffers advance with the updated
+triple. So the split equals a ``PasfState`` with ``dims`` = n run over the
+updated estimates.
 """
 
 from __future__ import annotations
@@ -31,19 +24,15 @@ from .runtime import SeparatorBank, SeparatorCore
 
 
 class KfPasfStep:
-    """Everything produced at one time step t.
+    """Everything produced at one time step t: the predicted and updated
+    estimates, the split of the updated estimate, the covariance and the
+    gain."""
 
-    ``xp_pred`` and ``xa_pred``, the split of the predicted estimate, are
-    formed when read from the step's own theta pair and bank and from
-    ``x_pred``, bitwise equal to forming them at the step (see the module
-    docstring) as long as the caller does not write into ``x_pred``."""
-
-    __slots__ = ("t", "x_pred", "x_upd", "xp_upd", "xa_upd", "P", "gain",
-                 "_theta", "_bank")
+    __slots__ = ("t", "x_pred", "x_upd", "xp_upd", "xa_upd", "P", "gain")
 
     def __init__(self, t: int, x_pred: np.ndarray, x_upd: np.ndarray,
                  xp_upd: np.ndarray, xa_upd: np.ndarray, P: np.ndarray,
-                 gain: np.ndarray, theta, bank: SeparatorBank):
+                 gain: np.ndarray):
         self.t = t
         self.x_pred = x_pred
         self.x_upd = x_upd
@@ -51,16 +40,6 @@ class KfPasfStep:
         self.xa_upd = xa_upd
         self.P = P
         self.gain = gain
-        self._theta = theta
-        self._bank = bank
-
-    @property
-    def xp_pred(self) -> np.ndarray:
-        return self._theta[0] + self._bank.sp * self.x_pred
-
-    @property
-    def xa_pred(self) -> np.ndarray:
-        return self._theta[1] + self._bank.sa * self.x_pred
 
 
 class KfPasfState:
@@ -102,23 +81,15 @@ class KfPasfState:
         if self._poisoned:
             raise PoisonedStateError("estimator is poisoned by non-finite data")
         pred = kf_predict(self.belief, self.model, u)
-        theta = self.core.theta()
-        theta_p, theta_a = theta
-        core = self.core
-
         upd, gain = kf_update(pred, self.model, y)
         x_upd = upd.x_hat
-        xp_upd = theta_p + x_upd * core._sp
-        xa_upd = theta_a + x_upd * core._sa
-
         if not all(map(math.isfinite, x_upd.tolist())):
             self._poisoned = True
             raise PoisonedStateError("estimate diverged to non-finite values")
 
-        core.push(x_upd, xp_upd, xa_upd)
+        xp_upd, xa_upd = self.core.split(x_upd)
         self.belief = upd
-        return KfPasfStep(upd.t, pred.x_hat, x_upd, xp_upd, xa_upd, upd.P,
-                          gain, theta, core.bank)
+        return KfPasfStep(upd.t, pred.x_hat, x_upd, xp_upd, xa_upd, upd.P, gain)
 
     def reconfigure(self, new_spec: SeparationSpec,
                     allow_out_of_band: bool = False) -> None:

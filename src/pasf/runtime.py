@@ -44,7 +44,10 @@ the build converts each slice's theta pairs to floats with one ``tolist()``,
 the core's t itself. That is bitwise equal to the NumPy form, because
 ``tolist()`` keeps every binary64 value (the sign of zero included) and
 CPython and NumPy both round each ``*`` and ``+`` on its own, neither
-fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors.
+fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors:
+``SeparatorCore.split(x)`` is the n-channel step, shared by ``PasfState``
+and the KF-PASF estimator (whose core has n = 1 for a one-state model and
+then splits (1,) arrays).
 
 ``PasfState.run(xs, switches)`` is the one loop over a stream: it applies
 each scheduled reconfiguration or coefficient swap before its sample and
@@ -160,8 +163,9 @@ class SeparatorCore:
 
     def theta(self):
         """Delayed-history sums (periodic, aperiodic) for the current step
-        (call before push): two floats when n == 1, else two n-vectors that
-        are views of the build's sums: read them, do not write them."""
+        (read before the step stores its outputs): two floats when n == 1,
+        else two n-vectors that are views of the build's sums: read them, do
+        not write them."""
         t = self.t
         if not self._start <= t < self._end:
             self._build()
@@ -189,12 +193,18 @@ class SeparatorCore:
         self._rows = rows
         self._start, self._end = start, start + period
 
-    def push(self, x, xp, xa) -> None:
+    def split(self, x: np.ndarray):
+        """One step of an n-vector ``x``: returns (xp, xa) = theta + x * s
+        for each output and stores x, xp and xa in the rings."""
+        tp, ta = self.theta()
+        xp = tp + x * self._sp
+        xa = ta + x * self._sa
         slot = self.t % self.capacity
         self.in_buf[slot] = x
         self.p_buf[slot] = xp
         self.a_buf[slot] = xa
         self.t += 1
+        return xp, xa
 
     def swap_bank(self, bank: SeparatorBank) -> None:
         old = self.bank
@@ -241,12 +251,12 @@ class PasfState:
         if self._poisoned:
             raise PoisonedStateError("separator is poisoned; call reset() first")
         core = self.core
-        bank = core.bank
         if self._scalar:
             if type(x) is not float:
                 x = self._scalar_input(x)
             if not math.isfinite(x):
                 raise self._poison()
+            bank = core.bank
             tp, ta = core.theta()
             xp = tp + bank.sp * x
             xa = ta + bank.sa * x
@@ -260,11 +270,7 @@ class PasfState:
         xv = self._input(x)
         if not np.isfinite(xv).all():
             raise self._poison()
-        tp, ta = core.theta()
-        xp = tp + bank.sp * xv
-        xa = ta + bank.sa * xv
-        core.push(xv, xp, xa)
-        return xp, xa
+        return core.split(xv)
 
     def _input(self, x) -> np.ndarray:
         xv = np.atleast_1d(np.asarray(x, dtype=float))

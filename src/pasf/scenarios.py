@@ -15,10 +15,10 @@ import numpy as np
 from . import signals as sig
 from .baselines import comb_pair
 from .csvio import export_csv
-from .design import SeparationSpec, design_for, forget_designs
+from .design import SeparationSpec, check_order, design_for, forget_designs
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
-from .errors import InvalidArgumentError
+from .errors import DegenerateDesignError, InvalidArgumentError
 from .kalman import SystemModel, product
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
@@ -35,6 +35,7 @@ class FilterChoice:
         base = self.realization.removesuffix("-complementary")
         if base not in ("iir", "fir"):
             raise InvalidArgumentError(f"unknown realization {self.realization!r}")
+        check_order(base, self.order)
         if not self.label:
             object.__setattr__(self, "label", f"{base}{self.order}")
 
@@ -61,7 +62,9 @@ class Scenario:
     """One study: its kind, sampling, ``[rho]`` schedule, filters and, by
     kind, its model, controller or truth signals and combs. It checks itself
     when made, so every Scenario, one from ``dataclasses.replace`` too, is
-    valid: an invalid one raises ``InvalidArgumentError`` instead."""
+    valid: an invalid one raises ``InvalidArgumentError`` instead. Every
+    ``[rho]`` value passes the designs' spec check (out of band allowed),
+    so no run fails on a piece it reaches late."""
 
     name: str
     kind: str  # estimation | separation | control
@@ -116,6 +119,14 @@ class Scenario:
             raise InvalidArgumentError("rho schedule must be sorted by start time")
         if starts[-1] >= self.duration_s:
             raise InvalidArgumentError("rho schedule boundary beyond duration")
+        for start, rho_tilde in self.rho_schedule:
+            # the runners design at every piece, out of band allowed
+            try:
+                SeparationSpec(rho_tilde, self.period, self.sampling_time).validate(
+                    allow_out_of_band=True)
+            except (InvalidArgumentError, DegenerateDesignError) as exc:
+                raise InvalidArgumentError(
+                    f"rho piece at {start:g} s: {exc}") from exc
         if not self.filters:
             raise InvalidArgumentError("scenario needs at least one filter choice")
         labels = [f.label for f in self.filters] + [c.label for c in self.combs]
@@ -132,6 +143,11 @@ class Scenario:
                                          or self.interference_window_s is not None):
             raise InvalidArgumentError(
                 "label 'interference' is reserved: it names the interference CSV")
+        window = self.interference_window_s
+        if window is not None and not 0 <= window[0] < window[1] <= self.duration_s:
+            raise InvalidArgumentError(
+                "interference window must satisfy 0 <= START < END <= duration "
+                f"{self.duration_s:g}, got {window[0]:g} {window[1]:g}")
         if self.kind in ("estimation", "control"):
             for name in ("A", "B", "C", "Q", "R", "P0", "input_u"):
                 if getattr(self, name) is None:

@@ -90,6 +90,21 @@ def test_design_iir_non_finite_spec_is_validation_error(tmp_path, rho_tilde,
     assert not out.exists()
 
 
+def test_malformed_command_line_is_one_line_validation_error(tmp_path):
+    """A flag value argparse cannot convert is one validation line with
+    exit 1, not argparse's usage block and exit 2; help still exits 0."""
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "design-iir", "--rho-tilde", "1",
+                  "--period", "x", "--sampling-time", "0.01", "--order", "1")
+    _assert_validation_error(res)
+    assert res.stderr == (
+        "error: validation: argument --period: invalid int value: 'x'\n")
+    assert res.stdout == ""
+    assert not out.exists()
+    res = run_cli("design-iir", "-h")
+    assert res.returncode == 0 and res.stdout.startswith("usage: pasf design-iir")
+
+
 @pytest.mark.parametrize("args", [
     # every passband grid node of a lifted edge of 1e-10 has cos = 1.0
     ["design-fir", "--rho-tilde", "1e-9", "--period", "10",
@@ -758,6 +773,11 @@ def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor
      "duration / sampling_time must be finite"),
     ("sampling_time = 0.01", "sampling_time = 5e-324",
      "duration / sampling_time must be finite"),
+    ("[rho]\n0 = 1.0", "[rho]\n0 = 1.0\n0.5 = 0",
+     "rho piece at 0.5 s: rho_tilde <= 0"),
+    ("duration = 1", "duration = 1\ninterference_window = 0.5 2",
+     "interference window must satisfy 0 <= START < END <= duration 1, got 0.5 2"),
+    ("filter = iir 1", "filter = iir 1\nfilter = iir 9 bad", "IIR order 9 > 8"),
 ])
 def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
                                                         message):

@@ -139,8 +139,6 @@ def test_split_consistency_against_reevaluation():
                         + p.feedforward[i] * hist_pa[-i * period])
             theta_a += (-a.feedback[i - 1] * hist_a[-i * period]
                         + a.feedforward[i] * hist_pa[-i * period])
-        assert np.allclose(rec.xp_pred, theta_p + p.feedforward[0] * rec.x_pred,
-                           atol=1e-12)
         assert np.allclose(rec.xp_upd, theta_p + p.feedforward[0] * rec.x_upd,
                            atol=1e-12)
         assert np.allclose(rec.xa_upd, theta_a + a.feedforward[0] * rec.x_upd,
@@ -287,16 +285,14 @@ _MODELS = {
 @given(n=st.sampled_from([1, 3]), period=st.integers(1, 12),
        filt=st.sampled_from([("iir", 1), ("iir", 2), ("iir", 3), ("fir", 4)]),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_predicted_split_read_late_is_bitwise_the_eager_split(
+def test_estimator_split_is_a_separator_run_over_its_updates(
         case, n, period, filt, seed, data):
-    """``xp_pred`` and ``xa_pred`` are formed when read. Read at the end of
-    the run, every record's pair equals theta + s * x_pred taken at its
-    step (theta and bank as they stood before it), byte for byte: more
-    than three periods of later steps, θ rebuilds and a mid-period
-    coefficient swap, or a periodic warm start, change nothing. The
-    updated pair, formed at the step from the core's array copies of the
-    bank's direct terms, equals theta + s * x_upd with the bank's floats,
-    byte for byte, so a swap refreshes those copies."""
+    """Every record's ``xp_upd`` and ``xa_upd`` equal, byte for byte, the
+    outputs of a ``PasfState`` with the same pair, ``dims`` = n and the
+    same history, run over the updated estimates with the same switch:
+    more than three periods of steps, a mid-period reconfiguration or a
+    periodic warm start change nothing. One state steps the separator's
+    float path, three its n-vector path."""
     realization, order = filt
     model = _MODELS[n]
     T = 0.01
@@ -310,25 +306,22 @@ def test_predicted_split_read_late_is_bitwise_the_eager_split(
         hist = zero_histories(model, order, period)
     state = KfPasfState(model, p, a, hist, np.eye(n))
     steps = 4 * period + data.draw(st.integers(0, period), label="extra")
-    switch = None
+    switches = []
     if case == "reconfigure":  # off a period boundary wherever one exists
         offset = data.draw(st.integers(1, max(1, period - 1)), label="offset")
-        switch = data.draw(st.integers(0, 2), label="periods") * period + offset
+        at = data.draw(st.integers(0, 2), label="periods") * period + offset
+        switches = [(at, dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 1.5))]
     rng = np.random.default_rng(seed)
     first_bank = state.bank
-    records, eager = [], []
+    records = []
     for t in range(steps):
-        if t == switch:
-            state.reconfigure(dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 1.5))
-        theta_p, theta_a = state.core.theta()
-        bank = state.bank
-        rec = state.step(rng.standard_normal(1), rng.standard_normal(1))
-        # the updated split, formed with the core's array copies of s
-        assert rec.xp_upd.tobytes() == (theta_p + bank.sp * rec.x_upd).tobytes(), t
-        assert rec.xa_upd.tobytes() == (theta_a + bank.sa * rec.x_upd).tobytes(), t
-        eager.append((theta_p + bank.sp * rec.x_pred).tobytes()
-                     + (theta_a + bank.sa * rec.x_pred).tobytes())
-        records.append(rec)
+        if switches and t == switches[0][0]:
+            state.reconfigure(switches[0][1])
+        records.append(state.step(rng.standard_normal(1), rng.standard_normal(1)))
     assert (state.bank is not first_bank) == (case == "reconfigure")
-    for rec, want in zip(records, eager):
-        assert rec.xp_pred.tobytes() + rec.xa_pred.tobytes() == want, rec.t
+    x_upd = np.array([rec.x_upd for rec in records])
+    out_p, out_a = PasfState(p, a, dims=n, history=hist).run(
+        x_upd[:, 0] if n == 1 else x_upd, switches)
+    for rec, want_p, want_a in zip(records, out_p, out_a):
+        assert rec.xp_upd.tobytes() == np.atleast_1d(want_p).tobytes(), rec.t
+        assert rec.xa_upd.tobytes() == np.atleast_1d(want_a).tobytes(), rec.t

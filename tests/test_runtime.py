@@ -246,10 +246,11 @@ def _bits(a):
 
 
 def _assert_theta_equals_sum(core, rng, events, steps):
-    """Step ``core`` with random pushes (signed zeros among them), applying
-    each (step, "swap" | "inject" | "reset") event before its step, and hold
-    every theta row to the per-step np.sum over the order axis, raw bits
-    included (so the sign of zero counts)."""
+    """Step ``core`` by writing random rows (signed zeros among them) into
+    its rings and advancing t, applying each (step, "swap" | "inject" |
+    "reset") event before its step, and hold every theta row to the
+    per-step np.sum over the order axis, raw bits included (so the sign of
+    zero counts)."""
     cap, dims, order, period = (core.capacity, core.n, core.bank.order,
                                 core.bank.period)
     for step in range(steps):
@@ -275,7 +276,9 @@ def _assert_theta_equals_sum(core, rng, events, steps):
         scales = 10.0 ** rng.uniform(-6, 6, (3, dims))
         values = rng.standard_normal((3, dims)) * scales
         values[rng.random((3, dims)) < 0.2] = -0.0
-        core.push(*values)
+        slot = core.t % cap
+        core.in_buf[slot], core.p_buf[slot], core.a_buf[slot] = values
+        core.t += 1
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 50])

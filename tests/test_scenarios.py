@@ -361,6 +361,41 @@ def test_scenario_file_filter_key_repeats_in_file_order():
         parse_scenario(SEPARATION_TEXT.replace("[comb mycomb]", "[comb pasf]"))
 
 
+@pytest.mark.parametrize("line, bad, message", [
+    ("2 = 0.1", "2 = 0", "rho piece at 2 s: rho_tilde <= 0"),
+    ("2 = 0.1", "2 = -1", "rho piece at 2 s: rho_tilde <= 0"),
+    ("2 = 0.1", "2 = 1e308", "rho piece at 2 s: rho = rho_tilde*period*T overflows"),
+    ("filter = iir 2", "filter = iir 2\nfilter = iir 9 bad", "IIR order 9 > 8"),
+    ("filter = iir 2", "filter = iir 2\nfilter = iir 0 bad", "order must be >= 1"),
+    ("filter = iir 2", "filter = iir 2\nfilter = fir 5 bad",
+     "FIR order must be even and >= 4"),
+    ("filter = iir 2", "filter = iir 2\nfilter = fir-complementary 2 bad",
+     "FIR order must be even and >= 4"),
+    ("input = @u", "input = @u\ninterference_window = 2 1",
+     "interference window must satisfy"),
+    ("input = @u", "input = @u\ninterference_window = 1 1",
+     "interference window must satisfy"),
+    ("input = @u", "input = @u\ninterference_window = -1 2",
+     "interference window must satisfy"),
+    ("input = @u", "input = @u\ninterference_window = 1 4",
+     "interference window must satisfy"),
+    # the boundaries themselves, and an out-of-band piece, are valid
+    ("input = @u", "input = @u\ninterference_window = 0 3", None),
+    ("2 = 0.1", "2 = 100", None),
+])
+def test_scenario_checks_rho_pieces_orders_and_window_when_parsed(line, bad,
+                                                                  message):
+    """Every ``[rho]`` value passes the designs' spec check (out of band
+    allowed), every filter order the designs' order rule, and the
+    interference window lies within the run, before any sample is run."""
+    text = SCENARIO_TEXT.replace(line, bad)
+    if message is None:
+        parse_scenario(text)
+        return
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        parse_scenario(text)
+
+
 def test_scenario_file_errors_have_line_numbers():
     with pytest.raises(InvalidArgumentError) as err:
         parse_scenario("[scenario]\nbroken line\n")
