@@ -9,13 +9,14 @@ runtime realizes as the exact complement filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .design import APERIODIC_PASS, PERIODIC_PASS, FilterCoefficients, _complement
+from .design import (APERIODIC_PASS, PERIODIC_PASS, FilterCoefficients, _complement,
+                     check_integer)
 from .errors import InvalidArgumentError
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class CombSpec:
     variant: int
     period: int
@@ -26,8 +27,10 @@ class CombSpec:
     q: float = 0.0
 
     def __post_init__(self):
+        check_integer("variant", self.variant)
         if self.variant not in (1, 2, 3):
             raise InvalidArgumentError(f"comb variant must be 1, 2, or 3, got {self.variant}")
+        check_integer("period", self.period)
         if self.period < 1:
             raise InvalidArgumentError("period must be >= 1")
         if self.variant in (1, 2):

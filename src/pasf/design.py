@@ -8,7 +8,7 @@ i*period fast-time samples. ``feedback`` holds a_1..a_N (a_0 = 1 implicit),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     OutOfBandError,
     UnsupportedReconfigurationError,
 )
+from .values import value
 
 PERIODIC_PASS = "periodic-pass"
 APERIODIC_PASS = "aperiodic-pass"
@@ -27,7 +28,7 @@ APERIODIC_PASS = "aperiodic-pass"
 _MAX_IIR_ORDER = 8  # repeated convolution is ill-conditioned beyond this
 
 
-@dataclass(frozen=True)
+@value
 class SeparationSpec:
     """Separation frequency rho_tilde (rad/s) with period and sampling time.
 
@@ -45,9 +46,10 @@ class SeparationSpec:
 
     def validate(self, allow_out_of_band: bool = False) -> None:
         for name in ("rho_tilde", "sampling_time"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be finite, got {value}")
+            number = getattr(self, name)
+            if not math.isfinite(number):
+                raise InvalidArgumentError(f"{name} must be finite, got {number}")
+        check_integer("period", self.period)
         if self.period < 1:
             raise InvalidArgumentError(f"period must be >= 1, got {self.period}")
         if self.sampling_time <= 0:
@@ -67,7 +69,7 @@ class SeparationSpec:
                 f"rho = rho_tilde*period*T overflows to {self.rho}")
 
 
-@dataclass(frozen=True)
+@value
 class FilterCoefficients:
     """One rational filter in the lifted delay variable.
 
@@ -82,8 +84,8 @@ class FilterCoefficients:
     order: int
     period: int
     sampling_time: float
-    feedback: np.ndarray = field(repr=False)
-    feedforward: np.ndarray = field(repr=False)
+    feedback: np.ndarray
+    feedforward: np.ndarray
 
     def __post_init__(self):
         fb = np.array(self.feedback, dtype=float, ndmin=1)
@@ -93,8 +95,10 @@ class FilterCoefficients:
         object.__setattr__(self, "feedforward", ff)
         if self.kind not in (PERIODIC_PASS, APERIODIC_PASS):
             raise InvalidArgumentError(f"unknown filter kind {self.kind!r}")
+        check_integer("order", self.order)
         if self.order < 1:
             raise InvalidArgumentError("order must be >= 1")
+        check_integer("period", self.period)
         if self.period < 1:
             raise InvalidArgumentError("period must be >= 1")
         T = float(self.sampling_time)
@@ -116,22 +120,39 @@ class FilterCoefficients:
         if self.realization == "fir" and np.any(fb != 0.0):
             raise InvalidArgumentError("FIR realization requires zero feedback")
 
+    def __repr__(self):  # the taps stay out of it
+        return (f"FilterCoefficients(kind={self.kind!r}, "
+                f"realization={self.realization!r}, order={self.order!r}, "
+                f"period={self.period!r}, sampling_time={self.sampling_time!r})")
+
     @property
     def dc_gain(self) -> float:
         """Gain at lifted DC: sum(feedforward) / (1 + sum(feedback))."""
         return float(np.sum(self.feedforward) / (1.0 + np.sum(self.feedback)))
 
 
-@dataclass(frozen=True)
+@value
 class StabilityReport:
     stable: bool
     max_root_magnitude: float
 
 
+def check_integer(name: str, number) -> None:
+    """Raise ``InvalidArgumentError`` unless ``number`` is an integer by
+    the ``operator.index`` rule: Python and NumPy ints pass, ``3.0`` does
+    not."""
+    try:
+        operator.index(number)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"{name} must be an integer, got {number!r}") from None
+
+
 def check_order(realization: str, order: int) -> None:
     """Raise ``InvalidArgumentError`` unless ``order`` is one the
-    realization (``iir`` or ``fir``) is designed at: IIR 1 to
+    realization (``iir`` or ``fir``) is designed at: an integer, IIR 1 to
     ``_MAX_IIR_ORDER``, FIR even and >= 4."""
+    check_integer("order", order)
     if realization == "fir":
         if order < 4 or order % 2 != 0:
             raise InvalidArgumentError(
@@ -321,7 +342,8 @@ def design_fir_equiripple(
     The aperiodic-pass filter is its center-tap complement on the same grid,
     which is the corresponding equiripple high-pass and keeps linear phase.
 
-    Band edges default to rho and min(pi, 3*rho). ``weight_ratio`` is the
+    Band edges default to rho and min(pi, 3*rho) (``fir_band_edges``
+    checks them). ``weight_ratio`` is the
     passband weight relative to a unit stopband weight. A ratio whose
     reciprocal overflows (below 1/DBL_MAX, about 5.6e-309), or one that
     overflows the weighted passband error during the exchange, is an
@@ -332,15 +354,8 @@ def design_fir_equiripple(
     """
     check_order("fir", order)
     spec.validate()
-    if passband_edge is None:
-        passband_edge = spec.rho
-    if stopband_edge is None:
-        stopband_edge = min(math.pi, 3.0 * spec.rho)
-    if not (0.0 < passband_edge < stopband_edge < math.pi):
-        raise InvalidArgumentError(
-            f"band edges must satisfy 0 < passband ({passband_edge:.6g}) < "
-            f"stopband ({stopband_edge:.6g}) < pi"
-        )
+    passband_edge, stopband_edge = fir_band_edges(spec.rho, passband_edge,
+                                                  stopband_edge)
     if not (math.isfinite(weight_ratio) and weight_ratio > 0):
         raise InvalidArgumentError(
             f"weight_ratio must be positive and finite, got {weight_ratio}")
@@ -349,13 +364,6 @@ def design_fir_equiripple(
         raise InvalidArgumentError(
             f"weight_ratio {weight_ratio:.6g} is below 1/DBL_MAX: "
             "its reciprocal overflows")
-    # the exchange needs distinct cosines of its reference nodes; this close
-    # to 0 every passband node has cos = 1.0
-    if math.cos(passband_edge) == 1.0:
-        raise DegenerateDesignError(
-            f"passband edge {passband_edge:.6g} puts every passband grid node "
-            "at cos = 1: no equiripple design resolves the band")
-
     h = _remez_lowpass(order, passband_edge, stopband_edge, weight_ratio)
     h_hp = -h
     h_hp[order // 2] += 1.0
@@ -370,6 +378,33 @@ def design_fir_equiripple(
         **common
     )
     return periodic, aperiodic
+
+
+def fir_band_edges(rho: float, passband_edge: float | None = None,
+                   stopband_edge: float | None = None) -> tuple[float, float]:
+    """The (passband, stopband) edges an equiripple FIR design at lifted
+    ``rho`` runs with: rho and min(pi, 3*rho) where not given. So with
+    default edges it designs only at 0 < rho and 3*rho < pi.
+
+    Raises ``InvalidArgumentError`` unless 0 < passband < stopband < pi,
+    and ``DegenerateDesignError`` when the passband edge is so close to 0
+    that its cosine rounds to 1."""
+    if passband_edge is None:
+        passband_edge = rho
+    if stopband_edge is None:
+        stopband_edge = min(math.pi, 3.0 * rho)
+    if not (0.0 < passband_edge < stopband_edge < math.pi):
+        raise InvalidArgumentError(
+            f"band edges must satisfy 0 < passband ({passband_edge:.6g}) < "
+            f"stopband ({stopband_edge:.6g}) < pi"
+        )
+    # the exchange needs distinct cosines of its reference nodes; this close
+    # to 0 every passband node has cos = 1.0
+    if math.cos(passband_edge) == 1.0:
+        raise DegenerateDesignError(
+            f"passband edge {passband_edge:.6g} puts every passband grid node "
+            "at cos = 1: no equiripple design resolves the band")
+    return passband_edge, stopband_edge
 
 
 def _remez_grid(order, omega_pass, omega_stop):

@@ -2,8 +2,8 @@
 
 The covariance update uses the plain (I - gC)P form followed by
 re-symmetrization, and the gain is obtained by solving the innovation system
-rather than forming an explicit inverse. Beliefs are values; predict/update
-return new ones.
+rather than forming an explicit inverse. Models and beliefs are frozen
+values (``pasf.values``); predict/update return new beliefs.
 
 With a scalar measurement (m = 1) the innovation covariance is a number s
 and its Cholesky factor is d = sqrt(s), so the gain has a closed form that
@@ -48,20 +48,20 @@ with ``_half`` the model's read-only (n, n) array of 0.5: the additions and
 multiplications of ``0.5 * (M + M.T)`` on the same operands, so the same
 bits, but NumPy adds a contiguous copy and multiplies by an array operand
 faster than it walks a strided transpose or broadcasts a scalar. A belief
-they return is built by writing its fields into a fresh instance's dict,
-with none of the public constructor's conversions and checks.
+they return is built by writing its fields into a fresh instance's dict
+(a value's fields live there, as a dataclass's do), with none of the
+public constructor's conversions and checks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularInnovationError
+from .values import value
 
 PREDICTED = "predicted"
 UPDATED = "updated"
@@ -88,16 +88,16 @@ def check_covariance(name: str, mat: np.ndarray) -> None:
         raise InvalidArgumentError(f"{name} must be positive semidefinite")
 
 
-@dataclass(frozen=True)
+@value
 class SystemModel:
     """LTI plant x(t+1) = A x + B u + v, y = C x + w with cov(v) = Q, cov(w) = R.
 
-    The matrices are read-only copies, so a recursion frozen under a model
-    object stays valid for as long as that object lives. n, m and p are the
-    state, output and input dimensions; ``_by_n``, ``_by_m`` and ``_by_p``
-    are the recursion's products by each, resolved once by ``product``;
-    ``_half`` and ``_r`` = R[0, 0] are the constants of the module
-    docstring."""
+    A frozen value whose matrices are read-only copies, so a recursion
+    frozen under a model object stays valid for as long as that object
+    lives. n, m and p are the state, output and input dimensions;
+    ``_by_n``, ``_by_m`` and ``_by_p`` are the recursion's products by
+    each, resolved once by ``product``; ``_half`` and ``_r`` = R[0, 0] are
+    the constants of the module docstring."""
 
     A: np.ndarray
     B: np.ndarray
@@ -141,7 +141,8 @@ class SystemModel:
             warnings.warn("model is not observable", stacklevel=2)
 
 
-class _FixedPoint(NamedTuple):
+@value
+class _FixedPoint:
     """The covariance recursion frozen under ``model``: every later
     predicted P, gain and updated P equals these (read-only) arrays."""
 
@@ -152,10 +153,10 @@ class _FixedPoint(NamedTuple):
     t: int  # the step whose update froze it
 
 
-@dataclass(frozen=True)
+@value
 class KalmanBelief:
     """A state estimate x_hat with covariance P at step t, in phase
-    ``updated`` or ``predicted``.
+    ``updated`` or ``predicted``; a frozen value.
 
     The constructor flattens x_hat to a float vector and stores the
     symmetrized float P. It raises ``InvalidArgumentError`` unless P is

@@ -9,14 +9,14 @@ support, so set membership is decided without leakage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class SpectrumClassification:
     in_zero_set: bool
     in_periodic_set: bool

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .design import FilterCoefficients
 from .errors import InvalidArgumentError, SingularResponseError
+from .values import value
 
 _SINGULAR_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@value
 class BodeTable:
     """Gain (dB) and phase (deg) over omega_tilde (rad/s), strictly increasing."""
 

@@ -7,7 +7,6 @@ four scenarios, sec51..sec54, are such files shipped with the package.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -15,7 +14,8 @@ import numpy as np
 from . import signals as sig
 from .baselines import comb_pair
 from .csvio import export_csv
-from .design import SeparationSpec, check_order, design_for, forget_designs
+from .design import (SeparationSpec, check_order, design_for, fir_band_edges,
+                     forget_designs)
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
@@ -23,9 +23,10 @@ from .kalman import SystemModel, product
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class FilterChoice:
     realization: str  # iir | fir | iir-complementary | fir-complementary
     order: int
@@ -40,7 +41,7 @@ class FilterChoice:
             object.__setattr__(self, "label", f"{base}{self.order}")
 
 
-@dataclass(frozen=True)
+@value
 class ControllerSpec:
     start_s: float
     kp_p: float
@@ -51,20 +52,22 @@ class ControllerSpec:
     cmd_a: object
 
 
-@dataclass(frozen=True)
+@value
 class CombBaseline:
     label: str
     schedule: tuple  # ((start_s, CombSpec), ...) sorted by start
 
 
-@dataclass(frozen=True)
+@value
 class Scenario:
     """One study: its kind, sampling, ``[rho]`` schedule, filters and, by
-    kind, its model, controller or truth signals and combs. It checks itself
-    when made, so every Scenario, one from ``dataclasses.replace`` too, is
-    valid: an invalid one raises ``InvalidArgumentError`` instead. Every
-    ``[rho]`` value passes the designs' spec check (out of band allowed),
-    so no run fails on a piece it reaches late."""
+    kind, its model, controller or truth signals and combs. It is a frozen
+    value (see ``pasf.values``) that checks itself when made, so every
+    Scenario, one from ``values.replace`` too, is valid: an invalid one
+    raises ``InvalidArgumentError`` instead. Every ``[rho]`` value passes
+    the designs' spec check (out of band allowed) and, with an FIR filter,
+    the FIR design's band-edge rule (``design.fir_band_edges``), so no run
+    fails on a piece it reaches late."""
 
     name: str
     kind: str  # estimation | separation | control
@@ -119,14 +122,22 @@ class Scenario:
             raise InvalidArgumentError("rho schedule must be sorted by start time")
         if starts[-1] >= self.duration_s:
             raise InvalidArgumentError("rho schedule boundary beyond duration")
+        # an FIR design at a piece takes its default band edges
+        fir = next((f for f in self.filters if f.realization.startswith("fir")), None)
         for start, rho_tilde in self.rho_schedule:
             # the runners design at every piece, out of band allowed
+            spec = SeparationSpec(rho_tilde, self.period, self.sampling_time)
             try:
-                SeparationSpec(rho_tilde, self.period, self.sampling_time).validate(
-                    allow_out_of_band=True)
+                spec.validate(allow_out_of_band=True)
             except (InvalidArgumentError, DegenerateDesignError) as exc:
                 raise InvalidArgumentError(
                     f"rho piece at {start:g} s: {exc}") from exc
+            if fir is not None:
+                try:
+                    fir_band_edges(spec.rho)
+                except (InvalidArgumentError, DegenerateDesignError) as exc:
+                    raise InvalidArgumentError(
+                        f"rho piece at {start:g} s, filter {fir.label}: {exc}") from exc
         if not self.filters:
             raise InvalidArgumentError("scenario needs at least one filter choice")
         labels = [f.label for f in self.filters] + [c.label for c in self.combs]
@@ -230,7 +241,7 @@ def _stream_seed(seed: int, stream: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@value
 class EstimationRun:
     scenario: Scenario
     choice: FilterChoice
@@ -397,7 +408,7 @@ def interference_trace(run: EstimationRun) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@value
 class SeparationRun:
     scenario: Scenario
     label: str

@@ -8,14 +8,14 @@ vectorized evaluation over an index array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class NoiseSpec:
     """Gaussian noise parameters; ``variance`` (not std) parameterizes width."""
 
@@ -50,12 +50,12 @@ class GaussianStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class Constant:
     level: float
 
 
-@dataclass(frozen=True)
+@value
 class Sinusoid:
     """amplitude * sin(omega * T * t + phase)."""
 
@@ -64,7 +64,7 @@ class Sinusoid:
     phase: float = 0.0
 
 
-@dataclass(frozen=True)
+@value
 class HarmonicSum:
     """Sum of amplitude_i * sin(harmonic_i * 2*pi*base_freq * T * t).
 
@@ -78,7 +78,7 @@ class HarmonicSum:
         object.__setattr__(self, "terms", tuple((float(a), float(h)) for a, h in self.terms))
 
 
-@dataclass(frozen=True)
+@value
 class Pulse:
     """``level`` over [start_s, end_s] in seconds; boundary inclusion is configurable."""
 
@@ -89,7 +89,7 @@ class Pulse:
     include_end: bool = True
 
 
-@dataclass(frozen=True)
+@value
 class GatedSine:
     """sin(omega * T * t) while (t mod gate_period) < duty, else zero."""
 
@@ -102,7 +102,7 @@ class GatedSine:
             raise InvalidArgumentError("need 0 < duty <= gate_period")
 
 
-@dataclass(frozen=True)
+@value
 class NoiseSegment:
     """Seeded Gaussian noise inside (start_s, end_s], zero outside.
 
@@ -122,7 +122,7 @@ class NoiseSegment:
                 f"noise segment start must be >= 0, got {self.start_s}")
 
 
-@dataclass(frozen=True)
+@value
 class Schedule:
     """Piecewise composition: tuple of (start_s, end_s or None, descriptor).
 
@@ -141,7 +141,7 @@ class Schedule:
                 raise InvalidArgumentError("schedule segments overlap")
 
 
-@dataclass(frozen=True)
+@value
 class Sum:
     parts: tuple
 
@@ -149,7 +149,7 @@ class Sum:
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@value
 class Scaled:
     factor: float
     inner: object

@@ -100,3 +100,7 @@ def test_invalid_specs_rejected():
         CombSpec(3, 100, 0.01, gain_mag=1.2, q=1.0)
     with pytest.raises(InvalidArgumentError):
         CombSpec(3, 100, 0.01, gain_mag=0.5, q=0.0)
+    with pytest.raises(InvalidArgumentError, match="period must be an integer"):
+        CombSpec(1, 2.5, 0.01)
+    with pytest.raises(InvalidArgumentError, match="variant must be an integer"):
+        CombSpec(1.0, 10, 0.01)  # its realization would read comb1.0

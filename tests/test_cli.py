@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from pasf.response import bode_table, default_grid
 from pasf.runtime import PasfState
 from pasf.scenario_io import built_in
 from pasf.scenarios import FilterChoice, run_estimation
+from pasf.values import replace
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -787,6 +787,21 @@ def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)
     assert res.stderr.startswith(f"error: validation: {message}"), res.stderr
+    assert not out.exists()
+
+
+def test_scenario_fir_band_edges_are_checked_before_any_run(tmp_path):
+    """A ``[rho]`` piece an FIR filter cannot design at (3 rho >= pi) is
+    refused when the file is parsed, before the IIR filter runs."""
+    path = tmp_path / "fir.scn"
+    path.write_text(NUMBERS_SCENARIO.replace("filter = iir 1", "filter = iir 1\nfilter = fir 4")
+                    .replace("[rho]\n0 = 1.0", "[rho]\n0 = 1.0\n0.5 = 6"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr.startswith(
+        "error: validation: rho piece at 0.5 s, filter fir4: band edges must "
+        "satisfy 0 < passband (1.2) < stopband (3.14159) < pi"), res.stderr
     assert not out.exists()
 
 

@@ -132,6 +132,27 @@ def test_iir_rejects_high_order():
         design_iir(SeparationSpec(0.5, 100, 0.01), 9)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: design_iir(SeparationSpec(1.0, 2.5, 0.01), 2),
+    lambda: design_iir(SeparationSpec(1.0, 2, 0.01), 2.0),
+    lambda: design_fir_equiripple(SeparationSpec(1.0, 20, 0.01), 4.0),
+    lambda: design_for("iir", SeparationSpec(1.0, np.float64(2.0), 0.01), 2),
+    lambda: design.check_order("fir", 4.0),
+    lambda: FilterCoefficients("periodic-pass", "iir", 1.0, 5, 0.1, [0.0], [1.0, 0.0]),
+    lambda: FilterCoefficients("periodic-pass", "iir", 1, 5.0, 0.1, [0.0], [1.0, 0.0]),
+])
+def test_non_integer_period_or_order_is_invalid_argument(make):
+    """A period or order that ``operator.index`` refuses is a typed error
+    when the value is checked, not NumPy's ``TypeError`` at the first step."""
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_period_and_order_design():
+    p, _ = design_iir(SeparationSpec(1.0, np.int64(20), 0.01), np.int32(2))
+    assert p.order == 2 and p.period == 20
+
+
 def test_iir_stable_across_band():
     # The analytic pole is (2-r)/(2+r) with multiplicity N. The companion
     # check resolves it only while the root-cluster conditioning eps**(1/N)
@@ -543,6 +564,12 @@ def test_coefficient_text_round_trip():
         assert back.sampling_time == coeffs.sampling_time
         assert np.array_equal(back.feedback, coeffs.feedback)
         assert np.array_equal(back.feedforward, coeffs.feedforward)
+
+
+def test_coefficient_repr_leaves_out_the_taps():
+    p, _ = design_iir(SeparationSpec(1.0, 20, 0.01), 1)
+    assert repr(p) == ("FilterCoefficients(kind='periodic-pass', realization='iir', "
+                       "order=1, period=20, sampling_time=0.01)")
 
 
 def test_coefficient_invariants_enforced():

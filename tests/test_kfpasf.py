@@ -1,7 +1,5 @@
 """Estimator integration: hand-checked steps, consistency, KF equivalence."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +11,7 @@ from pasf.kalman import KalmanBelief, SystemModel, kf_predict, kf_update
 from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.runtime import PasfState, periodic_warm_history
 from pasf.scenario_io import built_in
+from pasf.values import replace
 
 
 def _scalar_setup(P0=1.0):
@@ -204,7 +203,7 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
     state.step([1.0], [1.0])
     bank = state.bank
     with pytest.raises(InvalidArgumentError):
-        state.reconfigure(dataclasses.replace(spec, **{field: value}),
+        state.reconfigure(replace(spec, **{field: value}),
                           allow_out_of_band=True)
     assert state.bank is bank
     assert np.all(np.isfinite(state.step([1.0], [1.0]).xp_upd))
@@ -310,7 +309,7 @@ def test_estimator_split_is_a_separator_run_over_its_updates(
     if case == "reconfigure":  # off a period boundary wherever one exists
         offset = data.draw(st.integers(1, max(1, period - 1)), label="offset")
         at = data.draw(st.integers(0, 2), label="periods") * period + offset
-        switches = [(at, dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 1.5))]
+        switches = [(at, replace(spec, rho_tilde=spec.rho_tilde * 1.5))]
     rng = np.random.default_rng(seed)
     first_bank = state.bank
     records = []

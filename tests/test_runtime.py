@@ -1,6 +1,5 @@
 """Streaming separator behavior: steady states, linearity, reconfiguration."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -29,6 +28,7 @@ from pasf.runtime import (
     SeparatorBank,
     SeparatorCore,
 )
+from pasf.values import replace
 
 
 def _pair(rho_tilde=0.5 / (20 * 0.01), period=20, t_samp=0.01, order=1):
@@ -217,7 +217,7 @@ def test_reconfigure_rejects_non_finite_spec_and_keeps_bank(field, value):
     state.step(1.0)
     bank = state.bank
     with pytest.raises(InvalidArgumentError):
-        state.reconfigure(dataclasses.replace(spec, **{field: value}),
+        state.reconfigure(replace(spec, **{field: value}),
                           allow_out_of_band=True)
     assert state.bank is bank
     xp, xa = state.step(1.0)
@@ -510,8 +510,8 @@ def test_run_with_switches_equals_hand_loop(dims):
     rng = np.random.default_rng(41)
     xs = rng.standard_normal((60, 2) if dims else 60)
     xs[::9] = -0.0
-    wide = dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 3.0)
-    out_of_band = dataclasses.replace(spec, rho_tilde=spec.rho_tilde * 40.0)
+    wide = replace(spec, rho_tilde=spec.rho_tilde * 3.0)
+    out_of_band = replace(spec, rho_tilde=spec.rho_tilde * 40.0)
     switches = [(0, wide), (10, spec), (14, design_iir(wide, 2)),
                 (14, out_of_band), (35, (p, a)), (60, wide)]
     run_state = PasfState(p, a, dims=dims)
@@ -545,7 +545,7 @@ def test_theta_table_built_once_per_period_and_after_each_swap(monkeypatch):
     state = PasfState(p, a)
     for t in range(35):
         if t == 10:  # mid-period
-            state.reconfigure(dataclasses.replace(spec, rho_tilde=2.0))
+            state.reconfigure(replace(spec, rho_tilde=2.0))
         if t == 24:  # at the start of a table period: no extra build
             state.reconfigure(spec)
         state.step(1.0)

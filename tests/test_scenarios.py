@@ -3,7 +3,6 @@
 import os
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from pasf.scenarios import (
     run_scenario,
     run_separation,
 )
+from pasf.values import replace
 
 
 def test_built_in_names(monkeypatch):
@@ -379,16 +379,29 @@ def test_scenario_file_filter_key_repeats_in_file_order():
      "interference window must satisfy"),
     ("input = @u", "input = @u\ninterference_window = 1 4",
      "interference window must satisfy"),
+    # an FIR filter designs at its default band edges, rho and 3 rho < pi
+    (("filter = iir 2", "2 = 0.1"), ("filter = iir 2\nfilter = fir 4", "2 = 3"),
+     "rho piece at 2 s, filter fir4: band edges must satisfy 0 < passband (1.5) "
+     "< stopband (3.14159) < pi"),
+    (("filter = iir 2", "2 = 0.1"), ("filter = fir-complementary 4 f", "2 = 1e-9"),
+     "rho piece at 2 s, filter f: passband edge 5e-10 puts every passband grid "
+     "node at cos = 1"),
     # the boundaries themselves, and an out-of-band piece, are valid
     ("input = @u", "input = @u\ninterference_window = 0 3", None),
     ("2 = 0.1", "2 = 100", None),
+    (("filter = iir 2", "2 = 0.1"), ("filter = fir 4", "2 = 2"), None),
 ])
 def test_scenario_checks_rho_pieces_orders_and_window_when_parsed(line, bad,
                                                                   message):
     """Every ``[rho]`` value passes the designs' spec check (out of band
-    allowed), every filter order the designs' order rule, and the
-    interference window lies within the run, before any sample is run."""
-    text = SCENARIO_TEXT.replace(line, bad)
+    allowed) and, with an FIR filter, its band-edge rule, every filter order
+    the designs' order rule, and the interference window lies within the
+    run, before any sample is run. A case edits one line or a tuple of
+    lines."""
+    lines, bads = (line, bad) if isinstance(line, tuple) else ((line,), (bad,))
+    text = SCENARIO_TEXT
+    for old, new in zip(lines, bads):
+        text = text.replace(old, new)
     if message is None:
         parse_scenario(text)
         return
