@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .design import (APERIODIC_PASS, PERIODIC_PASS, FilterCoefficients, _complement,
-                     check_integer)
+                     check_integer, check_period)
 from .errors import InvalidArgumentError
 from .values import value
 
@@ -30,9 +30,7 @@ class CombSpec:
         check_integer("variant", self.variant)
         if self.variant not in (1, 2, 3):
             raise InvalidArgumentError(f"comb variant must be 1, 2, or 3, got {self.variant}")
-        check_integer("period", self.period)
-        if self.period < 1:
-            raise InvalidArgumentError("period must be >= 1")
+        check_period(self.period)
         if self.variant in (1, 2):
             if not (0.0 <= self.b < 1.0 and 0.0 <= self.g < 1.0):
                 raise InvalidArgumentError("variants 1-2 need 0 <= b < 1 and 0 <= g < 1")

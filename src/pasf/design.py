@@ -7,6 +7,7 @@ i*period fast-time samples. ``feedback`` holds a_1..a_N (a_0 = 1 implicit),
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -49,9 +50,7 @@ class SeparationSpec:
             number = getattr(self, name)
             if not math.isfinite(number):
                 raise InvalidArgumentError(f"{name} must be finite, got {number}")
-        check_integer("period", self.period)
-        if self.period < 1:
-            raise InvalidArgumentError(f"period must be >= 1, got {self.period}")
+        check_period(self.period)
         if self.sampling_time <= 0:
             raise InvalidArgumentError("sampling_time must be positive")
         if self.rho_tilde <= 0:
@@ -98,9 +97,7 @@ class FilterCoefficients:
         check_integer("order", self.order)
         if self.order < 1:
             raise InvalidArgumentError("order must be >= 1")
-        check_integer("period", self.period)
-        if self.period < 1:
-            raise InvalidArgumentError("period must be >= 1")
+        check_period(self.period)
         T = float(self.sampling_time)
         if not 0.0 < T < math.inf or math.isinf(math.pi / T):
             raise InvalidArgumentError(
@@ -148,6 +145,14 @@ def check_integer(name: str, number) -> None:
             f"{name} must be an integer, got {number!r}") from None
 
 
+def check_period(period) -> None:
+    """Raise ``InvalidArgumentError`` unless ``period`` is an integer by
+    the ``operator.index`` rule and at least 1."""
+    check_integer("period", period)
+    if period < 1:
+        raise InvalidArgumentError(f"period must be >= 1, got {period}")
+
+
 def check_order(realization: str, order: int) -> None:
     """Raise ``InvalidArgumentError`` unless ``order`` is one the
     realization (``iir`` or ``fir``) is designed at: an integer, IIR 1 to
@@ -181,7 +186,10 @@ def design_iir(
     prewarping is applied; the plain bilinear substitution is intentional so
     designed responses match their closed-form low-order expansions. Powers
     are expanded by repeated polynomial convolution, which stays well
-    conditioned only for small orders; N > 8 is rejected.
+    conditioned only for small orders; N > 8 is rejected. At small r the
+    rounded taps scatter the N-fold pole (2 - r)/(2 + r) next to 1: a pair
+    whose stored DC gain, sum(b) / (1 + sum(a)), misses 1 by more than 1e-6
+    raises ``DegenerateDesignError``.
     """
     check_order("iir", order)
     spec.validate(allow_out_of_band=allow_out_of_band)
@@ -201,16 +209,22 @@ def design_iir(
 
     a = den[1:] / den[0]
     b = nump / den[0]
-    d = numa / den[0]
+    # exact sums: 1 + sum(a) is itself a rounding residue at small r
+    den_sum = math.fsum([1.0, *a])
+    dc = math.fsum(b) / den_sum if den_sum else math.inf
+    if not abs(dc - 1.0) <= 1e-6:
+        raise DegenerateDesignError(
+            f"IIR order {order} at rho = {r:.6g} stores a DC gain of {dc:.6g}, "
+            "not 1: its expanded taps lose the clustered pole")
+    return _pair(spec, "iir", order, a, b, numa / den[0])
 
-    common = dict(order=order, period=spec.period, sampling_time=spec.sampling_time)
-    periodic = FilterCoefficients(
-        kind=PERIODIC_PASS, realization="iir", feedback=a, feedforward=b, **common
-    )
-    aperiodic = FilterCoefficients(
-        kind=APERIODIC_PASS, realization="iir", feedback=a, feedforward=d, **common
-    )
-    return periodic, aperiodic
+
+def _pair(spec, realization, order, feedback, periodic, aperiodic):
+    """The (periodic-pass, aperiodic-pass) pair of one realization at
+    ``spec``, sharing ``feedback`` and taking the two feedforward taps."""
+    shared = (order, spec.period, spec.sampling_time, feedback)
+    return (FilterCoefficients(PERIODIC_PASS, realization, *shared, periodic),
+            FilterCoefficients(APERIODIC_PASS, realization, *shared, aperiodic))
 
 
 def _poly_power(p: np.ndarray, n: int) -> np.ndarray:
@@ -248,16 +262,7 @@ def _complement(coeffs: FilterCoefficients, out_kind: str) -> FilterCoefficients
     )
 
 
-# design_for's pairs by argument (value and type, so that equal values of
-# different types never share a pair), oldest first; bounded, since a
-# schedule may name any number of separation frequencies.
-_DESIGNS: dict[tuple, tuple[FilterCoefficients, FilterCoefficients]] = {}
 _MAX_DESIGNS = 32
-
-
-def forget_designs() -> None:
-    """Empty ``design_for``'s memo, so the next call of each spec designs."""
-    _DESIGNS.clear()
 
 
 def design_for(
@@ -273,25 +278,23 @@ def design_for(
     ``make_complementary``. Any other realization, such as a comb or its
     complement, has no design from a separation spec.
 
-    Designs are memoized: equal arguments return the identical pair, kept
+    Designs are memoized by the value and type of each argument and spec
+    field, so equal values of different types (``8`` and ``np.int64(8)``)
+    never share a pair: equal arguments return the identical pair, kept
     exactly as designed. Its taps are read-only from construction (see
     ``FilterCoefficients``), so no caller can change the pair another
-    caller is given. The memo holds the last ``_MAX_DESIGNS`` distinct
-    designs; a design that raises is not kept, so it raises on every call.
-    ``forget_designs`` empties it.
+    caller is given. Since a schedule may name any number of separation
+    frequencies, the memo holds the ``_MAX_DESIGNS`` most recently used
+    designs and evicts the least recently used. A design that raises is not
+    kept, so it raises on every call. ``forget_designs`` empties the memo.
     """
-    key = tuple((type(v), v) for v in (realization, spec.rho_tilde, spec.period,
-                                       spec.sampling_time, order, allow_out_of_band))
-    pair = _DESIGNS.get(key)
-    if pair is None:
-        pair = _design(realization, spec, order, allow_out_of_band)
-        if len(_DESIGNS) >= _MAX_DESIGNS:
-            del _DESIGNS[next(iter(_DESIGNS))]
-        _DESIGNS[key] = pair
-    return pair
+    return _design(realization, spec.rho_tilde, spec.period, spec.sampling_time,
+                   order, allow_out_of_band)
 
 
-def _design(realization, spec, order, allow_out_of_band):
+@functools.lru_cache(maxsize=_MAX_DESIGNS, typed=True)
+def _design(realization, rho_tilde, period, sampling_time, order, allow_out_of_band):
+    spec = SeparationSpec(rho_tilde, period, sampling_time)
     base = realization.removeprefix("complementary-of-")
     if base == "iir":
         p, a = design_iir(spec, order, allow_out_of_band)
@@ -304,6 +307,9 @@ def _design(realization, spec, order, allow_out_of_band):
     if base != realization:
         a = make_complementary(p)
     return p, a
+
+
+forget_designs = _design.cache_clear  # the next call of each spec designs
 
 
 def check_stability(coeffs: FilterCoefficients) -> StabilityReport:
@@ -367,17 +373,7 @@ def design_fir_equiripple(
     h = _remez_lowpass(order, passband_edge, stopband_edge, weight_ratio)
     h_hp = -h
     h_hp[order // 2] += 1.0
-
-    common = dict(order=order, period=spec.period, sampling_time=spec.sampling_time)
-    zeros = np.zeros(order)
-    periodic = FilterCoefficients(
-        kind=PERIODIC_PASS, realization="fir", feedback=zeros, feedforward=h, **common
-    )
-    aperiodic = FilterCoefficients(
-        kind=APERIODIC_PASS, realization="fir", feedback=zeros, feedforward=h_hp,
-        **common
-    )
-    return periodic, aperiodic
+    return _pair(spec, "fir", order, np.zeros(order), h, h_hp)
 
 
 def fir_band_edges(rho: float, passband_edge: float | None = None,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .design import check_period
 from .errors import InvalidArgumentError
 
 
 def lift(sequence, period: int) -> list[np.ndarray]:
     """Split a finite sequence (indexed from t = 0) into ``period`` strided sub-sequences."""
-    if period < 1:
-        raise InvalidArgumentError(f"period must be >= 1, got {period}")
+    check_period(period)
     x = np.asarray(sequence, dtype=float)
     if x.ndim != 1:
         raise InvalidArgumentError("lift expects a 1-D sequence")
@@ -28,8 +28,7 @@ def unlift(subsequences, period: int) -> np.ndarray:
     The lengths must be consistent with a contiguous range starting at t = 0:
     non-increasing with tau and differing by at most one.
     """
-    if period < 1:
-        raise InvalidArgumentError(f"period must be >= 1, got {period}")
+    check_period(period)
     subs = [np.asarray(s, dtype=float) for s in subsequences]
     if len(subs) != period:
         raise InvalidArgumentError(

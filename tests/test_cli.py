@@ -910,6 +910,30 @@ def test_scenario_out_of_memory_is_one_runtime_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["scenario", "iir5.scn"],  # sec53 with IIR5: DC gain -1.797 at its 4 s piece
+    # np.roots puts the poles of this IIR6 inside the unit circle (it printed
+    # stable: True); the exact largest root of its stored denominator is 1.00057
+    ["design-iir", "--rho-tilde", "0.06", "--period", "50",
+     "--sampling-time", "0.001", "--order", "6"],
+])
+def test_iir_design_that_misses_its_dc_gain_is_validation_error(tmp_path, args):
+    """A high-order IIR pair at a small lifted rho whose stored taps lose
+    their unit DC gain is refused: one validation line, exit 1 and no
+    output directory, instead of a run whose outputs grow into the
+    hundreds."""
+    with open(os.path.join(_SRC, "pasf", "sec53.scn"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("filter = iir 3 pasf_n3\n") == 1
+    (tmp_path / "iir5.scn").write_text(
+        text.replace("filter = iir 3 pasf_n3\n", "filter = iir 5 pasf_n3\n"))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), *args, cwd=tmp_path)
+    _assert_validation_error(res)
+    assert "DC gain" in res.stderr, res.stderr
+    assert not out.exists()
+
+
 TWO_STATE_SCENARIO = """[scenario]
 name = two
 kind = estimation

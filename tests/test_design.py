@@ -4,11 +4,15 @@ import hashlib
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pasf import design
+from pasf.baselines import CombSpec
 from pasf.design import (
     FilterCoefficients,
     SeparationSpec,
@@ -28,6 +32,7 @@ from pasf.errors import (
     OutOfBandError,
     PasfError,
 )
+from pasf.lifting import lift, unlift
 
 
 # Independent oracle: the closed-form first/second/third order coefficient
@@ -682,6 +687,92 @@ def test_design_for_memo_is_bounded():
     first = design_for("iir", SeparationSpec(1.0, 8, 0.01), 1)
     for k in range(design._MAX_DESIGNS):
         design_for("iir", SeparationSpec(1.0 + k + 1, 8, 0.01), 1)
-    assert len(design._DESIGNS) == design._MAX_DESIGNS
-    # the oldest design was dropped: an equal spec designs a new pair
+    assert design._design.cache_info().currsize == design._MAX_DESIGNS
+    # the least recently used design was dropped: an equal spec designs anew
     assert design_for("iir", SeparationSpec(1.0, 8, 0.01), 1) is not first
+
+
+def test_design_for_evicts_the_least_recently_used_design():
+    """A pair used again after it was designed outlives the designs made
+    between: it is evicted last, not first."""
+    forget_designs()
+    first = design_for("iir", SeparationSpec(1.0, 8, 0.01), 1)
+    for k in range(design._MAX_DESIGNS - 1):
+        design_for("iir", SeparationSpec(2.0 + k, 8, 0.01), 1)
+    assert design_for("iir", SeparationSpec(1.0, 8, 0.01), 1) is first
+    design_for("iir", SeparationSpec(2.0 + design._MAX_DESIGNS, 8, 0.01), 1)
+    assert design_for("iir", SeparationSpec(1.0, 8, 0.01), 1) is first
+    # equal values of different types never share a pair
+    assert design_for("iir", SeparationSpec(1.0, np.int64(8), 0.01), 1) is not first
+    assert design_for("iir", SeparationSpec(1, 8, 0.01), 1) is not first
+
+
+_PERIOD_USERS = {
+    "SeparationSpec": lambda period: SeparationSpec(1.0, period, 0.01).validate(),
+    "FilterCoefficients": lambda period: FilterCoefficients(
+        "periodic-pass", "iir", 1, period, 0.01, [-0.5], [0.25, 0.25]),
+    "CombSpec": lambda period: CombSpec(1, period),
+    "lift": lambda period: lift([1.0, 2.0, 3.0], period),
+    "unlift": lambda period: unlift([[1.0], [2.0], [3.0]], period),
+}
+
+
+@pytest.mark.parametrize("period, message", [
+    (2.5, "period must be an integer, got 2.5"),
+    (2.0, "period must be an integer, got 2.0"),
+    (0, "period must be >= 1, got 0"),
+])
+def test_every_period_follows_one_rule(period, message):
+    for name, make in _PERIOD_USERS.items():
+        with pytest.raises(InvalidArgumentError) as info:
+            make(period)
+        assert str(info.value) == message, name
+    for make in _PERIOD_USERS.values():
+        make(np.int64(3))
+    assert [len(s) for s in lift([1.0, 2.0, 3.0, 4.0], np.int64(3))] == [2, 1, 1]
+
+
+def _schur_cohn_stable(feedback) -> bool:
+    """Exact Schur-Cohn step-down of z^N + a_1 z^(N-1) + ... + a_N over the
+    stored float taps: every root lies strictly inside the unit circle iff
+    every reflection coefficient has magnitude below 1."""
+    a = [Fraction(1)] + [Fraction(float(v)) for v in feedback]
+    while len(a) > 1:
+        k = a[-1]
+        if abs(k) >= 1:
+            return False
+        n = len(a) - 1
+        a = [(a[i] - k * a[n - i]) / (1 - k * k) for i in range(n)]
+    return True
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(order=st.integers(1, 8), log_rho=st.floats(math.log(1e-7), math.log(math.pi)))
+@example(order=5, log_rho=math.log(1e-3))  # sec53's 4 s piece: DC gain -1.797
+@example(order=6, log_rho=math.log(1e-4))  # the stored denominator is 0 at z = 1
+@example(order=8, log_rho=math.log(0.01))  # DC gain 0.0064
+@example(order=3, log_rho=math.log(1e-3))  # the worst design in use, kept
+def test_iir_design_keeps_its_dc_gain_and_stability_or_is_refused(order, log_rho):
+    """Rounding the expanded taps scatters the N-fold pole next to 1 at
+    small lifted rho. A stored pair whose DC gain misses 1 is refused; every
+    pair that is kept passes DC within 1e-6, exactly on its stored taps, and
+    has every pole strictly inside the unit circle."""
+    spec = SeparationSpec(math.exp(log_rho), 1, 1.0)
+    try:
+        p, a = design_iir(spec, order, allow_out_of_band=True)
+    except DegenerateDesignError as exc:
+        assert "DC gain" in str(exc)
+        return
+    dc = (sum(map(Fraction, p.feedforward.tolist()))
+          / (1 + sum(map(Fraction, p.feedback.tolist()))))
+    assert abs(dc - 1) <= 1e-6
+    assert np.array_equal(p.feedback, a.feedback)
+    assert _schur_cohn_stable(p.feedback)
+
+
+def test_schur_cohn_step_down_is_exact_at_the_unit_circle():
+    assert _schur_cohn_stable([-0.5])
+    assert not _schur_cohn_stable([-1.0])  # a root at z = 1
+    assert _schur_cohn_stable([-1.5, 0.5625])  # (z - 0.75)^2
+    assert not _schur_cohn_stable([-2.0, 1.0])  # (z - 1)^2
+    assert not _schur_cohn_stable([0.0, 1.0])  # z = +-j
