@@ -16,7 +16,8 @@ import numpy as np
 
 from . import design as dsn
 from . import response as rsp
-from .csvio import data_line, export_csv, read_csv
+# read_csv is bound here for perfbench's span recorder, which wraps it
+from .csvio import export_csv, iter_csv, read_csv  # noqa: F401
 from .errors import (
     DegenerateDesignError,
     InvalidArgumentError,
@@ -97,28 +98,90 @@ def _cmd_bode(args) -> int:
 def _cmd_separate(args) -> int:
     p = dsn.load_coefficients(args.coeffs_p)
     a = dsn.load_coefficients(args.coeffs_a)
-    header, data = read_csv(args.input)
-    if len(header) < 2 or header[0] != "t":
-        raise InvalidArgumentError(
-            f"input CSV must have header t,x; got {header}"
-        )
-    t, x = data[:, 0], data[:, 1]
-    # t is written back as integers, so any other value is refused, not cut
-    for name, col, bad, rule in (
-            ("t", t, ~np.isfinite(t) | (np.floor(t) != t), "finite and an integer"),
-            ("x", x, ~np.isfinite(x), "finite")):
-        if bad.any():
-            row = int(bad.argmax())
-            raise InvalidArgumentError(
-                f"{args.input}: line {data_line(args.input, row)}: "
-                f"column {name} must be {rule}, got {float(col[row])!r}")
-    xp, xa = PasfState(p, a).run(x)
-    os.makedirs(args.out_dir, exist_ok=True)
+    chunks = _checked_input(args.input)
     path = args.out or os.path.join(args.out_dir, "separated.csv")
-    export_csv(path, {"t": [int(v) for v in t.tolist()], "x": x,
-                      "xp": xp, "xa": xa})
-    print(f"wrote {path} ({len(data)} rows)")
+    made = _missing_dirs(args.out_dir)
+    try:
+        state = PasfState(p, a)
+        os.makedirs(args.out_dir, exist_ok=True)
+        rows = export_csv(path, _separated(state, chunks))
+    except BaseException as exc:
+        for d in made:
+            try:
+                os.rmdir(d)
+            except OSError:
+                pass
+        if isinstance(exc, Exception):
+            # an error of the input outranks any other, as when the whole
+            # input was checked before the first sample
+            for _ in chunks:
+                pass
+        raise
+    print(f"wrote {path} ({rows} rows)")
     return 0
+
+
+def _checked_input(path):
+    """The (t, x) chunks of a ``t,x`` CSV, t as integers, one per
+    ``iter_csv`` chunk. Its errors are those of checking the whole file at
+    once, in this order: ``iter_csv``'s, a header that is not ``t,...``,
+    the first t that is not a finite integer, the first x that is not
+    finite. The chunk with an error and those after it are not yielded;
+    the rest of the file is read only for an error that outranks it."""
+    error, rank = None, 3  # a bad header 0, t 1, x 2
+    for chunk in iter_csv(path):
+        if rank < 2:
+            continue
+        header = chunk.header
+        if len(header) < 2 or header[0] != "t":
+            error, rank = InvalidArgumentError(
+                f"input CSV must have header t,x; got {header}"), 0
+            continue
+        t, x = chunk.data[:, 0], chunk.data[:, 1]
+        # t is written back as integers, so any other value is refused, not cut
+        bad = ~np.isfinite(t) | (np.floor(t) != t)
+        if bad.any():
+            error, rank = _bad_value(path, chunk, "t", t, bad, "finite and an integer"), 1
+        elif rank == 3:
+            bad = ~np.isfinite(x)
+            if bad.any():
+                error, rank = _bad_value(path, chunk, "x", x, bad, "finite"), 2
+            else:
+                yield _as_integers(t), x
+    if error is not None:
+        raise error
+
+
+def _as_integers(t):
+    """Integer-valued floats as integers, which ``export_csv`` writes with
+    ``%d``: an int64 array when every value fits, else Python ints."""
+    if (np.abs(t) < 2.0 ** 63).all():
+        return t.astype(np.int64)
+    return [int(v) for v in t.tolist()]
+
+
+def _bad_value(path, chunk, name, col, bad, rule) -> InvalidArgumentError:
+    row = int(bad.argmax())
+    return InvalidArgumentError(f"{path}: line {chunk.line(row)}: column {name} "
+                                f"must be {rule}, got {float(col[row])!r}")
+
+
+def _separated(state, chunks):
+    """The table ``separate`` writes, one chunk per input chunk."""
+    for t, x in chunks:
+        xp, xa = state.run(x)
+        yield {"t": t, "x": x, "xp": xp, "xa": xa}
+
+
+def _missing_dirs(path) -> list[str]:
+    """The directories that making directory ``path`` creates, deepest
+    first."""
+    missing = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head) and head != os.path.dirname(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    return missing
 
 
 def _load_scenario_arg(name_or_path, seed):

@@ -313,15 +313,35 @@ forget_designs = _design.cache_clear  # the next call of each spec designs
 
 
 def check_stability(coeffs: FilterCoefficients) -> StabilityReport:
-    """Locate the lifted-domain poles via the companion matrix.
+    """Whether the lifted-domain poles, the roots of z^N + a_1 z^(N-1) +
+    ... + a_N, all lie strictly inside the unit circle.
 
-    Roots of z^N + a_1 z^(N-1) + ... + a_N; stable iff all magnitudes are
-    strictly below 1 - 1e-9.
+    ``stable`` is decided exactly on the stored taps by ``_schur_cohn_stable``.
+    ``max_root_magnitude`` is the companion-matrix estimate of ``np.roots``,
+    which can put an N-fold pole next to 1 on either side of the circle.
     """
     poly = np.concatenate(([1.0], coeffs.feedback))
     roots = np.roots(poly)
     max_mag = float(np.max(np.abs(roots))) if roots.size else 0.0
-    return StabilityReport(stable=max_mag < 1.0 - 1e-9, max_root_magnitude=max_mag)
+    return StabilityReport(stable=_schur_cohn_stable(coeffs.feedback),
+                           max_root_magnitude=max_mag)
+
+
+def _schur_cohn_stable(feedback) -> bool:
+    """Exact Schur-Cohn step-down of z^N + a_1 z^(N-1) + ... + a_N over the
+    float taps ``feedback``, in rational arithmetic: every root lies
+    strictly inside the unit circle iff every reflection coefficient has
+    magnitude below 1."""
+    # imported when first used: fractions imports decimal, about 1 ms
+    from fractions import Fraction
+    a = [Fraction(1)] + [Fraction(float(v)) for v in feedback]
+    while len(a) > 1:
+        k = a[-1]
+        if abs(k) >= 1:
+            return False
+        n = len(a) - 1
+        a = [(a[i] - k * a[n - i]) / (1 - k * k) for i in range(n)]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, CSV formats, exit codes, determinism."""
 
+import contextlib
 import filecmp
+import io
 import math
 import os
 import shutil
@@ -290,6 +292,10 @@ def test_read_csv_bitwise_equals_per_field_parse(tmp_path_factory, text):
     """``read_csv`` returns the per-field ``float`` parse, raw bits included
     (signed zeros, NaN payloads' signs), and for a bad file the same error
     text, word for word."""
+    _check_read_csv(tmp_path_factory, text)
+
+
+def _check_read_csv(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_text(text, encoding="utf-8", newline="")
     want = _read_csv_per_field(path)
@@ -302,6 +308,29 @@ def test_read_csv_bitwise_equals_per_field_parse(tmp_path_factory, text):
     assert header == want[0]
     assert data.dtype == np.float64 and data.shape == want[1].shape
     assert np.array_equal(data.view(np.int64), want[1].view(np.int64))
+
+
+# characters per read of csvio.iter_csv in the small-chunk tests: chunks of at
+# most one line, reads that end inside a line (and between \r and \n), and
+# chunks of a few rows
+_SMALL_READS = [1, 3, 16]
+
+
+@pytest.mark.parametrize("chars", _SMALL_READS)
+@settings(max_examples=100, deadline=None)
+@given(text=_csv_texts())
+@example(text="t,x\n0,1,2\n3\n")
+@example(text="t,x\n")
+@example(text="t,x")
+@example(text="\n \r\n")
+@example(text="\r\n\r\nt,x\r\n0,1\r\n\r\n2,abc\r\n")
+def test_read_csv_in_small_chunks_equals_per_field_parse(tmp_path_factory, chars, text):
+    """The check above, with every chunk of the reader a few characters:
+    the chunks' concatenation is the whole file's parse, and a bad row is
+    named by its line in the whole file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_READ_CHARS", chars)
+        _check_read_csv(tmp_path_factory, text)
 
 
 def test_csv_export_empty_and_round_trip(tmp_path):
@@ -387,6 +416,38 @@ def test_export_csv_chunks_keep_the_bytes(tmp_path, rows):
     assert path.read_bytes() == _format_value_csv(columns)
 
 
+def test_export_csv_of_chunks_writes_the_table(tmp_path):
+    """A table given as chunks of rows, empty ones included, has the bytes
+    of the same table given whole."""
+    columns = _row_sets()["separate"]
+    bounds = [0, 0, 1, 40, 40, 41, 200, len(columns["t"])]
+    chunks = [{name: col[lo:hi] for name, col in columns.items()}
+              for lo, hi in zip(bounds, bounds[1:])]
+    assert export_csv(tmp_path / "chunks.csv", chunks) == len(columns["t"])
+    assert export_csv(tmp_path / "whole.csv", columns) == len(columns["t"])
+    assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def _failing_chunks(how):
+    yield {"a": [1, 2], "b": [0.5, 0.25]}
+    if how == "raise":
+        raise OSError("the input went away")
+    yield {"a": [3], "b": []} if how == "unequal" else {"b": [1.0], "a": [3]}
+
+
+@pytest.mark.parametrize("how, error", [("raise", OSError), ("unequal", InvalidArgumentError),
+                                        ("renamed", InvalidArgumentError)])
+def test_failed_export_keeps_the_old_file(tmp_path, how, error):
+    """A table that fails after its first chunk leaves the file at its path
+    as it was, and no temporary file."""
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(error):
+        export_csv(path, _failing_chunks(how))
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert path.read_text() == "old\n"
+
+
 def test_export_csv_memory_is_bounded_by_a_chunk(tmp_path):
     """A 200,000-row export holds one chunk's Python numbers, not the
     table's: its peak stays far below converting a whole column."""
@@ -453,7 +514,7 @@ def _separate_inputs(tmp_path, rows):
             "--input", str(tmp_path / "in.csv"))
 
 
-@pytest.mark.parametrize("rows, message", [
+_MALFORMED_ROWS = [
     (["0,1.0", "1,abc"], "line 3: 'abc' is not a number"),
     (["0,1.0", "1,2.0,3.0"], "line 3 has 3 fields, the header 2"),
     (["0,1.0,2.0", "1,2.0,3.0"], "line 2 has 3 fields, the header 2"),
@@ -471,13 +532,180 @@ def _separate_inputs(tmp_path, rows):
     (["0,1.0", "1,nan"], "line 3: column x must be finite, got nan"),
     (["0,1.0", "", "1,2.0", "2,-inf"], "line 5: column x must be finite, got -inf"),
     (["0,inf", "1,2.0"], "line 2: column x must be finite, got inf"),
-])
+]
+
+
+@pytest.mark.parametrize("rows, message", _MALFORMED_ROWS)
 def test_separate_malformed_input_is_validation_error(tmp_path, rows, message):
     out = tmp_path / "out"
     res = run_cli("--out-dir", str(out), *_separate_inputs(tmp_path, rows))
     _assert_validation_error(res)
     assert message in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("chars", _SMALL_READS)
+@pytest.mark.parametrize("rows, message", _MALFORMED_ROWS)
+def test_separate_malformed_input_in_small_chunks(tmp_path, monkeypatch, capsys,
+                                                  chars, rows, message):
+    """The cases above with the input read a few characters at a time: the
+    error of the whole file, and no output directory."""
+    monkeypatch.setattr(csvio, "_READ_CHARS", chars)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), *_separate_inputs(tmp_path, rows)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and len(err.splitlines()) == 1, err
+    assert message in err
+    assert not out.exists()
+
+
+def _separate_reference(path, p, a, out):
+    """``separate`` as one whole-file pass: read and decode the whole file,
+    parse every row, check the header, every t and then every x, and only
+    then separate and write ``out``. Returns the exit code and stderr."""
+    try:
+        parsed = _read_csv_per_field(path)
+    except InvalidArgumentError as exc:  # not UTF-8
+        return 1, f"error: validation: {exc}\n"
+    if isinstance(parsed, str):
+        return 1, f"error: validation: {parsed}\n"
+    header, data = parsed
+    if len(header) < 2 or header[0] != "t":
+        return 1, f"error: validation: input CSV must have header t,x; got {header}\n"
+    lines = csvio.read_text(path).split("\n")
+    row_lines = [no for no, ln in enumerate(lines, 1) if ln.strip()][1:]
+    t, x = data[:, 0], data[:, 1]
+    for name, col, bad, rule in (
+            ("t", t, ~np.isfinite(t) | (np.floor(t) != t), "finite and an integer"),
+            ("x", x, ~np.isfinite(x), "finite")):
+        if bad.any():
+            row = int(bad.argmax())
+            return 1, (f"error: validation: {path}: line {row_lines[row]}: column "
+                       f"{name} must be {rule}, got {float(col[row])!r}\n")
+    xp, xa = PasfState(p, a).run(x)
+    export_csv(out, {"t": [int(v) for v in t.tolist()], "x": x, "xp": xp, "xa": xa})
+    return 0, ""
+
+
+_FAULTS = ["bytes", "ragged", "number", "header", "t", "x", "blank", "crlf"]
+
+
+@st.composite
+def _faulty_separate_inputs(draw):
+    """The bytes of a small ``t,x`` file with 0-3 injected faults, and
+    maybe a line of 9,000 spaces: a file longer than a decoder's read, so
+    that the faults after it come in a later read."""
+    rows = [[str(i), repr(draw(st.floats(-1e3, 1e3)))]
+            for i in range(draw(st.integers(0, 8)))]
+    lines = [["t", "x"]] + rows
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), [" " * 9000])
+    faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=3))
+    bad_bytes = []
+    for fault in faults:
+        at = draw(st.integers(0, len(lines) - 1))
+        if fault == "bytes":
+            bad_bytes.append(at)
+        elif fault == "ragged":
+            lines[at] = lines[at] + ["1"] if draw(st.booleans()) else lines[at][:1]
+        elif fault == "number":
+            lines[at] = lines[at][:1] + [draw(st.sampled_from(["abc", "", "1e", "0x1"]))]
+        elif fault == "header":
+            lines[0] = draw(st.sampled_from([["s", "x"], ["t"], ["x", "t"]]))
+        elif fault in ("t", "x") and at > 0:
+            bad = draw(st.sampled_from(["nan", "-inf", "0.5", "1e300"] if fault == "t"
+                                       else ["nan", "inf", "-inf"]))
+            lines[at] = [bad] + lines[at][1:] if fault == "t" else lines[at][:1] + [bad]
+        elif fault == "blank":
+            lines.insert(at, [draw(st.sampled_from(["", "  ", "\t"]))])
+    eol = "\r\n" if "crlf" in faults else "\n"
+    encoded = [(",".join(ln) + eol).encode() for ln in lines]
+    for at in bad_bytes:
+        encoded[at] = encoded[at][:1] + b"\xff" + encoded[at][1:]
+    return b"".join(encoded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_faulty_separate_inputs(), chars=st.sampled_from(_SMALL_READS + [1 << 16]))
+@example(data=b"t,x\n0,1\n1,nan\n2,0.5\n3,\xff\n", chars=3)
+@example(data=b"t,x\n0,nan\n1,abc\n", chars=1)
+@example(data=b"s,x\n0,1\n1,2,3\n", chars=1)
+@example(data=b"t,x\n0,inf\n\n0.5,1\n", chars=1)
+# a bad row, then a bad byte in a later read of the decoder
+@example(data=b"t,x\n0,1,2\n" + b" " * 9000 + b"\n2,\xff\n", chars=16)
+@example(data=b"t,x\n" + b" " * 9000 + b"\n2,\xff\n", chars=3)
+def test_streamed_separate_gives_the_whole_file_result(tmp_path_factory, data, chars):
+    """Whatever chunk the reader stops at, ``separate`` prints the error
+    line and exit code of a whole-file pass, leaves no output file and no
+    directory it made, and on success writes the whole-file pass's bytes."""
+    tmp = tmp_path_factory.mktemp("stream")
+    p, a = design_iir(SeparationSpec(2.5, 3, 0.01), 2)
+    save_coefficients(p, tmp / "p.txt")
+    save_coefficients(a, tmp / "a.txt")
+    (tmp / "in.csv").write_bytes(data)
+    want = _separate_reference(tmp / "in.csv", p, a, tmp / "want.csv")
+    out_dir = tmp / "made" / "out"
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(csvio, "_READ_CHARS", chars)
+        code = cli.main(["--out-dir", str(out_dir), "separate",
+                         "--coeffs-p", str(tmp / "p.txt"), "--coeffs-a", str(tmp / "a.txt"),
+                         "--input", str(tmp / "in.csv")])
+    assert (code, err.getvalue()) == want
+    if code:
+        assert not (tmp / "made").exists()
+    else:
+        assert os.listdir(out_dir) == ["separated.csv"]
+        assert (out_dir / "separated.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [50_000, 200_000])
+def test_separate_memory_is_bounded_by_a_chunk(tmp_path, rows):
+    """``separate`` holds one chunk of the input and of the output, not the
+    file: its traced peak stays the same from 50,000 to 200,000 rows."""
+    x = np.random.default_rng(1).standard_normal(rows)
+    args = _separate_inputs(tmp_path, [])
+    export_csv(tmp_path / "in.csv", {"t": np.arange(rows), "x": x})
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--out-dir", str(tmp_path), *args]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_separate_out_may_be_its_input(tmp_path):
+    args = _separate_inputs(tmp_path, [f"{i},{v!r}" for i, v in
+                                       enumerate(np.cos(np.arange(3000.0)).tolist())])
+    res = run_cli("--out-dir", str(tmp_path / "out"), *args)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("--out-dir", str(tmp_path), *args, "--out", str(tmp_path / "in.csv"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"wrote {tmp_path / 'in.csv'} (3000 rows)\n"
+    assert (tmp_path / "in.csv").read_bytes() == (tmp_path / "out" / "separated.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "in.csv", "out", "p.txt"]
+
+
+@pytest.mark.parametrize("kind", ["input", "coeffs-p", "scenario"])
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    """A UTF-8 file that starts with a byte-order mark, as some editors and
+    shells write one, gives the output of the same file without it."""
+    args = list(_separate_inputs(tmp_path, ["0,1.0", "1,-0.5", "2,0.25"]))
+    if kind == "scenario":
+        (tmp_path / "in.csv").write_text(COMB_SCENARIO + "variant = 1\n")
+        args = ["scenario", str(tmp_path / "in.csv")]
+    target = tmp_path / {"input": "in.csv", "coeffs-p": "p.txt", "scenario": "in.csv"}[kind]
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        out = tmp_path / f"out{len(prefix)}"
+        target.write_bytes(prefix + target.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--no-plot-script", "--out-dir", str(out), *args]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_separate_keeps_integer_valued_t(tmp_path):

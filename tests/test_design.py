@@ -732,18 +732,7 @@ def test_every_period_follows_one_rule(period, message):
     assert [len(s) for s in lift([1.0, 2.0, 3.0, 4.0], np.int64(3))] == [2, 1, 1]
 
 
-def _schur_cohn_stable(feedback) -> bool:
-    """Exact Schur-Cohn step-down of z^N + a_1 z^(N-1) + ... + a_N over the
-    stored float taps: every root lies strictly inside the unit circle iff
-    every reflection coefficient has magnitude below 1."""
-    a = [Fraction(1)] + [Fraction(float(v)) for v in feedback]
-    while len(a) > 1:
-        k = a[-1]
-        if abs(k) >= 1:
-            return False
-        n = len(a) - 1
-        a = [(a[i] - k * a[n - i]) / (1 - k * k) for i in range(n)]
-    return True
+_schur_cohn_stable = design._schur_cohn_stable
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -776,3 +765,20 @@ def test_schur_cohn_step_down_is_exact_at_the_unit_circle():
     assert _schur_cohn_stable([-1.5, 0.5625])  # (z - 0.75)^2
     assert not _schur_cohn_stable([-2.0, 1.0])  # (z - 1)^2
     assert not _schur_cohn_stable([0.0, 1.0])  # z = +-j
+
+
+@pytest.mark.parametrize("order, r, stable, estimate", [
+    (6, 3e-3, False, 0.999949),  # the estimate puts every pole inside
+    (4, 1e-4, True, 1.000119),  # the estimate puts a pole outside
+])
+def test_check_stability_is_exact_on_the_stored_taps(order, r, stable, estimate):
+    """The taps design_iir expands for the N-fold pole (2 - r)/(2 + r) at
+    small r: the companion-matrix estimate lands on the wrong side of the
+    unit circle, and ``stable`` follows the exact step-down instead."""
+    den = design._poly_power(np.array([2.0 + r, r - 2.0]), order)
+    coeffs = FilterCoefficients("periodic-pass", "iir", order, 1, 1.0,
+                                den[1:] / den[0], np.eye(order + 1)[0])
+    rep = check_stability(coeffs)
+    assert rep.stable is stable
+    assert rep.max_root_magnitude == pytest.approx(estimate, abs=1e-6)
+    assert (rep.max_root_magnitude < 1.0) is not stable
