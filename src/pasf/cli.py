@@ -75,8 +75,7 @@ def _cmd_design_fir(args) -> int:
 def _cmd_complement(args) -> int:
     coeffs = dsn.load_coefficients(args.coeffs)
     comp = dsn.make_complementary(coeffs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = args.out or os.path.join(args.out_dir, "complement.txt")
+    path = _out_path(args, "complement.txt")
     dsn.save_coefficients(comp, path)
     print(f"wrote {path}")
     return 0
@@ -88,8 +87,7 @@ def _cmd_bode(args) -> int:
                             omega_min=args.omega_min,
                             omega_max=args.omega_max)
     table = rsp.bode_table(coeffs, grid)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = args.out or os.path.join(args.out_dir, "bode.csv")
+    path = _out_path(args, "bode.csv")
     export_csv(path, table.columns())
     print(f"wrote {path} ({len(table.omega)} rows)")
     return 0
@@ -99,11 +97,11 @@ def _cmd_separate(args) -> int:
     p = dsn.load_coefficients(args.coeffs_p)
     a = dsn.load_coefficients(args.coeffs_a)
     chunks = _checked_input(args.input)
-    path = args.out or os.path.join(args.out_dir, "separated.csv")
-    made = _missing_dirs(args.out_dir)
+    # the directories _out_path makes, removed again if separating fails
+    made = [] if args.out else _missing_dirs(args.out_dir)
     try:
         state = PasfState(p, a)
-        os.makedirs(args.out_dir, exist_ok=True)
+        path = _out_path(args, "separated.csv")
         rows = export_csv(path, _separated(state, chunks))
     except BaseException as exc:
         for d in made:
@@ -119,6 +117,15 @@ def _cmd_separate(args) -> int:
         raise
     print(f"wrote {path} ({rows} rows)")
     return 0
+
+
+def _out_path(args, name) -> str:
+    """The file a command writes: ``--out``, or else ``name`` in
+    ``--out-dir``, which is made only then."""
+    if args.out:
+        return args.out
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
 
 
 def _checked_input(path):
@@ -200,8 +207,7 @@ def _cmd_kfpasf(args) -> int:
     columns = {name: col for name, col in table.items()
                if name in ("t", "y", "trP")
                or name.startswith(("xhat_", "xp_hat_", "xa_hat_"))}
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = args.out or os.path.join(args.out_dir, f"{scn.name}_kfpasf.csv")
+    path = _out_path(args, f"{scn.name}_kfpasf.csv")
     export_csv(path, columns)
     print(f"wrote {path}")
     return 0

@@ -46,13 +46,10 @@ class SeparationSpec:
         return self.rho_tilde * self.period * self.sampling_time
 
     def validate(self, allow_out_of_band: bool = False) -> None:
-        for name in ("rho_tilde", "sampling_time"):
-            number = getattr(self, name)
-            if not math.isfinite(number):
-                raise InvalidArgumentError(f"{name} must be finite, got {number}")
+        if not math.isfinite(self.rho_tilde):
+            raise InvalidArgumentError(f"rho_tilde must be finite, got {self.rho_tilde}")
+        check_sampling_time(self.sampling_time)
         check_period(self.period)
-        if self.sampling_time <= 0:
-            raise InvalidArgumentError("sampling_time must be positive")
         if self.rho_tilde <= 0:
             raise DegenerateDesignError(
                 "rho_tilde <= 0 has no stable realization (the exact limit is "
@@ -98,11 +95,7 @@ class FilterCoefficients:
         if self.order < 1:
             raise InvalidArgumentError("order must be >= 1")
         check_period(self.period)
-        T = float(self.sampling_time)
-        if not 0.0 < T < math.inf or math.isinf(math.pi / T):
-            raise InvalidArgumentError(
-                f"sampling_time must be positive and finite, with pi/T finite, "
-                f"got {T!r}")
+        check_sampling_time(self.sampling_time)
         if len(fb) != self.order:
             raise InvalidArgumentError(
                 f"feedback must have exactly {self.order} entries, got {len(fb)}"
@@ -153,6 +146,15 @@ def check_period(period) -> None:
         raise InvalidArgumentError(f"period must be >= 1, got {period}")
 
 
+def check_sampling_time(sampling_time) -> None:
+    """Raise ``InvalidArgumentError`` unless the sampling time T is positive
+    and finite, and large enough that the Nyquist rate pi/T is finite."""
+    T = float(sampling_time)
+    if not 0.0 < T < math.inf or math.isinf(math.pi / T):
+        raise InvalidArgumentError(
+            f"sampling_time must be positive and finite, with pi/T finite, got {T!r}")
+
+
 def check_order(realization: str, order: int) -> None:
     """Raise ``InvalidArgumentError`` unless ``order`` is one the
     realization (``iir`` or ``fir``) is designed at: an integer, IIR 1 to
@@ -189,12 +191,18 @@ def design_iir(
     conditioned only for small orders; N > 8 is rejected. At small r the
     rounded taps scatter the N-fold pole (2 - r)/(2 + r) next to 1: a pair
     whose stored DC gain, sum(b) / (1 + sum(a)), misses 1 by more than 1e-6
-    raises ``DegenerateDesignError``.
+    raises ``DegenerateDesignError`` (see ``iir_taps``).
     """
     check_order("iir", order)
     spec.validate(allow_out_of_band=allow_out_of_band)
-    r = spec.rho
+    return _pair(spec, "iir", order, *iir_taps(spec.rho, order))
 
+
+def iir_taps(r: float, order: int):
+    """The shared feedback a_1..a_N and the periodic-pass and
+    aperiodic-pass feedforward taps of ``design_iir``'s pair at the lifted
+    boundary ``r``. Raises ``DegenerateDesignError`` where the expanded
+    taps overflow or store a DC gain more than 1e-6 from 1."""
     den1 = np.array([2.0 + r, r - 2.0])
     nump1 = np.array([r, r])
     numa1 = np.array([2.0, -2.0])
@@ -216,7 +224,7 @@ def design_iir(
         raise DegenerateDesignError(
             f"IIR order {order} at rho = {r:.6g} stores a DC gain of {dc:.6g}, "
             "not 1: its expanded taps lose the clustered pole")
-    return _pair(spec, "iir", order, a, b, numa / den[0])
+    return a, b, numa / den[0]
 
 
 def _pair(spec, realization, order, feedback, periodic, aperiodic):

@@ -274,10 +274,9 @@ class _SignalTable:
 
 def parse_scenario(text: str, seed: int = 0) -> Scenario:
     sections = _sections(text)
-    if "scenario" not in sections:
-        raise InvalidArgumentError("scenario file needs a [scenario] section")
-    # filter is the one repeatable key; it is read in file order below
-    meta = _kv(e for e in sections["scenario"] if e[1] != "filter")
+    # a missing section fails on its first required key; filter is the one
+    # repeatable key, read in file order below
+    meta = _kv(e for e in sections.get("scenario", ()) if e[1] != "filter")
     signals = _SignalTable(sections, seed)
 
     name = meta.get("name", (0, "custom"))[1]
@@ -289,7 +288,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     settle = _value(meta, "[scenario]", "settle", default="2.0")
 
     filters = []
-    for no, key, value in sections["scenario"]:
+    for no, key, value in sections.get("scenario", ()):
         if key == "filter":
             tokens = value.split()
             if len(tokens) < 2:
@@ -298,7 +297,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             order = _number(no, "filter order", tokens[1], int)
             filters.append(FilterChoice(tokens[0], order, label))
 
-    if "rho" not in sections:
+    if "rho" not in sections:  # else an empty schedule fails as not starting at 0
         raise InvalidArgumentError("scenario file needs a [rho] section")
     rho = {}
     for no, key, value in sections["rho"]:
@@ -322,9 +321,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     )
 
     if kind in ("estimation", "control"):
-        if "model" not in sections:
-            raise InvalidArgumentError(f"{kind} scenario needs a [model] section")
-        mk = _kv(sections["model"])
+        mk = _kv(sections.get("model", ()))
 
         def mat(key, default=None, zeros_shape=None):
             no, text = _entry(mk, "[model]", key, default)
@@ -343,9 +340,7 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             input_u=signals.ref(_entry(meta, "[scenario]", "input")),
         )
     if kind == "control":
-        if "controller" not in sections:
-            raise InvalidArgumentError("control scenario needs a [controller] section")
-        ck = _kv(sections["controller"])
+        ck = _kv(sections.get("controller", ()))
 
         def number(key):
             return _value(ck, "[controller]", key)

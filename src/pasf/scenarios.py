@@ -14,8 +14,8 @@ import numpy as np
 from . import signals as sig
 from .baselines import comb_pair
 from .csvio import export_csv
-from .design import (SeparationSpec, check_order, design_for, fir_band_edges,
-                     forget_designs)
+from .design import (SeparationSpec, check_order, check_sampling_time, design_for,
+                     fir_band_edges, forget_designs, iir_taps)
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
 from .design import design_fir_equiripple, design_iir, make_complementary  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
@@ -58,6 +58,14 @@ class CombBaseline:
     schedule: tuple  # ((start_s, CombSpec), ...) sorted by start
 
 
+# the fields each scenario kind runs on
+_KIND_FIELDS = {
+    "estimation": ("A", "B", "C", "Q", "R", "P0", "input_u"),
+    "control": ("A", "B", "C", "Q", "R", "P0", "input_u", "controller"),
+    "separation": ("truth_p", "truth_a"),
+}
+
+
 @value
 class Scenario:
     """One study: its kind, sampling, ``[rho]`` schedule, filters and, by
@@ -65,9 +73,10 @@ class Scenario:
     value (see ``pasf.values``) that checks itself when made, so every
     Scenario, one from ``values.replace`` too, is valid: an invalid one
     raises ``InvalidArgumentError`` instead. Every ``[rho]`` value passes
-    the designs' spec check (out of band allowed) and, with an FIR filter,
-    the FIR design's band-edge rule (``design.fir_band_edges``), so no run
-    fails on a piece it reaches late."""
+    the designs' spec check (out of band allowed) and, for each filter, the
+    FIR design's band-edge rule (``design.fir_band_edges``) or the IIR
+    design's tap rule (``design.iir_taps``), so no run fails on a piece it
+    reaches late."""
 
     name: str
     kind: str  # estimation | separation | control
@@ -98,11 +107,9 @@ class Scenario:
         return int(round(self.duration_s / self.sampling_time))
 
     def __post_init__(self):
-        if self.kind not in ("estimation", "separation", "control"):
+        if self.kind not in _KIND_FIELDS:
             raise InvalidArgumentError(f"unknown scenario kind {self.kind!r}")
-        if not self.sampling_time > 0:
-            raise InvalidArgumentError(
-                f"sampling_time must be positive, got {self.sampling_time}")
+        check_sampling_time(self.sampling_time)
         if self.warm_start not in ("zero", "periodic"):
             raise InvalidArgumentError(f"unknown warm_start {self.warm_start!r}")
         if not np.isfinite(self.duration_s / self.sampling_time):
@@ -122,8 +129,6 @@ class Scenario:
             raise InvalidArgumentError("rho schedule must be sorted by start time")
         if starts[-1] >= self.duration_s:
             raise InvalidArgumentError("rho schedule boundary beyond duration")
-        # an FIR design at a piece takes its default band edges
-        fir = next((f for f in self.filters if f.realization.startswith("fir")), None)
         for start, rho_tilde in self.rho_schedule:
             # the runners design at every piece, out of band allowed
             spec = SeparationSpec(rho_tilde, self.period, self.sampling_time)
@@ -132,12 +137,16 @@ class Scenario:
             except (InvalidArgumentError, DegenerateDesignError) as exc:
                 raise InvalidArgumentError(
                     f"rho piece at {start:g} s: {exc}") from exc
-            if fir is not None:
+            for f in self.filters:
                 try:
-                    fir_band_edges(spec.rho)
+                    # an FIR design takes its default band edges
+                    if f.realization.startswith("fir"):
+                        fir_band_edges(spec.rho)
+                    else:
+                        iir_taps(spec.rho, f.order)
                 except (InvalidArgumentError, DegenerateDesignError) as exc:
                     raise InvalidArgumentError(
-                        f"rho piece at {start:g} s, filter {fir.label}: {exc}") from exc
+                        f"rho piece at {start:g} s, filter {f.label}: {exc}") from exc
         if not self.filters:
             raise InvalidArgumentError("scenario needs at least one filter choice")
         labels = [f.label for f in self.filters] + [c.label for c in self.combs]
@@ -159,10 +168,10 @@ class Scenario:
             raise InvalidArgumentError(
                 "interference window must satisfy 0 <= START < END <= duration "
                 f"{self.duration_s:g}, got {window[0]:g} {window[1]:g}")
-        if self.kind in ("estimation", "control"):
-            for name in ("A", "B", "C", "Q", "R", "P0", "input_u"):
-                if getattr(self, name) is None:
-                    raise InvalidArgumentError(f"{self.kind} scenario requires {name}")
+        for name in _KIND_FIELDS[self.kind]:
+            if getattr(self, name) is None:
+                raise InvalidArgumentError(f"{self.kind} scenario requires {name}")
+        if self.kind != "separation":
             # the runners drive one input u and measure one output y
             if np.ndim(self.B) == 2 and np.shape(self.B)[1] != 1:
                 raise InvalidArgumentError(
@@ -171,15 +180,11 @@ class Scenario:
                 raise InvalidArgumentError(
                     f"C must be one measurement row, got shape {np.shape(self.C)}")
         if self.kind == "control":
-            if self.controller is None:
-                raise InvalidArgumentError("control scenario requires a controller")
             # the PD law feeds back the first two states: position and rate
             n = np.atleast_2d(self.A).shape[1]
             if n < 2:
                 raise InvalidArgumentError(
                     f"control scenario needs at least 2 states in A, got {n}")
-        if self.kind == "separation" and (self.truth_p is None or self.truth_a is None):
-            raise InvalidArgumentError("separation scenario requires truth_p/truth_a")
 
 
 def _in_force(schedule, tt) -> np.ndarray:
@@ -310,63 +315,56 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     rho = rho_series(scn.rho_schedule, steps, T)
     (p, a), switches = _scheduled_pair(scn, choice, steps)
 
-    v = sig.GaussianStream(
-        NoiseSpec(0.0, scn.process_noise_variance, _stream_seed(seed, 1))
-    ).draw(steps)
-    w = sig.GaussianStream(
-        NoiseSpec(0.0, scn.observation_noise_variance, _stream_seed(seed, 2))
-    ).draw(steps)
+    v, w = (sig.GaussianStream(NoiseSpec(0.0, variance, _stream_seed(seed, stream))).draw(steps)
+            for stream, variance in ((1, scn.process_noise_variance),
+                                     (2, scn.observation_noise_variance)))
 
     pre_tail = None
     if scn.warm_start == "periodic":
         pre_tail = _periodic_prerun(scn, choice.order * scn.period)
         hist = periodic_warm_history(p, a, pre_tail)
-        x0 = pre_tail[-1].copy()
+        x = pre_tail[-1].copy()
     else:
         hist = zero_histories(model, choice.order, scn.period)
-        x0 = np.zeros(n)
+        x = np.zeros(n)
 
     est = KfPasfState(model, p, a, hist, scn.P0)
 
-    is_control = scn.kind == "control"
-    if is_control:
-        ctl = scn.controller
-        t_idx = np.arange(steps + 1)
-        cmd_p = eval_signal_array(ctl.cmd_p, t_idx, T)
-        cmd_a = eval_signal_array(ctl.cmd_a, t_idx, T)
-        dcmd_p = eval_signal_array(sig.derivative(ctl.cmd_p), t_idx, T)
-        dcmd_a = eval_signal_array(sig.derivative(ctl.cmd_a), t_idx, T)
-        u_base = np.zeros(steps + 1)
+    Bf = scn.B.reshape(-1)
+    ctl = scn.controller if scn.kind == "control" else None
+    commands = {}
+    if ctl is None:
+        u = eval_signal_array(scn.input_u, np.arange(steps), T)
+        # with no feedback u is known up front, so B (u + v) is formed once
+        Bu = np.multiply.outer(u + v, Bf)
     else:
-        u_base = eval_signal_array(scn.input_u, np.arange(steps), T)
+        # the PD law sets u(t) from the split at t, so u(0) = 0
+        t_idx = np.arange(steps + 1)
+        cmd_p, cmd_a, dcmd_p, dcmd_a = (
+            eval_signal_array(s, t_idx, T) for s in (
+                ctl.cmd_p, ctl.cmd_a, sig.derivative(ctl.cmd_p), sig.derivative(ctl.cmd_a)))
+        commands = dict(cmd_p=cmd_p[1:], cmd_a=cmd_a[1:])
+        u = np.zeros(steps + 1)
 
     out = EstimationRun(
         scenario=scn, choice=choice,
         t=np.arange(1, steps + 1),
-        u=u_base[:steps], rho=rho, y=np.empty(steps),
+        u=u[:steps], rho=rho, y=np.empty(steps),
         x_true=np.empty((steps, n)), x_upd=np.empty((steps, n)),
         xp_upd=np.empty((steps, n)), xa_upd=np.empty((steps, n)),
-        tr_p=np.empty(steps),
-        cmd_p=cmd_p[1:] if is_control else None,
-        cmd_a=cmd_a[1:] if is_control else None,
-        pre_tail=pre_tail,
+        tr_p=np.empty(steps), pre_tail=pre_tail, **commands,
     )
 
-    Bf = scn.B.reshape(-1)
-    # with no feedback u is known up front, so B (u + v) is formed once
-    Bu = None if is_control else np.multiply.outer(u_base + v, Bf)
-    x = x0
     by_n = product(n)
     switches = dict(switches)
     P = None
     for t in range(1, steps + 1):
         i = t - 1
-        u_prev = u_base[i]
-        x = by_n(scn.A, x) + (Bf * (u_prev + v[i]) if Bu is None else Bu[i])
+        x = by_n(scn.A, x) + (Bu[i] if ctl is None else Bf * (u[i] + v[i]))
         y = float(by_n(scn.C, x)[0] + w[i])
         if i in switches:
             est.reconfigure(switches[i], allow_out_of_band=True)
-        rec = est.step([u_prev], [y])
+        rec = est.step([u[i]], [y])
         out.y[i] = y
         out.x_true[i] = x
         out.x_upd[i] = rec.x_upd
@@ -376,17 +374,14 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
             P = rec.P
             tr_p = np.trace(P)
         out.tr_p[i] = tr_p
-        if is_control:
-            tt = t * T
-            if tt < ctl.start_s:
-                u_base[t] = 0.0
-            else:
-                u_base[t] = (
-                    ctl.kp_p * (cmd_p[t] - rec.xp_upd[0])
-                    + ctl.kd_p * (dcmd_p[t] - rec.xp_upd[1])
-                    + ctl.kp_a * (cmd_a[t] - rec.xa_upd[0])
-                    + ctl.kd_a * (dcmd_a[t] - rec.xa_upd[1])
-                )
+        # a NaN start, which ControllerSpec allows, starts the law at once
+        if ctl is not None and not t * T < ctl.start_s:
+            u[t] = (
+                ctl.kp_p * (cmd_p[t] - rec.xp_upd[0])
+                + ctl.kd_p * (dcmd_p[t] - rec.xp_upd[1])
+                + ctl.kp_a * (cmd_a[t] - rec.xa_upd[0])
+                + ctl.kd_a * (dcmd_a[t] - rec.xa_upd[1])
+            )
     return out
 
 

@@ -81,7 +81,8 @@ def test_design_iir_out_of_band_is_validation_error(tmp_path):
 
 
 @pytest.mark.parametrize("rho_tilde, sampling_time",
-                         [("nan", "0.001"), ("inf", "0.001"), ("1.0", "nan")])
+                         [("nan", "0.001"), ("inf", "0.001"), ("1.0", "nan"),
+                          ("1.0", "-0.01")])
 def test_design_iir_non_finite_spec_is_validation_error(tmp_path, rho_tilde,
                                                         sampling_time):
     out = tmp_path / "out"
@@ -721,6 +722,7 @@ def test_separate_keeps_integer_valued_t(tmp_path):
     (2, "0.5 y", "non-numeric feedforward tap"),
     (0, "periodic-pass iir one 20 0.01", "integer order and period"),
     (0, "periodic-pass iir 1 20 fast", "numeric sampling time"),
+    (2, "0.5 0.5\n0.5", "coefficient text must have 3 lines, got 4"),
 ])
 def test_separate_non_numeric_coefficient_file_is_validation_error(
         tmp_path, line, text, message):
@@ -998,11 +1000,12 @@ def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor
     ("duration = 1", "duration = 1\nsettle = -5\nwarm_start = periodic",
      "settle must be >= 0"),
     ("sampling_time = 0.01", "sampling_time = 1e-320",
-     "duration / sampling_time must be finite"),
+     "sampling_time must be positive and finite, with pi/T finite, got 1e-320"),
     ("sampling_time = 0.01", "sampling_time = 5e-324",
-     "duration / sampling_time must be finite"),
+     "sampling_time must be positive and finite, with pi/T finite, got 5e-324"),
     ("[rho]\n0 = 1.0", "[rho]\n0 = 1.0\n0.5 = 0",
      "rho piece at 0.5 s: rho_tilde <= 0"),
+    ("[rho]\n0 = 1.0", "[rho]\n0.5 = 1.0", "rho schedule must start at time 0"),
     ("duration = 1", "duration = 1\ninterference_window = 0.5 2",
      "interference window must satisfy 0 <= START < END <= duration 1, got 0.5 2"),
     ("filter = iir 1", "filter = iir 1\nfilter = iir 9 bad", "IIR order 9 > 8"),
@@ -1118,6 +1121,93 @@ def test_failed_scenario_run_leaves_no_output_directory(tmp_path, line, bad,
     _assert_validation_error(res)
     assert message in res.stderr
     assert not out.exists()
+
+
+def _section(text, name):
+    """The ``[name]`` section of ``text``, its header line to the blank line
+    that ends it."""
+    start = text.index(f"[{name}]\n")
+    return text[start:text.index("\n\n", start) + 1]
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("filter = iir 1\n", "", "scenario needs at least one filter choice"),
+    ("[scenario]\n", "kind = control\n[scenario]\n", "line 1: key before any [section]"),
+    ("of = @steps", "of = @cmd", "line 37: signal @cmd references itself"),
+    ("piece = 0 inf constant 1", "piece = 0 inf",
+     "line 41: piece needs: START END DESCRIPTOR"),
+    ("kind = scale\nfactor = 2\nof = @steps", "kind = sum",
+     "line 35: sum needs of = @a [@b ...]"),
+    ("of = @steps\n", "", "line 35: scale needs of = @a [@b ...]"),
+    ("factor = 2\n", "", "line 35: scale needs factor"),
+    # the PD law feeds forward the rate of each command
+    ("piece = 0 inf constant 1", "piece = 0 inf gated-sine 1 20 10",
+     "no analytic derivative for descriptor GatedSine"),
+    # a missing section fails on its first required key
+    pytest.param(_section(NUMBERS_SCENARIO, "scenario"), "", "[scenario] missing 'kind'",
+                 id="no-scenario-section"),
+    pytest.param(_section(NUMBERS_SCENARIO, "model"), "", "[model] missing 'A'",
+                 id="no-model-section"),
+    pytest.param(_section(NUMBERS_SCENARIO, "controller"), "", "[controller] missing 'start'",
+                 id="no-controller-section"),
+    pytest.param(_section(NUMBERS_SCENARIO, "rho"), "", "scenario file needs a [rho] section",
+                 id="no-rho-section"),
+])
+def test_scenario_refusal_is_one_validation_line(tmp_path, line, bad, message):
+    """A scenario file the parser or the run refuses gives one validation
+    line, exit 1 and no output directory."""
+    assert NUMBERS_SCENARIO.count(line) == 1
+    path = tmp_path / "refused.scn"
+    path.write_text(NUMBERS_SCENARIO.replace(line, bad))
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr == f"error: validation: {message}\n"
+    assert not out.exists()
+
+
+def test_kfpasf_on_a_separation_scenario_is_validation_error(tmp_path):
+    path = tmp_path / "sep.scn"
+    path.write_text(COMB_SCENARIO + "variant = 1\n")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "kfpasf", str(path))
+    _assert_validation_error(res)
+    assert res.stderr == ("error: validation: kfpasf needs an estimation or "
+                          "control scenario, got separation\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["complement", "bode", "kfpasf", "separate"])
+def test_out_makes_no_out_dir(tmp_path, command):
+    """With ``--out FILE`` a command writes FILE and makes no ``--out-dir``;
+    an ``--out`` in a missing directory stays an io error."""
+    args = list(_separate_inputs(tmp_path, ["0,1.0", "1,2.0"]))
+    if command == "kfpasf":
+        (tmp_path / "k.scn").write_text(NUMBERS_SCENARIO)
+        args = ["kfpasf", str(tmp_path / "k.scn")]
+    elif command != "separate":
+        args = [command, "--coeffs", args[2]]
+    stray = tmp_path / "stray"
+    res = run_cli("--out-dir", str(stray / "deep"), *args, "--out", str(tmp_path / "o.txt"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith(f"wrote {tmp_path / 'o.txt'}")
+    assert (tmp_path / "o.txt").is_file()
+    assert not stray.exists()
+    res = run_cli("--out-dir", str(stray / "deep"), *args,
+                  "--out", str(tmp_path / "no-such-dir" / "o.txt"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: io:") and len(res.stderr.splitlines()) == 1
+    assert not stray.exists()
+
+
+def test_separate_writes_t_beyond_int64_exactly(tmp_path):
+    """A t at or above 2**63 is written back as its exact integer."""
+    res = run_cli("--out-dir", str(tmp_path / "out"),
+                  *_separate_inputs(tmp_path, ["0,1.0", "1e300,2.0", "9223372036854775808,3.0"]))
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "out" / "separated.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == [
+        "0", str(int(1e300)), "9223372036854775808"]
 
 
 def test_scenario_out_of_memory_is_one_runtime_error_line(tmp_path):

@@ -1,7 +1,9 @@
 """Scenario definitions, runners, and the text-file grammar."""
 
+import math
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -689,3 +691,106 @@ def test_separation_second_pass_redesigns_nothing(monkeypatch):
     # rho 2.0 (the start pair), then 6.0 and back to 2.0 in each pass
     assert per_run == [1, 0]
     assert len(designs) == 2
+
+
+def test_schedule_piece_may_be_a_signal_reference():
+    """A schedule piece given as ``@name`` is that signal, as its inline
+    descriptor is."""
+    inline = parse_scenario(SCENARIO_TEXT)
+    text = SCENARIO_TEXT.replace("piece = 1 inf harmonic-sum 2 1:1 0.25:2",
+                                 "piece = 1 inf @wave") + \
+        "\n[signal wave]\nexpr = harmonic-sum 2 1:1 0.25:2\n"
+    assert parse_scenario(text).input_u == inline.input_u
+
+
+def test_control_run_table_holds_the_commands_and_the_pd_law():
+    """A control run's CSV table ends in the commands at t = 1..steps, and
+    its u is zero before the controller starts and the PD law on the
+    split after, from the estimates of the step before."""
+    scn = replace(built_in("sec54", 0), duration_s=1.0, rho_schedule=((0.0, 10.0),))
+    scn = replace(scn, controller=replace(scn.controller, start_s=0.5))
+    run = run_estimation(scn, scn.filters[0], seed=0)
+    table = run.columns()
+    assert list(table)[-3:] == ["trP", "cmd_p", "cmd_a"]
+    ctl, T, t = scn.controller, scn.sampling_time, np.arange(1, scn.steps + 1)
+    commands = [sig.eval_signal_array(s, t, T) for s in (
+        ctl.cmd_p, ctl.cmd_a, sig.derivative(ctl.cmd_p), sig.derivative(ctl.cmd_a))]
+    assert table["cmd_p"].tobytes() == commands[0].tobytes()
+    assert table["cmd_a"].tobytes() == commands[1].tobytes()
+    law = (ctl.kp_p * (commands[0][:-1] - run.xp_upd[:-1, 0])
+           + ctl.kd_p * (commands[2][:-1] - run.xp_upd[:-1, 1])
+           + ctl.kp_a * (commands[1][:-1] - run.xa_upd[:-1, 0])
+           + ctl.kd_a * (commands[3][:-1] - run.xa_upd[:-1, 1]))
+    started = t[:-1] * T >= 0.5
+    assert not run.u[0] and not run.u[1:][~started].any()
+    assert run.u[1:][started].tobytes() == law[started].tobytes()
+    # a NaN start, which ControllerSpec takes, starts the law at once
+    scn = replace(scn, controller=replace(scn.controller, start_s=math.nan))
+    run = run_estimation(scn, scn.filters[0], seed=0)
+    assert run.u[1:].all()
+
+
+@pytest.mark.parametrize("name", ["sec52", "sec54"])
+def test_estimation_interference_table(tmp_path, name):
+    """An estimation or control scenario with an interference window writes
+    the interference of each filter's run in one table, which its results
+    hold too."""
+    scn = built_in(name, 0)
+    scn = replace(scn, duration_s=0.5, rho_schedule=scn.rho_schedule[:1],
+                  interference_window_s=(0.0, 0.5))
+    out = run_scenario(scn, seed=0, out_dir=str(tmp_path), plot_script=False)
+    labels = [f.label for f in scn.filters]
+    table = out["results"]["interference"]
+    assert list(table) == ["t", "time_s", *labels]
+    with open(tmp_path / f"{name}_interference.csv", encoding="utf-8") as fh:
+        assert fh.readline() == ",".join(["t", "time_s", *labels]) + "\n"
+    for label in labels:
+        run = out["results"][label]
+        assert table["t"].tobytes() == run.t.tobytes()
+        assert table[label].tobytes() == scenarios.interference_trace(run).tobytes()
+
+
+def test_iir_piece_that_misses_its_dc_gain_is_refused_when_parsed(tmp_path):
+    """An IIR filter whose design at some ``[rho]`` piece stores a DC gain
+    far from 1 is refused as the file is loaded, naming the piece and the
+    filter, before any sample runs."""
+    with open(os.path.join(os.path.dirname(scenario_io.__file__), "sec53.scn"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("filter = iir 3 pasf_n3\n") == 1
+    path = tmp_path / "iir5.scn"
+    path.write_text(text.replace("filter = iir 3 pasf_n3\n", "filter = iir 5 pasf_n3\n"))
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^rho piece at 4 s, filter pasf_n3: IIR order 5 at "
+                             r"rho = 0\.001 stores a DC gain of "):
+        scenario_io.load_scenario(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, -1.0, 1e-320, 5e-324])
+def test_one_sampling_time_rule(bad):
+    """SeparationSpec, FilterCoefficients and Scenario refuse a sampling time
+    by the one rule, ``design.check_sampling_time``, with its message."""
+    with pytest.raises(InvalidArgumentError) as rule:
+        design.check_sampling_time(bad)
+    assert str(rule.value) == ("sampling_time must be positive and finite, with "
+                               f"pi/T finite, got {bad!r}")
+    p, _ = design_iir(SeparationSpec(1.0, 5, 0.1), 2)
+    scn = parse_scenario(SCENARIO_TEXT)
+    for make in (lambda: SeparationSpec(1.0, 5, bad).validate(),
+                 lambda: replace(p, sampling_time=bad),
+                 lambda: replace(scn, sampling_time=bad)):
+        with pytest.raises(InvalidArgumentError) as err:
+            make()
+        assert str(err.value) == str(rule.value)
+
+
+def test_smallest_sampling_time_still_checks_the_step_count():
+    """The smallest T the rule passes leaves a finite pi/T, but a scenario's
+    duration / T can still overflow, which the Scenario refuses."""
+    smallest = math.pi / sys.float_info.max
+    if math.isinf(math.pi / smallest):
+        smallest = math.nextafter(smallest, 1.0)
+    design.check_sampling_time(smallest)
+    SeparationSpec(1.0, 5, smallest).validate()
+    with pytest.raises(InvalidArgumentError, match="duration / sampling_time must be finite"):
+        replace(parse_scenario(SCENARIO_TEXT), sampling_time=smallest, duration_s=100.0)
