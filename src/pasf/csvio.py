@@ -40,8 +40,9 @@ def export_csv(path, columns) -> int:
 
     Rows are written ``_CHUNK_ROWS`` at a time: each array column's slice is
     converted to Python numbers with one ``tolist()`` (the same values, so
-    the same bytes, as formatting the NumPy scalars), the slice's rows are
-    formatted with the row template and written with one ``write``. Memory
+    the same bytes, as formatting the NumPy scalars), and the slice is
+    formatted by one ``%`` of the row template repeated once per row over
+    its values taken row by row, and written with one ``write``. Memory
     stays bounded by one chunk, whatever the table's length.
     """
     chunks = iter((columns,) if isinstance(columns, Mapping) else columns)
@@ -90,7 +91,8 @@ def _write_rows(fh, cols) -> int:
     for i in range(0, rows, _CHUNK_ROWS):
         parts = [col[i:i + _CHUNK_ROWS] for col in cols]
         parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-        fh.write("".join([fmt % row for row in zip(*parts)]))
+        values = tuple(chain.from_iterable(zip(*parts)))
+        fh.write(fmt * len(parts[0]) % values)
     return rows
 
 

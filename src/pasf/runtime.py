@@ -40,11 +40,13 @@ temporaries stay well under a megabyte at any period (FIR50, n = 3, period
 A one-channel separator steps in Python floats: the input is coerced once,
 the build converts each slice's theta pairs to floats with one ``tolist()``,
 ``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats, and
-``PasfState.step`` stores them in 1-d views of the histories and advances
-the core's t itself. That is bitwise equal to the NumPy form, because
-``tolist()`` keeps every binary64 value (the sign of zero included) and
-CPython and NumPy both round each ``*`` and ``+`` on its own, neither
-fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors:
+``PasfState.step`` stores them through memoryviews of the rings'
+first-channel columns (a float store into a memoryview costs about half
+one into a NumPy array) and advances the core's t itself; ``run`` stores
+the returned floats through memoryviews of its outputs. That is bitwise
+equal to the NumPy form, because ``tolist()`` keeps every binary64 value
+(the sign of zero included) and CPython and NumPy both round each ``*``
+and ``+`` on its own, neither fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors:
 ``SeparatorCore.split(x)`` is the n-channel step, shared by ``PasfState``
 and the KF-PASF estimator (whose core has n = 1 for a one-state model and
 then splits (1,) arrays).
@@ -109,10 +111,7 @@ class SeparatorCore:
         self.t = 0
         # input, periodic and aperiodic histories, (capacity, n) each
         self._hist = np.zeros((3, self.capacity, n))
-        self.in_buf, self.p_buf, self.a_buf = self._hist
-        # first-channel columns for PasfState.step: cheaper than a row store
-        self._columns = tuple(self._hist[:, :, 0])
-        self._flat = self._hist.reshape(3, -1)
+        self._views()
         self._strides = bank.period * np.arange(1, bank.order + 1)
         self._width = min(bank.period, max(1, _BUILD_PRODUCTS // (bank.order * n)))
         # a slice's lags before its first row's t is added, as indices into
@@ -121,6 +120,26 @@ class SeparatorCore:
         self._grid = lags.T.copy() if n == 1 else lags[..., None] * n + np.arange(n)
         self._taps, self._axis = ((2, 1, -1), 2) if n == 1 else ((2, -1, 1, 1), 1)
         self._use(bank)
+
+    def _views(self) -> None:
+        """Make the views of ``_hist``: its three rings, the flat rows a
+        build gathers from, and the rings' first-channel columns as the
+        memoryviews that ``PasfState.step`` stores its floats through."""
+        self.in_buf, self.p_buf, self.a_buf = self._hist
+        self._columns = tuple(map(memoryview, self._hist[:, :, 0]))
+        self._flat = self._hist.reshape(3, -1)
+
+    def __getstate__(self):
+        # a memoryview cannot be pickled, and a copied view would no longer
+        # share _hist's memory: the copy makes its views anew
+        state = self.__dict__.copy()
+        for name in ("in_buf", "p_buf", "a_buf", "_columns", "_flat"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._views()
 
     def _use(self, bank: SeparatorBank) -> None:
         """Run on ``bank``, with its taps as views that broadcast over a
@@ -307,12 +326,16 @@ class PasfState:
                 f"switch indices must be sorted within 0..{len(xs)}, got {at}")
         out_p = np.empty_like(xs)
         out_a = np.empty_like(xs)
+        # a scalar separator's floats go in through memoryviews of the
+        # outputs' samples, which take a float faster than a NumPy array
+        dst_p, dst_a = ((memoryview(out_p.reshape(-1)), memoryview(out_a.reshape(-1)))
+                        if self._scalar else (out_p, out_a))
         samples = xs.tolist()
         step = self.step
         done = 0
         for index, change in (*switches, (len(xs), None)):
             for i in range(done, index):
-                out_p[i], out_a[i] = step(samples[i])
+                dst_p[i], dst_a[i] = step(samples[i])
             done = index
             if isinstance(change, SeparationSpec):
                 self.reconfigure(change, allow_out_of_band)

@@ -400,21 +400,34 @@ _CHUNK = csvio._CHUNK_ROWS
 
 @pytest.mark.parametrize("rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 def test_export_csv_chunks_keep_the_bytes(tmp_path, rows):
-    """Every chunk boundary writes the bytes of format_value joined per row,
-    for int and float arrays, int lists and lists of np.float64."""
+    """Every chunk boundary writes the bytes of format_value joined per row:
+    for int and float arrays, int lists and lists of np.float64; for 18
+    columns shaped like the estimation CSV; for Python ints beyond int64,
+    as ``cli._as_integers`` makes them; and for a table of no columns."""
     rng = np.random.default_rng(rows)
     special = [-0.0, 1e-300, 1e300, np.nan, 0.0, -1e300, np.inf, -np.inf]
     floats = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
     floats[::7][:len(special)] = special[:len(floats[::7])]
-    columns = {
-        "i_arr": np.arange(rows) - rows // 2,
-        "f_arr": floats,
-        "i_list": [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, rows)],
-        "f64_list": [np.float64(v) for v in floats[::-1]],
-    }
-    path = tmp_path / "chunks.csv"
-    export_csv(path, columns)
-    assert path.read_bytes() == _format_value_csv(columns)
+    t = np.arange(rows)
+    estimation = {"t": t, "time_s": t * 0.001}
+    estimation |= {f"x_{k}": rng.permutation(floats) for k in range(15)}
+    estimation["trP"] = [np.float64(v) for v in rng.permutation(floats)]
+    tables = [
+        {
+            "i_arr": t - rows // 2,
+            "f_arr": floats,
+            "i_list": [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, rows)],
+            "f64_list": [np.float64(v) for v in floats[::-1]],
+        },
+        estimation,
+        {"t": [2 ** 64 * (-1) ** i + i for i in range(rows)], "x": floats},
+        {},
+    ]
+    assert len(estimation) == 18
+    for k, columns in enumerate(tables):
+        path = tmp_path / f"chunks{k}.csv"
+        assert export_csv(path, columns) == (rows if columns else 0)
+        assert path.read_bytes() == _format_value_csv(columns)
 
 
 def test_export_csv_of_chunks_writes_the_table(tmp_path):

@@ -1,6 +1,8 @@
 """Streaming separator behavior: steady states, linearity, reconfiguration."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -521,6 +523,58 @@ def test_run_with_switches_equals_hand_loop(dims):
     assert np.array_equal(_bits(got), _bits(want))
     # the change at len(xs) is applied: both continue alike
     assert np.array_equal(_bits(run_state.step(xs[0])), _bits(hand_state.step(xs[0])))
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_scalar_run_over_each_input_shape_equals_per_step_oracle(shape):
+    """A scalar separator's run stores its float outputs through views of
+    the output arrays: over (N,) and (N, 1) inputs the outputs keep the
+    input's shape and equal the per-step oracle bit for bit, with -0.0,
+    the smallest subnormal and +-1e308 among the inputs, across a
+    coefficient swap in the middle of a period."""
+    period = 7
+    # taps of at most 0.8: no output overflows, as +-1e308 are not a period apart
+    pair, spec = _pair(rho_tilde=0.5 / (period * 0.01), period=period)
+    xs = np.random.default_rng(29).standard_normal(6 * period)
+    xs[[3, 11, 19, 30, 33]] = [-0.0, 5e-324, 1e308, -1e308, -5e-324]
+    swap = (3 * period + 2, design_iir(replace(spec, rho_tilde=spec.rho_tilde * 3.0), 1))
+    state = PasfState(*pair)
+    oracle = _PerStepOracle(state.bank, 1)
+    got_p, got_a = state.run(xs.reshape(len(xs), *shape), [swap])
+    assert got_p.shape == got_a.shape == (len(xs), *shape)
+    want = []
+    for t, x in enumerate(xs):
+        if t == swap[0]:
+            oracle.bank = SeparatorBank(*swap[1])
+        want.append(oracle.step(np.array([x])))
+    want_p, want_a = (np.array([w[k][0] for w in want]) for k in (0, 1))
+    assert np.isfinite(want_p).all() and np.isfinite(want_a).all()
+    assert np.array_equal(_bits(got_p.reshape(-1)), _bits(want_p))
+    assert np.array_equal(_bits(got_a.reshape(-1)), _bits(want_a))
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("dims", [None, 3])
+def test_copied_separator_steps_like_the_original(dims, how):
+    """A separator copied in the middle of a period, deeply or through a
+    pickle, owns its own buffers and steps bit for bit like the original
+    for three more periods, across period boundaries and a swap."""
+    rng = np.random.default_rng(3)
+    period, order = 5, 2
+    state = PasfState(*_random_pair(rng, order, period), dims=dims)
+    shape = (dims,) if dims else ()
+    for _ in range(2 * order * period + 2):
+        state.step(rng.standard_normal(shape))
+    twin = (copy.deepcopy(state) if how == "deepcopy"
+            else pickle.loads(pickle.dumps(state)))
+    assert not np.shares_memory(twin.core._hist, state.core._hist)
+    swap = _random_pair(rng, order, period)
+    for t in range(3 * period):
+        if t == period:
+            state.swap_coefficients(*swap)
+            twin.swap_coefficients(*swap)
+        x = rng.standard_normal(shape)
+        assert np.array_equal(_bits(state.step(x)), _bits(twin.step(x)))
 
 
 def test_run_rejects_unsorted_or_out_of_range_switches():
