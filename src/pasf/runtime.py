@@ -37,6 +37,21 @@ slices of at most ``_BUILD_PRODUCTS`` products per output, so its
 temporaries stay well under a megabyte at any period (FIR50, n = 3, period
 1000 would otherwise allocate several 1.2 MB arrays per pass).
 
+A bank whose feedback taps are all zero (an FIR pair or its complement,
+the comb1 baseline, any loaded pair without feedback) is feed-forward. Its
+builds gather the input ring alone, with the same grid and offset, and
+reduce ``H * x`` along the same axis, in about half the time. For every
+finite history that is bitwise equal to the per-step sum, whose ``0 * xp``
+terms are zeros: adding a zero of either sign leaves a nonzero value
+unchanged, so a nonzero sum does not depend on them, and a sum of zeros is
++0.0 either way because NumPy starts each float64 add reduction of these
+layouts from +0.0 (the tests check this condition for each layout). A
+non-finite output history differs on purpose: ``0 * inf`` is NaN, so the
+full sum would keep an FIR separator NaN for good after one overflowing
+output, while the FIR difference equation is finite again once the large
+inputs have left the order*period window. Every step still stores x, xp
+and xa, which a later swap to a feedback bank reads.
+
 A one-channel separator steps in Python floats: the input is coerced once,
 the build converts each slice's theta pairs to floats with one ``tolist()``,
 ``xp = tp + sp * x`` and ``xa = ta + sa * x`` are computed on floats, and
@@ -149,7 +164,10 @@ class SeparatorCore:
         an n-vector by NumPy's faster array-operand loop, with the same bits
         as the float."""
         self.bank = bank
-        self._G, self._H = bank.G.reshape(self._taps), bank.H.reshape(self._taps)
+        # a bank with no nonzero feedback tap is feed-forward: its builds
+        # read the input ring alone (None marks it)
+        self._G = bank.G.reshape(self._taps) if bank.G.any() else None
+        self._H = bank.H.reshape(self._taps)
         self._sp, self._sa = np.full(self.n, bank.sp), np.full(self.n, bank.sa)
         self._invalidate()
 
@@ -197,15 +215,18 @@ class SeparatorCore:
         start = self.t
         span = self.capacity * n
         G, H, grid = self._G, self._H, self._grid
+        rings = self._flat[:1] if G is None else self._flat
         rows = []
         for r0 in range(0, period, width):
             if period - r0 < width:  # the last slice, partial
                 grid = grid[..., :period - r0, :]
             # the offset is reduced first: each index wraps at most once
-            hist = self._flat.take(grid + (start + r0) * n % span, axis=1,
-                                   mode="wrap")
-            prod = G * hist[1:]
-            prod += H * hist[0]
+            hist = rings.take(grid + (start + r0) * n % span, axis=1, mode="wrap")
+            if G is None:
+                prod = H * hist[0]
+            else:
+                prod = G * hist[1:]
+                prod += H * hist[0]
             sums = np.add.reduce(prod, axis=self._axis)
             # floats when n == 1, else views of the n-vector rows
             rows += zip(*(sums.tolist() if n == 1 else sums))

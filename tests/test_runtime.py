@@ -16,6 +16,7 @@ from pasf.design import (
     PERIODIC_PASS,
     FilterCoefficients,
     SeparationSpec,
+    design_for,
     design_iir,
 )
 from pasf.errors import (
@@ -239,8 +240,13 @@ def _random_pair(rng, order, period, realization="iir"):
                  for kind in (PERIODIC_PASS, APERIODIC_PASS))
 
 
-def _random_bank(rng, order, period):
-    return SeparatorBank(*_random_pair(rng, order, period))
+def _random_bank(rng, order, period, realization="iir"):
+    return SeparatorBank(*_random_pair(rng, order, period, realization))
+
+
+def _any_realization(rng):
+    """A feed-forward ("fir") or feedback ("iir") realization, at random."""
+    return ("iir", "fir")[rng.integers(2)]
 
 
 def _bits(a):
@@ -252,13 +258,14 @@ def _assert_theta_equals_sum(core, rng, events, steps):
     its rings and advancing t, applying each (step, "swap" | "inject" |
     "reset") event before its step, and hold every theta row to the
     per-step np.sum over the order axis, raw bits included (so the sign of
-    zero counts)."""
+    zero counts). The sum keeps the feedback terms, all-zero ones of an FIR
+    bank included; a swap draws an FIR or an IIR bank at random."""
     cap, dims, order, period = (core.capacity, core.n, core.bank.order,
                                 core.bank.period)
     for step in range(steps):
         for event in [e for at, e in events if at == step]:
             if event == "swap":
-                core.swap_bank(_random_bank(rng, order, period))
+                core.swap_bank(_random_bank(rng, order, period, _any_realization(rng)))
             elif event == "inject":
                 core.inject(*rng.standard_normal((3, cap, dims)))
             else:
@@ -283,17 +290,19 @@ def _assert_theta_equals_sum(core, rng, events, steps):
         core.t += 1
 
 
+@pytest.mark.parametrize("realization", ["iir", "fir"])
 @pytest.mark.parametrize("order", [1, 2, 3, 50])
 @pytest.mark.parametrize("dims", [1, 3])
-def test_theta_bitwise_equals_sum_formulation(order, dims):
+def test_theta_bitwise_equals_sum_formulation(order, dims, realization):
     """Each theta row equals the per-step np.sum over the order axis, raw
     bits included (so the sign of zero counts), at periods 1 to 12 and
     across a coefficient swap, an inject and a reset in the middle of a
     period. One channel reads the row as two Python floats, more than one
-    as two n-vectors."""
+    as two n-vectors. An FIR bank's rows, built from the input ring alone,
+    equal the sum with its zero feedback terms."""
     rng = np.random.default_rng(100 * order + dims)
     for period in range(1, 13):
-        core = SeparatorCore(_random_bank(rng, order, period), dims)
+        core = SeparatorCore(_random_bank(rng, order, period, realization), dims)
         cap = core.capacity
         mid = period // 2
         # A reset inside the first period returns t into the warm table's
@@ -306,8 +315,9 @@ def test_theta_bitwise_equals_sum_formulation(order, dims):
         _assert_theta_equals_sum(core, rng, events, 4 * cap + 2 * period)
 
 
+@pytest.mark.parametrize("realization", ["iir", "fir"])
 @pytest.mark.parametrize("dims", [1, 3])
-def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims):
+def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims, realization):
     """A period of more than three ``_width`` row slices, the last one
     partial: every row of every slice equals the per-step np.sum, across a
     swap and an inject in the middle of a period, which start the slices
@@ -315,7 +325,7 @@ def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims):
     rng = np.random.default_rng(7 + dims)
     order = 50
     period = 3 * (runtime._BUILD_PRODUCTS // (order * dims)) + 7
-    core = SeparatorCore(_random_bank(rng, order, period), dims)
+    core = SeparatorCore(_random_bank(rng, order, period, realization), dims)
     assert period >= 3 * core._width
     swap_at = period // 2 + 1
     inject_at = swap_at + period + period // 3
@@ -323,22 +333,40 @@ def test_theta_bitwise_equals_sum_formulation_across_build_slices(dims):
     _assert_theta_equals_sum(core, rng, events, inject_at + period + 5)
 
 
+@pytest.mark.parametrize("realization", ["iir", "fir"])
 @pytest.mark.parametrize("order", [1, 3, 50])
 @pytest.mark.parametrize("dims", [1, 3])
-def test_theta_bitwise_equals_sum_formulation_after_many_wraps(order, dims):
+def test_theta_bitwise_equals_sum_formulation_after_many_wraps(order, dims, realization):
     """t * n passes the ring's span dozens of times before a swap and an
     inject in the middle of a period. A build reduces its slice's offset
     into the ring before adding the lag grid, so every gathered index wraps
     at most once at any t: each row still equals the per-step np.sum."""
     rng = np.random.default_rng(31 * order + dims)
     for period in (1, 2, 7):
-        core = SeparatorCore(_random_bank(rng, order, period), dims)
+        core = SeparatorCore(_random_bank(rng, order, period, realization), dims)
         cap = core.capacity
         swap_at = 30 * cap + period // 2
         inject_at = 45 * cap + period // 2 + 1
         events = [(0, "inject"), (swap_at, "swap"), (inject_at, "inject")]
         _assert_theta_equals_sum(core, rng, events, inject_at + 2 * period + 3)
         assert core.t * dims > 45 * cap * dims
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 9, 50, 200])
+def test_sums_of_negative_zeros_are_positive_zero(order):
+    """The condition a feed-forward build rests on (see the runtime module
+    docstring): in each reduction layout of a build and of the per-step
+    sum, a float64 sum whose terms are all -0.0 is +0.0. Without it,
+    dropping an FIR bank's zero feedback terms could flip the sign of a
+    zero theta."""
+    rows = 5
+    layouts = [((2, rows, order), -1)]
+    for n in (1, 3):
+        layouts += [((2, order, rows, n), 1), ((order, n), 0)]
+    for shape, axis in layouts:
+        zeros = np.full(shape, -0.0)
+        for total in (np.add.reduce(zeros, axis=axis), np.sum(zeros, axis=axis)):
+            assert not np.signbit(total).any(), (np.__version__, shape, axis)
 
 
 class _PerStepOracle:
@@ -383,16 +411,18 @@ def test_pasf_step_bitwise_equals_per_step_oracle(order, dims, period, fir,
                                                   swaps, seed):
     """More than one channel takes the vector step. One channel takes the
     Python-float step, fed every accepted input form, and must return
-    Python floats."""
+    Python floats. A swap draws an FIR or an IIR pair at random, so it may
+    cross between a feed-forward and a feedback bank."""
     rng = np.random.default_rng(seed)
-    realization = "fir" if fir else "iir"
-    state = PasfState(*_random_pair(rng, order, period, realization), dims=dims)
+    state = PasfState(*_random_pair(rng, order, period, "fir" if fir else "iir"),
+                      dims=dims)
     oracle = _PerStepOracle(state.bank, dims)
     steps = 2 * order * period + period + 1
     swap_at = {s % steps for s in swaps}
     for t in range(steps):
         if t in swap_at:
-            state.swap_coefficients(*_random_pair(rng, order, period, realization))
+            state.swap_coefficients(*_random_pair(rng, order, period,
+                                                  _any_realization(rng)))
             oracle.bank = state.bank
         x = rng.standard_normal(dims) * 10.0 ** rng.uniform(-3, 3)
         x[rng.random(dims) < 0.1] = -0.0
@@ -551,6 +581,37 @@ def test_scalar_run_over_each_input_shape_equals_per_step_oracle(shape):
     assert np.isfinite(want_p).all() and np.isfinite(want_a).all()
     assert np.array_equal(_bits(got_p.reshape(-1)), _bits(want_p))
     assert np.array_equal(_bits(got_a.reshape(-1)), _bits(want_a))
+
+
+def test_feed_forward_outputs_recover_after_overflow():
+    """Outputs that overflow leave a feed-forward separator once the large
+    inputs have left its order*period window: from there on its outputs
+    are finite and equal, bit for bit, those of a fresh separator injected
+    with the last ``capacity`` inputs. A comb1 pair's taps sum to 1 in
+    magnitude, so no finite input overflows it; it takes over from an IIR1
+    pair that overflowed, whose non-finite outputs stay in the rings. An
+    IIR pair carries them on through its feedback."""
+    period = 7
+    spec = SeparationSpec(0.05, period, 1.0)
+    large = 9 * period
+    xs = np.ones(40 * period)
+    xs[:large] = 1.7e308 * (-1.0) ** np.arange(large)
+    fir, iir, comb = (design_for("fir", spec, 8), design_iir(spec, 1),
+                      comb_pair(CombSpec(1, period)))
+    # (first pair, switches, pair at the end)
+    for first, switches, last in [(fir, [], fir), (iir, [(large, comb)], comb)]:
+        state = PasfState(*first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.stack(state.run(xs, switches))
+        cap = state.core.capacity
+        done = large + cap
+        assert not np.isfinite(out[:, :done]).all()
+        assert np.isfinite(out[:, done:]).all()
+        fresh = PasfState(*last, history=(xs[done - cap:done], np.zeros(cap), np.zeros(cap)))
+        assert np.array_equal(_bits(out[:, done:]), _bits(fresh.run(xs[done:])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.stack(PasfState(*iir).run(xs))
+    assert not np.isfinite(out[:, -1]).all()
 
 
 @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
