@@ -261,6 +261,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidArgumentError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse drops a "--" given as an option's value ("--points=--"),
+        # which leaves an empty list where one value was expected
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -4,8 +4,9 @@ every input text file (CSVs, coefficient files, scenario files)."""
 from __future__ import annotations
 
 import os
+from collections import Counter
 from collections.abc import Mapping
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -20,7 +21,7 @@ def format_value(v) -> str:
     return f"{float(v):.12g}"
 
 
-def export_csv(path, columns) -> int:
+def export_csv(path, columns, shared=None) -> int:
     """Write a table as newline-terminated UTF-8: the column names, then one
     row per index; returns the number of rows.
 
@@ -44,6 +45,13 @@ def export_csv(path, columns) -> int:
     formatted by one ``%`` of the row template repeated once per row over
     its values taken row by row, and written with one ``write``. Memory
     stays bounded by one chunk, whatever the table's length.
+
+    ``shared``, a ``SharedColumns`` record made over a set of tables that
+    holds ``columns``, writes each run of adjacent columns that the set
+    repeats from the run's text, formatted once for the whole set: a row's
+    fields of the run are put in with one ``%s``. The text is that of the
+    run's columns formatted as above, so the bytes are the same; the record
+    holds it, one string per chunk, until the record is dropped.
     """
     chunks = iter((columns,) if isinstance(columns, Mapping) else columns)
     first = next(chunks)
@@ -62,7 +70,9 @@ def export_csv(path, columns) -> int:
             fh.write(",".join(names) + "\n")
             for chunk in chain((first,), chunks):
                 _check_chunk(chunk, names)
-                rows += _write_rows(fh, list(chunk.values()))
+                cols = list(chunk.values()) if shared is None else shared.columns(chunk)
+                fh.writelines(_chunk_texts(cols))
+                rows += len(cols[0]) if cols else 0
         try:
             os.replace(tmp, path)
         except OSError as exc:
@@ -84,16 +94,20 @@ def _check_chunk(columns, names) -> None:
         raise InvalidArgumentError(f"columns of unequal length: {lengths}")
 
 
-def _write_rows(fh, cols) -> int:
-    """Write the rows of one chunk's columns (of equal length)."""
-    fmt = ",".join("%d" if _integers(col) else "%.12g" for col in cols) + "\n"
-    rows = len(cols[0]) if cols else 0
-    for i in range(0, rows, _CHUNK_ROWS):
+def _chunk_texts(cols):
+    """The text of each ``_CHUNK_ROWS`` rows of columns of equal length,
+    every row ended by a newline."""
+    fmt = ",".join(map(_field, cols)) + "\n"
+    for i in range(0, len(cols[0]) if cols else 0, _CHUNK_ROWS):
         parts = [col[i:i + _CHUNK_ROWS] for col in cols]
         parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-        values = tuple(chain.from_iterable(zip(*parts)))
-        fh.write(fmt * len(parts[0]) % values)
-    return rows
+        yield fmt * len(parts[0]) % tuple(chain.from_iterable(zip(*parts)))
+
+
+def _field(col) -> str:
+    if isinstance(col, _Run):
+        return "%s"
+    return "%d" if _integers(col) else "%.12g"
 
 
 # Rows per chunk of export_csv: large enough to amortize a write, small
@@ -105,6 +119,106 @@ def _integers(col) -> bool:
     if isinstance(col, np.ndarray):
         return col.dtype.kind in "iu"
     return all(issubclass(kind, (int, np.integer)) for kind in set(map(type, col)))
+
+
+class SharedColumns:
+    """The runs of adjacent columns that a set of tables repeats, for
+    ``export_csv`` to format each run once for the whole set.
+
+    A column is repeated when a 1-D array of the same dtype, length and bits
+    is a column of another table of the set: equal bytes give equal text, so
+    -0.0 and 0.0 stay apart, and so do integer and float columns of equal
+    values. Columns are grouped by (dtype, length, hash of their bytes), and
+    a hash match is confirmed bit for bit. A maximal run of adjacent
+    repeated columns in a table is shared when the same run of columns
+    appears more than once in the set; lists, columns of one table and runs
+    that appear once are written as without the record. The tables and
+    their arrays must not change between making the record and writing
+    them.
+    """
+
+    def __init__(self, tables):
+        tables = list(tables)
+        classes = _column_classes(tables)
+        counts = Counter(c for table in classes for c in set(table) if c is not None)
+        repeated = {c for c, n in counts.items() if n > 1}
+        spans = [_runs(table, repeated) for table in classes]
+        uses = Counter(run for table in spans for _, _, run in table)
+        runs = {}
+        self._tables = {}
+        for table, found in zip(tables, spans):
+            cols = list(table.values())
+            found = [(i, j, runs.setdefault(run, _Run(cols[i:j])))
+                     for i, j, run in found if uses[run] > 1]
+            self._tables[id(table)] = (table, found)
+
+    def columns(self, table) -> list:
+        """The columns of ``table``, with each shared run replaced by one
+        column of its rows' text."""
+        cols = list(table.values())
+        made, found = self._tables.get(id(table), (None, []))
+        if made is table:
+            for i, j, run in reversed(found):
+                cols[i:j] = [run]
+        return cols
+
+
+def _column_classes(tables) -> list:
+    """Per table, each column's class of bitwise-equal 1-D arrays (an index
+    shared by every such column of the tables), or None if not an array."""
+    firsts, by_key, out = [], {}, []
+    for table in tables:
+        row = []
+        for col in table.values():
+            if not (isinstance(col, np.ndarray) and col.ndim == 1):
+                row.append(None)
+                continue
+            members = by_key.setdefault(_key(col), [])
+            c = next((m for m in members if firsts[m].dtype == col.dtype
+                      and firsts[m].tobytes() == col.tobytes()), None)
+            if c is None:
+                c = len(firsts)
+                firsts.append(col)
+                members.append(c)
+            row.append(c)
+        out.append(row)
+    return out
+
+
+def _key(col):
+    return col.dtype, len(col), hash(col.tobytes())
+
+
+def _runs(classes, repeated) -> list:
+    """The maximal runs of adjacent classes in ``repeated``: (start, stop,
+    the run's classes)."""
+    out, i = [], 0
+    for rep, group in groupby(classes, repeated.__contains__):
+        n = len(list(group))
+        if rep:
+            out.append((i, i + n, tuple(classes[i:i + n])))
+        i += n
+    return out
+
+
+class _Run:
+    """A run of columns as one column of its rows' text, formatted on first
+    use and held as one string per ``_CHUNK_ROWS`` rows; a slice that starts
+    a chunk gives that chunk's rows."""
+
+    __slots__ = ("cols", "texts")
+
+    def __init__(self, cols):
+        self.cols, self.texts = cols, None
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def __getitem__(self, rows: slice) -> list:
+        if self.texts is None:
+            self.texts = list(_chunk_texts(self.cols))
+        # a formatted number holds no line break
+        return self.texts[rows.start // _CHUNK_ROWS].splitlines()
 
 
 def read_text(path) -> str:

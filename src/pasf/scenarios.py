@@ -13,7 +13,7 @@ import numpy as np
 
 from . import signals as sig
 from .baselines import comb_pair
-from .csvio import export_csv
+from .csvio import SharedColumns, export_csv
 from .design import (SeparationSpec, check_order, check_sampling_time, design_for,
                      fir_band_edges, forget_designs, iir_taps)
 # unused here: the traced benchmark run (perfbench/spans.py) wraps these names
@@ -454,7 +454,15 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     """Run a Scenario; returns output paths plus in-memory results. The run
     starts from an empty design memo (see ``design.design_for``), so it
     designs each distinct pair once: the second passes and the interference
-    trace reuse the first pass's pairs."""
+    trace reuse the first pass's pairs.
+
+    Its tables repeat columns: every filter's table starts with the same
+    signal columns, and the interference table with ``t,time_s``. One
+    ``csvio.SharedColumns`` record over all of them lets ``export_csv``,
+    still called once per file, format each repeated run of columns once
+    for the scenario. The text is that of formatting the run in each file,
+    so every byte is the same; it is held, one string per 1,024 rows, until
+    the files are written."""
     forget_designs()
     if scn.kind == "separation":
         runs = run_separation(scn)
@@ -477,9 +485,10 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     # created only now, so a run that fails leaves no directory behind
     os.makedirs(out_dir, exist_ok=True)
     outputs: dict = {"files": [], "results": results}
+    shared = SharedColumns(tables.values())
     for fname, columns in tables.items():
         path = os.path.join(out_dir, fname)
-        export_csv(path, columns)
+        export_csv(path, columns, shared)
         outputs["files"].append(path)
     if plot_script:
         path = os.path.join(out_dir, f"{scn.name}.gp")

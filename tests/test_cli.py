@@ -5,6 +5,7 @@ import filecmp
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pasf import cli, csvio
+from pasf import cli, csvio, scenarios
 from pasf.baselines import CombSpec, comb_pair
 from pasf.csvio import export_csv, format_value, read_csv
 from pasf.design import (
@@ -442,6 +443,129 @@ def test_export_csv_of_chunks_writes_the_table(tmp_path):
     assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+def _shared_tables(rows):
+    """Tables that repeat runs of columns: a run at the start, the middle
+    and the end of a table and a table that is the run alone, copies of the
+    run's arrays, a run of one column, and columns that must stay apart:
+    the same values as int64 and float64, the bits of an int64 column as
+    float64, +0.0 and -0.0, and lists."""
+    rng = np.random.default_rng(rows)
+    special = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0]
+    floats = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    floats[::5][:len(special)] = special[:len(floats[::5])]
+    t = np.arange(rows)
+    run = {"t": t, "time_s": t * 0.001, "x": floats}
+
+    def own():
+        return rng.standard_normal(rows)
+
+    return {
+        "start": {**run, "a": own()},
+        "middle": {"a": own(), **{k: v.copy() for k, v in run.items()}, "b": own()},
+        "end": {"a": own(), "t": t, "time_s": t * 0.001, "x": floats},
+        "alone": dict(run),
+        "one": {"a": own(), "y": floats[::-1], "b": own()},
+        "one_again": {"y": floats[::-1].copy(), "a": own()},
+        "t_float": {"t": t.astype(float), "time_s": t * 0.001, "x": floats, "a": own()},
+        "t_bits": {"t": t.view(np.float64), "a": own()},
+        "t_alone": {"t": t, "a": own()},
+        "zeros": {"z": np.zeros(rows), "a": own()},
+        "negative_zeros": {"z": np.full(rows, -0.0), "a": own()},
+        "lists": {"t": t.tolist(), "time_s": (t * 0.001).tolist(), "x": floats},
+    }
+
+
+def _write_shared(tmp_path, tables):
+    shared = csvio.SharedColumns(tables.values())
+    for name, columns in tables.items():
+        rows = len(next(iter(columns.values())))
+        assert export_csv(tmp_path / f"{name}.csv", columns, shared) == rows
+    return shared
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_shared_runs_keep_each_tables_bytes(tmp_path, rows):
+    """Each table written through a SharedColumns record over the set has
+    the bytes of the table written alone and of format_value per value."""
+    tables = _shared_tables(rows)
+    shared = _write_shared(tmp_path, tables)
+    for name, columns in tables.items():
+        export_csv(tmp_path / "alone.csv", columns)
+        alone = (tmp_path / "alone.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == alone == _format_value_csv(columns), name
+    if rows:
+        runs = {name: [type(c).__name__ for c in shared.columns(cols)]
+                for name, cols in tables.items()}
+        assert runs["start"] == ["_Run", "ndarray"]
+        assert runs["middle"] == ["ndarray", "_Run", "ndarray"]
+        assert runs["end"] == ["ndarray", "_Run"]
+        assert runs["alone"] == ["_Run"]
+        assert runs["one"] == ["ndarray", "_Run", "ndarray"]
+        assert runs["one_again"] == ["_Run", "ndarray"]
+
+
+def test_shared_runs_confirm_a_hash_match_bit_for_bit(tmp_path, monkeypatch):
+    """Columns of other bytes or dtypes under one key are not merged."""
+    monkeypatch.setattr(csvio, "_key", lambda col: 0)
+    tables = _shared_tables(_CHUNK + 1)
+    _write_shared(tmp_path, tables)
+    for name, columns in tables.items():
+        assert (tmp_path / f"{name}.csv").read_bytes() == _format_value_csv(columns), name
+
+
+def test_shared_run_memory_is_its_text(tmp_path):
+    """Five 200,000-row tables that are one shared five-column run hold the
+    run's text once, one string per chunk, not per-value strings of whole
+    columns: the peak over making the record and writing stays under the
+    text's size plus 1 MB."""
+    rows = 200_000
+    rng = np.random.default_rng(5)
+    t = np.arange(rows)
+    run = {"t": t, "time_s": t * 0.001,
+           **{f"x{k}": rng.standard_normal(rows) for k in range(3)}}
+    tables = [dict(run) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        shared = csvio.SharedColumns(tables)
+        for k, columns in enumerate(tables):
+            export_csv(tmp_path / f"table{k}.csv", columns, shared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (run_text,) = shared.columns(tables[0])
+    text = sum(map(len, run_text.texts))  # ASCII: its UTF-8 size
+    # per-value strings of one whole column would add 200,000 x about 70 B
+    assert peak < text + 1_000_000, (peak, text)
+    export_csv(tmp_path / "alone.csv", tables[4])
+    assert (tmp_path / "table4.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_scenario_files_equal_their_tables_written_alone(tmp_path, monkeypatch):
+    """Every file of a tiny separation and estimation scenario has the bytes
+    of its table written alone, with its shared runs written once."""
+    written = []
+
+    def record(path, columns, shared=None):
+        written.append((path, columns, shared))
+        return export_csv(path, columns, shared)
+
+    monkeypatch.setattr(scenarios, "export_csv", record)
+    for name in ("sec53", "sec52"):
+        scn = built_in(name, 0)
+        scn = replace(scn, duration_s=1.1, rho_schedule=scn.rho_schedule[:1],
+                      interference_window_s=(0.5, 1.1))
+        del written[:]
+        scenarios.run_scenario(scn, seed=0, out_dir=str(tmp_path / scn.name), plot_script=False)
+        assert len(written) == len(scn.filters) + len(scn.combs) + 1
+        for path, columns, _ in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == _format_value_csv(columns), path
+        # every filter's table shares its leading columns with the others
+        assert all(any(isinstance(c, csvio._Run)
+                       for c in shared.columns(columns))
+                   for _, columns, shared in written[:-1])
+
+
 def _failing_chunks(how):
     yield {"a": [1, 2], "b": [0.5, 0.25]}
     if how == "raise":
@@ -477,6 +601,91 @@ def test_export_csv_memory_is_bounded_by_a_chunk(tmp_path):
         tracemalloc.stop()
     # one whole float column as Python floats is 200,000 x 32 B = 6.4 MB
     assert peak < 1_000_000
+
+
+# Values of the numeric flags: three draws in four from the flag's working
+# range, so that examples reach the designs, and otherwise IEEE specials,
+# extremes, non-numbers, drawn floats and drawn ints. --order and --points
+# size an allocation, so their ints are drawn from a range a run can afford.
+_SPECIAL_VALUES = ["0", "-0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+                   "1e400", "-1e400", "", "abc", "0x10", "1_0", " 2 ", "1e", "--"]
+
+
+@st.composite
+def _flag_values(draw, working, ints=st.integers()):
+    if draw(st.integers(0, 3)):
+        return repr(draw(working))
+    return draw(st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats().map(repr),
+                          ints.map(str)))
+
+
+_SIZES = st.integers(-3, 300)
+_SPEC_FLAGS = {"--rho-tilde": _flag_values(st.floats(1e-3, 5.0)),
+               "--period": _flag_values(st.integers(1, 20)),
+               "--sampling-time": _flag_values(st.floats(1e-3, 0.1)),
+               "--order": _flag_values(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 20, 50]),
+                                       _SIZES)}
+_NUMERIC_FLAGS = {
+    "design-iir": _SPEC_FLAGS,
+    "design-fir": {**_SPEC_FLAGS,
+                   "--passband-edge": _flag_values(st.floats(0.0, 3.2)),
+                   "--stopband-edge": _flag_values(st.floats(0.0, 3.2)),
+                   "--weight-ratio": _flag_values(st.floats(1e-3, 1e3))},
+    "bode": {"--points": _flag_values(st.integers(2, 3000), _SIZES),
+             "--omega-min": _flag_values(st.floats(1e-4, 400.0)),
+             "--omega-max": _flag_values(st.floats(1e-4, 400.0))},
+}
+_REQUIRED = {"--rho-tilde", "--period", "--sampling-time", "--order"}
+
+
+@st.composite
+def _numeric_command_lines(draw):
+    """A design-iir, design-fir or bode command line: every required flag
+    and some optional ones, each with a drawn value (as ``--flag=value``, so
+    a value that starts with a dash is still the flag's value)."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    args = [command]
+    for flag, values in _NUMERIC_FLAGS[command].items():
+        if flag in _REQUIRED or draw(st.booleans()):
+            args.append(f"{flag}={draw(values)}")
+    return args
+
+
+@settings(max_examples=600, deadline=None)
+@given(args=_numeric_command_lines())
+@example(args=["design-iir", "--rho-tilde=1e308", "--period=7",
+               "--sampling-time=5e-324", "--order=2"])
+@example(args=["design-fir", "--rho-tilde=1.0", "--period=7", "--sampling-time=0.1",
+               "--order=12", "--weight-ratio=1e400"])
+@example(args=["bode", "--points=2", "--omega-min=-0", "--omega-max=nan"])
+@example(args=["bode", "--points=--"])
+def test_numeric_flags_exit_cleanly_or_with_one_error_line(tmp_path_factory, args):
+    """Each numeric flag value either runs, with nothing on stderr, or fails
+    with exit 1 or 2, one ``error: validation|runtime|io:`` line and no file
+    in the output directory."""
+    base = tmp_path_factory.getbasetemp() / "numeric-flags"
+    if not (base / "iir2_p.txt").exists():
+        base.mkdir(exist_ok=True)
+        p, _ = design_iir(SeparationSpec(2.5, 7, 0.01), 2)
+        save_coefficients(p, base / "iir2_p.txt")
+    if args[0] == "bode":
+        args = [*args, f"--coeffs={base / 'iir2_p.txt'}"]
+    out = base / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--out-dir", str(out), *args])
+    lines = err.getvalue().splitlines()
+    try:
+        if code == 0:
+            assert lines == [], (args, lines)
+        else:
+            assert code in (1, 2), (args, code)
+            assert len(lines) == 1, (args, lines)
+            category = "validation" if code == 1 else "(runtime|io)"
+            assert re.match(rf"error: {category}: ", lines[0]), (args, lines)
+            assert not out.exists() or not os.listdir(out), (args, os.listdir(out))
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def test_separate_rejects_non_finite_coefficient_file(tmp_path):

@@ -593,3 +593,19 @@ def test_model_matrices_are_read_only_copies():
     for name in ("A", "B", "C", "Q", "R"):
         with pytest.raises(ValueError):
             getattr(model, name)[0, 0] = 0.0
+
+
+def test_blas_products_fuse_multiply_adds():
+    """The platform that the recorded output bits assume: NumPy's OpenBLAS
+    computes the plant's and the Kalman tick's ``ndarray.dot`` with fused
+    multiply-adds, as its x86-64 kernels with FMA do. Without FMA the middle
+    row of this product rounds to 0.8, and every estimation and control CSV
+    moves, so the golden digests and the benchmark's bitwise comparison
+    fail; this test names that cause first."""
+    A = np.array([[0.9, 0.2, 0.5], [0.3, 0.1, 0.7], [0.1, 0.3, 0.5]])
+    x = np.array([0.5, 0.2, 0.9])
+    got = kalman.product(3)(A, x).tolist()
+    assert got == [0.94, 0.7999999999999999, 0.56], (
+        f"A.dot(x) = {got}: this BLAS kernel does not fuse multiply-adds, so "
+        "estimation and control outputs will not have their recorded bits "
+        "(see README, Platform)")
