@@ -199,7 +199,7 @@ def _load_scenario_arg(name_or_path, seed):
 
 def _cmd_kfpasf(args) -> int:
     scn = _load_scenario_arg(args.scenario, args.seed)
-    if scn.kind not in ("estimation", "control"):
+    if scn.A is None:  # the estimator runs on the scenario's model
         raise InvalidArgumentError(
             f"kfpasf needs an estimation or control scenario, got {scn.kind}"
         )

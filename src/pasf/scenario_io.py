@@ -18,8 +18,8 @@ from . import signals as sig
 from .baselines import CombSpec
 from .csvio import read_text
 from .errors import InvalidArgumentError
-from .scenarios import (CombBaseline, ControllerSpec, FilterChoice, Scenario,
-                        _stream_seed)
+from .scenarios import (_READS, CombBaseline, ControllerSpec, FilterChoice, Scenario,
+                        _stream_seed, kind_of)
 from .signals import NoiseSpec
 
 
@@ -44,9 +44,11 @@ _REPEATABLE = {("scenario", "filter"), ("signal", "piece")}
 
 
 def _sections(text: str):
-    """Each section's (line, key, value) entries in file order; an unknown
-    section or key, or a repeated key, is an error naming its line."""
+    """Each section's (line, key, value) entries in file order, and the line
+    of each section's first header; an unknown section or key, or a
+    repeated key, is an error naming its line."""
     sections: dict[str, list] = {}
+    headers: dict[str, int] = {}
     current = None
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,6 +63,7 @@ def _sections(text: str):
                     no, f"unknown section {line}; expected [scenario], [model], "
                         "[rho], [controller], [signal NAME] or [comb LABEL]")
             current = " ".join(words)
+            headers.setdefault(current, no)
             entries = sections.setdefault(current, [])
             continue
         if current is None:
@@ -76,7 +79,7 @@ def _sections(text: str):
             if (kind, key) not in _REPEATABLE and any(k == key for _, k, _ in entries):
                 raise ScenarioParseError(no, f"duplicate key {key!r}")
         entries.append((no, key, value))
-    return sections
+    return sections, headers
 
 
 def _kv(entries):
@@ -273,7 +276,11 @@ class _SignalTable:
 
 
 def parse_scenario(text: str, seed: int = 0) -> Scenario:
-    sections = _sections(text)
+    """The Scenario that ``text`` describes. Its kind's ``KINDS`` record
+    says which sections and ``[scenario]`` keys it reads beyond those every
+    kind reads; any that only another kind reads is an error naming its
+    line."""
+    sections, headers = _sections(text)
     # a missing section fails on its first required key; filter is the one
     # repeatable key, read in file order below
     meta = _kv(e for e in sections.get("scenario", ()) if e[1] != "filter")
@@ -319,8 +326,15 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
         duration_s=duration, rho_schedule=rho_schedule, filters=tuple(filters),
         warm_start=warm_start, settle_s=settle, interference_window_s=window,
     )
-
-    if kind in ("estimation", "control"):
+    reads = kind_of(kind).reads
+    unread = set(_READS) - set(reads)  # read by another kind only
+    stray = [(no, f"[{section}]") for section, no in headers.items()
+             if section.split()[0] in unread]
+    stray += [(meta[key][0], f"[scenario] {key}") for key in unread if key in meta]
+    if stray:
+        no, what = min(stray)
+        raise ScenarioParseError(no, f"{kind} scenario does not read {what}")
+    if "model" in reads:
         mk = _kv(sections.get("model", ()))
 
         def mat(key, default=None, zeros_shape=None):
@@ -337,9 +351,12 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
                 mk, "[model]", "process_noise_variance", default="0"),
             observation_noise_variance=_value(
                 mk, "[model]", "observation_noise_variance", default="0"),
-            input_u=signals.ref(_entry(meta, "[scenario]", "input")),
         )
-    if kind == "control":
+    for key in reads:
+        if key in _SECTION_KEYS["scenario"]:  # a signal reference
+            (field,) = _READS[key]
+            fields[field] = signals.ref(_entry(meta, "[scenario]", key))
+    if "controller" in reads:
         ck = _kv(sections.get("controller", ()))
 
         def number(key):
@@ -354,14 +371,11 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
             kp_a=number("kp_a"), kd_a=number("kd_a"),
             cmd_p=command("cmd_p"), cmd_a=command("cmd_a"),
         )
-    if kind == "separation":
-        fields["truth_p"] = signals.ref(_entry(meta, "[scenario]", "truth_p"))
-        fields["truth_a"] = signals.ref(_entry(meta, "[scenario]", "truth_a"))
+    if "comb" in reads:
         fields["combs"] = tuple(
             _comb_baseline(name.removeprefix("comb "), _kv(entries), period,
                            sampling_time)
             for name, entries in sections.items() if name.startswith("comb "))
-
     return Scenario(**fields)
 
 

@@ -23,7 +23,7 @@ from .kalman import SystemModel, product
 from .kfpasf import KfPasfState, zero_histories
 from .runtime import PasfState, periodic_warm_history
 from .signals import NoiseSpec, eval_signal_array
-from .values import value
+from .values import replace, value
 
 
 @value
@@ -58,25 +58,19 @@ class CombBaseline:
     schedule: tuple  # ((start_s, CombSpec), ...) sorted by start
 
 
-# the fields each scenario kind runs on
-_KIND_FIELDS = {
-    "estimation": ("A", "B", "C", "Q", "R", "P0", "input_u"),
-    "control": ("A", "B", "C", "Q", "R", "P0", "input_u", "controller"),
-    "separation": ("truth_p", "truth_a"),
-}
-
-
 @value
 class Scenario:
     """One study: its kind, sampling, ``[rho]`` schedule, filters and, by
     kind, its model, controller or truth signals and combs. It is a frozen
     value (see ``pasf.values``) that checks itself when made, so every
     Scenario, one from ``values.replace`` too, is valid: an invalid one
-    raises ``InvalidArgumentError`` instead. Every ``[rho]`` value passes
-    the designs' spec check (out of band allowed) and, for each filter, the
-    FIR design's band-edge rule (``design.fir_band_edges``) or the IIR
-    design's tap rule (``design.iir_taps``), so no run fails on a piece it
-    reaches late."""
+    raises ``InvalidArgumentError`` instead. What its kind's ``KINDS``
+    record reads names, through ``_READS``, the fields it needs set; a field
+    only another kind needs stays None. Every ``[rho]`` value passes the
+    designs' spec check (out of band allowed) and, for each filter, the FIR
+    design's band-edge rule (``design.fir_band_edges``) or the IIR design's
+    tap rule (``design.iir_taps``), so no run fails on a piece it reaches
+    late."""
 
     name: str
     kind: str  # estimation | separation | control
@@ -107,8 +101,7 @@ class Scenario:
         return int(round(self.duration_s / self.sampling_time))
 
     def __post_init__(self):
-        if self.kind not in _KIND_FIELDS:
-            raise InvalidArgumentError(f"unknown scenario kind {self.kind!r}")
+        kind = kind_of(self.kind)
         check_sampling_time(self.sampling_time)
         if self.warm_start not in ("zero", "periodic"):
             raise InvalidArgumentError(f"unknown warm_start {self.warm_start!r}")
@@ -159,8 +152,7 @@ class Scenario:
             # each label names a run's output file, column and result
             raise InvalidArgumentError(
                 f"filter and comb labels must be unique, got {labels}")
-        if "interference" in labels and (self.kind == "separation"
-                                         or self.interference_window_s is not None):
+        if "interference" in labels and kind.interference(self):
             raise InvalidArgumentError(
                 "label 'interference' is reserved: it names the interference CSV")
         window = self.interference_window_s
@@ -168,18 +160,19 @@ class Scenario:
             raise InvalidArgumentError(
                 "interference window must satisfy 0 <= START < END <= duration "
                 f"{self.duration_s:g}, got {window[0]:g} {window[1]:g}")
-        for name in _KIND_FIELDS[self.kind]:
-            if getattr(self, name) is None:
-                raise InvalidArgumentError(f"{self.kind} scenario requires {name}")
-        if self.kind != "separation":
-            # the runners drive one input u and measure one output y
-            if np.ndim(self.B) == 2 and np.shape(self.B)[1] != 1:
-                raise InvalidArgumentError(
-                    f"B must be one input column, got shape {np.shape(self.B)}")
-            if np.ndim(self.C) == 2 and np.shape(self.C)[0] != 1:
-                raise InvalidArgumentError(
-                    f"C must be one measurement row, got shape {np.shape(self.C)}")
-        if self.kind == "control":
+        for read, names in _READS.items():
+            for name in names:
+                if (getattr(self, name) is None) == (read in kind.reads):
+                    rule = "requires" if read in kind.reads else "does not run on"
+                    raise InvalidArgumentError(f"{self.kind} scenario {rule} {name}")
+        # the runners drive one input u and measure one output y
+        if np.ndim(self.B) == 2 and np.shape(self.B)[1] != 1:
+            raise InvalidArgumentError(
+                f"B must be one input column, got shape {np.shape(self.B)}")
+        if np.ndim(self.C) == 2 and np.shape(self.C)[0] != 1:
+            raise InvalidArgumentError(
+                f"C must be one measurement row, got shape {np.shape(self.C)}")
+        if self.controller is not None:
             # the PD law feeds back the first two states: position and rate
             n = np.atleast_2d(self.A).shape[1]
             if n < 2:
@@ -331,7 +324,7 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
     est = KfPasfState(model, p, a, hist, scn.P0)
 
     Bf = scn.B.reshape(-1)
-    ctl = scn.controller if scn.kind == "control" else None
+    ctl = scn.controller  # set for the kinds that close the loop
     commands = {}
     if ctl is None:
         u = eval_signal_array(scn.input_u, np.arange(steps), T)
@@ -445,16 +438,81 @@ def run_separation(scn: Scenario) -> list[SeparationRun]:
 
 
 # ---------------------------------------------------------------------------
+# Scenario kinds: the one home of every rule that depends on the kind
+# ---------------------------------------------------------------------------
+
+# the Scenario fields that a kind reading each section or [scenario] key
+# needs set; a kind that does not read it leaves them None
+_READS = {"model": ("A", "B", "C", "Q", "R", "P0"), "input": ("input_u",),
+          "controller": ("controller",), "truth_p": ("truth_p",),
+          "truth_a": ("truth_a",), "comb": ()}
+
+
+@value
+class Kind:
+    """What a scenario kind reads, runs, writes and plots. Its functions
+    call the runners by their module names, so a caller that replaces
+    ``run_estimation`` or another runner there is followed."""
+
+    reads: tuple  # its own sections and [scenario] keys, keys of _READS
+    runs: object  # (scenario, seed) -> its runs, one per filter or comb
+    trace: object  # run -> its interference trace
+    interference: object  # scenario -> whether it writes NAME_interference.csv
+    one_file: bool  # one run writes NAME.csv, and results["interference"] is set
+    panels: object  # (scenario, tables, using) -> its gnuplot plot lines
+
+
+def _estimate_panels(scn, tables, using):
+    main = next(iter(tables))
+    return [f'plot {using(main, name)} title "{name}"'
+            for name in ("y", "xp_hat_1", "xa_hat_1")]
+
+
+def _separation_panels(scn, tables, using):
+    return ["plot " + ", ".join(using(fname, name) for name in (
+                [scn.filters[0].label] if fname.endswith("_interference.csv")
+                else ["xp", "xa"]))
+            for fname in tables]
+
+
+_ESTIMATION = Kind(
+    reads=("model", "input"),
+    runs=lambda scn, seed: [run_estimation(scn, choice, seed) for choice in scn.filters],
+    trace=lambda run: interference_trace(run),
+    interference=lambda scn: scn.interference_window_s is not None,
+    one_file=True, panels=_estimate_panels)
+
+KINDS = {
+    "estimation": _ESTIMATION,
+    # estimation that closes a PD loop on its split estimates
+    "control": replace(_ESTIMATION, reads=(*_ESTIMATION.reads, "controller")),
+    "separation": Kind(
+        reads=("truth_p", "truth_a", "comb"), runs=lambda scn, seed: run_separation(scn),
+        trace=lambda run: run.interference, interference=lambda scn: True,
+        one_file=False, panels=_separation_panels),
+}
+
+
+def kind_of(name) -> Kind:
+    """The ``KINDS`` record of scenario kind ``name``."""
+    if name not in KINDS:
+        raise InvalidArgumentError(f"unknown scenario kind {name!r}")
+    return KINDS[name]
+
+
+# ---------------------------------------------------------------------------
 # Top-level scenario execution with CSV and plot-script emission
 # ---------------------------------------------------------------------------
 
 
 def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
                  plot_script: bool = True) -> dict:
-    """Run a Scenario; returns output paths plus in-memory results. The run
-    starts from an empty design memo (see ``design.design_for``), so it
-    designs each distinct pair once: the second passes and the interference
-    trace reuse the first pass's pairs.
+    """Run a Scenario; returns output paths plus in-memory results. Its
+    kind's ``KINDS`` record decides the runs, whether an interference table
+    is written, the file names and the plot panels. The run starts from an
+    empty design memo (see ``design.design_for``), so it designs each
+    distinct pair once: the second passes and the interference trace reuse
+    the first pass's pairs.
 
     Its tables repeat columns: every filter's table starts with the same
     signal columns, and the interference table with ``t,time_s``. One
@@ -464,14 +522,11 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     so every byte is the same; it is held, one string per 1,024 rows, until
     the files are written."""
     forget_designs()
-    if scn.kind == "separation":
-        runs = run_separation(scn)
-        traces = {run.label: run.interference for run in runs}
-    else:
-        runs = [run_estimation(scn, choice, seed) for choice in scn.filters]
-        traces = ({run.label: interference_trace(run) for run in runs}
-                  if scn.interference_window_s is not None else {})
-    single = scn.kind != "separation" and len(runs) == 1
+    kind = KINDS[scn.kind]
+    runs = kind.runs(scn, seed)
+    traces = ({run.label: kind.trace(run) for run in runs}
+              if kind.interference(scn) else {})
+    single = kind.one_file and len(runs) == 1
     tables = {(f"{scn.name}.csv" if single else f"{scn.name}_{run.label}.csv"):
               run.columns() for run in runs}
     results = {run.label: run for run in runs}
@@ -479,7 +534,7 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
         first = next(iter(tables.values()))
         interference = {"t": first["t"], "time_s": first["time_s"], **traces}
         tables[f"{scn.name}_interference.csv"] = interference
-        if scn.kind != "separation":
+        if kind.one_file:
             results["interference"] = interference
 
     # created only now, so a run that fails leaves no directory behind
@@ -499,13 +554,15 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
 
 
 def _plot_script(scn: Scenario, tables: dict) -> str:
-    """A gnuplot script over the CSV tables (file name -> columns), each
-    plotted column found by its name against ``time_s``."""
+    """A gnuplot script over the CSV tables (file name -> columns), one
+    panel per line its kind plots, each plotted column found by its name
+    against ``time_s``."""
     def using(fname, name):
         header = list(tables[fname])
         return (f'"{fname}" using {header.index("time_s") + 1}:'
                 f'{header.index(name) + 1} with lines')
 
+    plots = KINDS[scn.kind].panels(scn, tables, using)
     lines = [
         f"# gnuplot script for scenario {scn.name}",
         'set datafile separator ","',
@@ -513,17 +570,8 @@ def _plot_script(scn: Scenario, tables: dict) -> str:
         f'set output "{scn.name}.png"',
         "set key autotitle columnhead",
         'set xlabel "time [s]"',
+        f"set multiplot layout {len(plots)},1",
+        *plots,
+        "unset multiplot",
     ]
-    if scn.kind in ("estimation", "control"):
-        main = next(iter(tables))
-        lines.append("set multiplot layout 3,1")
-        lines += [f'plot {using(main, name)} title "{name}"'
-                  for name in ("y", "xp_hat_1", "xa_hat_1")]
-    else:
-        lines.append(f"set multiplot layout {len(tables)},1")
-        for fname in tables:
-            names = ([scn.filters[0].label] if fname.endswith("_interference.csv")
-                     else ["xp", "xa"])
-            lines.append("plot " + ", ".join(using(fname, n) for n in names))
-    lines.append("unset multiplot")
     return "\n".join(lines) + "\n"

@@ -1399,6 +1399,49 @@ def test_kfpasf_on_a_separation_scenario_is_validation_error(tmp_path):
     assert not out.exists()
 
 
+_STRAY_SECTIONS = {
+    "model": "[model]\nA = 1\nB = 1\nC = 1\nQ = 1e-4\nR = 0.25\n",
+    "controller": "[controller]\nstart = 0.5\n",
+    "comb": "[comb c1]\nvariant = 1\n",
+    "empty comb": "[comb c1]\n",
+}
+
+
+@pytest.mark.parametrize("kind, stray, what", [
+    ("estimation", "comb", "[comb c1]"),
+    ("estimation", "empty comb", "[comb c1]"),
+    ("estimation", "controller", "[controller]"),
+    ("estimation", "truth_p = @u", "[scenario] truth_p"),
+    ("estimation", "truth_a = @u", "[scenario] truth_a"),
+    ("control", "comb", "[comb c1]"),
+    ("control", "truth_p = @u", "[scenario] truth_p"),
+    ("separation", "model", "[model]"),
+    ("separation", "controller", "[controller]"),
+    ("separation", "input = @xp", "[scenario] input"),
+])
+def test_section_or_key_a_kind_does_not_read_is_validation_error(tmp_path, kind,
+                                                                 stray, what):
+    """A section or [scenario] key that only another kind reads is refused
+    on its line, not dropped: an estimation file's [comb] would otherwise
+    run no baseline, and a separation file's [model] would be ignored."""
+    text = {"estimation": TWO_STATE_SCENARIO,
+            "separation": COMB_SCENARIO + "variant = 1\n",
+            "control": NUMBERS_SCENARIO}[kind]
+    if stray in _STRAY_SECTIONS:
+        no = len(text.splitlines()) + 2
+        text += "\n" + _STRAY_SECTIONS[stray]
+    else:  # a [scenario] key, after duration
+        no = text.splitlines().index("duration = 1") + 2
+        text = text.replace("duration = 1\n", f"duration = 1\n{stray}\n")
+    path = tmp_path / "stray.scn"
+    path.write_text(text)
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    _assert_validation_error(res)
+    assert res.stderr == f"error: validation: line {no}: {kind} scenario does not read {what}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["complement", "bode", "kfpasf", "separate"])
 def test_out_makes_no_out_dir(tmp_path, command):
     """With ``--out FILE`` a command writes FILE and makes no ``--out-dir``;

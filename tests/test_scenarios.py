@@ -6,8 +6,13 @@ import re
 import sys
 import warnings
 
+import ast
+import glob
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasf import design, scenario_io, scenarios
 from pasf import signals as sig
@@ -24,8 +29,9 @@ from pasf.errors import InvalidArgumentError, PasfError, UnsupportedReconfigurat
 from pasf.kalman import SystemModel
 from pasf.kfpasf import KfPasfState, zero_histories
 from pasf.runtime import PasfState, SeparatorBank, SeparatorCore
-from pasf.scenario_io import BUILT_INS, built_in, parse_scenario
+from pasf.scenario_io import _LEAF_ARGS, _SECTION_KEYS, BUILT_INS, built_in, parse_scenario
 from pasf.scenarios import (
+    KINDS,
     CombBaseline,
     FilterChoice,
     Scenario,
@@ -794,3 +800,137 @@ def test_smallest_sampling_time_still_checks_the_step_count():
     SeparationSpec(1.0, 5, smallest).validate()
     with pytest.raises(InvalidArgumentError, match="duration / sampling_time must be finite"):
         replace(parse_scenario(SCENARIO_TEXT), sampling_time=smallest, duration_s=100.0)
+
+
+def test_a_field_only_another_kind_runs_on_is_refused():
+    """A Scenario holds the fields its kind runs on and leaves every field
+    that only another kind runs on None, so no runner has to ask its kind
+    whether a field applies."""
+    est, sep, ctl = built_in("sec52", 0), built_in("sec53", 0), built_in("sec54", 0)
+    with pytest.raises(InvalidArgumentError,
+                       match="^estimation scenario does not run on controller$"):
+        replace(est, controller=ctl.controller)
+    with pytest.raises(InvalidArgumentError, match="^separation scenario does not run on A$"):
+        replace(sep, A=est.A)
+    with pytest.raises(InvalidArgumentError, match="^control scenario does not run on truth_p$"):
+        replace(ctl, truth_p=sep.truth_p)
+    with pytest.raises(InvalidArgumentError, match="^control scenario requires controller$"):
+        replace(ctl, controller=None)
+
+
+_KIND_NAMES = frozenset(KINDS)
+
+
+def _kind_name_comparisons(tree):
+    """The line of each comparison in ``tree`` with a scenario kind's name,
+    alone or in a tuple, list or set."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) \
+                    else [operand]
+                if any(isinstance(item, ast.Constant) and item.value in _KIND_NAMES
+                       for item in items):
+                    yield node.lineno
+
+
+def test_kind_rules_live_only_in_the_kinds_table():
+    """No module of the package compares anything with a scenario kind's
+    name: each kind rule is a field of its ``scenarios.KINDS`` record, so a
+    new rule or kind is one place to change."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(scenarios.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{no}" for no in _kind_name_comparisons(tree)]
+    assert found == []
+    assert list(_kind_name_comparisons(ast.parse('if scn.kind == "control": pass'))) == [1]
+
+
+# a valid value of each key the scenario-file fuzz writes ([scenario] kind
+# is the drawn kind); the fuzz breaks them
+_VALID = {
+    "scenario": dict(name="fz", period="4", sampling_time="0.01", duration="1",
+                     filter="iir 1", warm_start="zero", settle="0.5", input="@u",
+                     truth_p="@u", truth_a="@v", interference_window="0.5 1"),
+    "model": dict(A="1 T ; 0 1", B="0 1", C="1 0", Q="diag 0 1e-4", R="0.25", P0="zeros",
+                  process_noise_variance="1e-4", observation_noise_variance="0.25"),
+    "controller": dict(start="0.5", kp_p="9", kd_p="6", kp_a="25", kd_a="10",
+                       cmd_p="@u", cmd_a="@v"),
+    "comb": dict(variant="3", gain="0.7", q="0:1.7 0.5:50", b="0.5", g="0"),
+}
+_BAD_VALUES = ("nan", "inf", "1e309", "1e-320", "-1", "0", "", "x", "1 2 ; 3", "1 ; 2 3",
+               "diag", "zeros", "@nope", "@u @v", "u", "0:nan", "iir 9", "fir 3")
+_LEAF_TOKENS = ("0", "1", "2", "10", "0.5", "-1", "1:2", "openstart", "openend")
+
+
+@st.composite
+def _scenario_files(draw):
+    """The bytes of a scenario file: the sections and keys a drawn kind (or
+    an unknown one) reads, from ``_SECTION_KEYS`` and ``KINDS``, with valid
+    values and a leaf signal from ``_LEAF_ARGS``; then up to four edits that
+    drop, repeat or misspell a key, put a bad value in a field (a bad
+    number, an empty value, a ragged matrix, a broken @ reference) or add
+    a section or key only another kind reads; and sometimes a byte that is
+    not UTF-8."""
+    kind = draw(st.sampled_from([*KINDS, "bogus"]))
+    reads = KINDS[kind].reads if kind in KINDS else ()
+    own = {read for k in KINDS.values() for read in k.reads}
+    keys = [key for key in _SECTION_KEYS["scenario"] if key not in own or key in reads]
+    sections = [["scenario", [(key, _VALID["scenario"].get(key, kind)) for key in keys]],
+                ["rho", [("0", "2.0")]]]
+    for name in reads:
+        if name in _SECTION_KEYS:
+            sections.append([name if name != "comb" else "comb c1",
+                             [(key, _VALID[name][key]) for key in _SECTION_KEYS[name]]])
+    leaf = draw(st.sampled_from(sorted(_LEAF_ARGS)))
+    low, high, _ = _LEAF_ARGS[leaf]
+    args = draw(st.lists(st.sampled_from(_LEAF_TOKENS), min_size=max(low - 1, 0),
+                         max_size=min(high, low + 1)))
+    sections += [["signal u", [("expr", " ".join([leaf, *args]))]],
+                 ["signal v", [("kind", "sum"), ("of", "@u")]]]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3, 4]))):
+        edit = draw(st.sampled_from(["drop", "repeat", "misspell", "value", "stray"]))
+        if edit == "stray":
+            other = draw(st.sampled_from(sorted(own - set(reads))))
+            if other in _SECTION_KEYS:
+                key = _SECTION_KEYS[other][0]
+                sections.append([other if other != "comb" else "comb c2",
+                                 [(key, _VALID[other][key])]])
+            else:
+                sections[0][1].append((other, _VALID["scenario"][other]))
+            continue
+        entries = draw(st.sampled_from(sections))[1]
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        key, value = entries[i]
+        if edit == "drop":
+            del entries[i]
+        elif edit == "repeat":
+            entries.insert(i, (key, value))
+        elif edit == "misspell":
+            entries[i] = (key + "x", value)
+        else:
+            entries[i] = (key, draw(st.sampled_from(_BAD_VALUES)))
+    data = "\n".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in entries)
+                     for name, entries in sections).encode()
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=_scenario_files())
+def test_scenario_file_fuzz_parses_or_raises_a_typed_error(tmp_path_factory, data):
+    """Each generated file either loads or raises one of the package's typed
+    errors, and nothing warns."""
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.scn"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scenario_io.load_scenario(path)
+        except PasfError:
+            pass
