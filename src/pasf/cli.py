@@ -26,7 +26,7 @@ from .errors import (
 )
 from .runtime import PasfState
 from .scenario_io import built_in, load_scenario
-from .scenarios import EstimationRun, SeparationRun, run_estimation, run_scenario
+from .scenarios import run_estimation, run_scenario
 
 
 def _add_spec_args(p):
@@ -229,7 +229,7 @@ def _cmd_scenario(args) -> int:
         for f in outputs["files"]:
             print(f"wrote {f}")
         summaries.append({"replica": replica, "seed": seed,
-                          **_replica_summary(scn, outputs)})
+                          **_replica_summary(outputs)})
     if args.replicas > 1:
         columns = {key: [row[key] for row in summaries] for key in summaries[0]}
         path = os.path.join(args.out_dir, f"{name}_replicas.csv")
@@ -238,19 +238,14 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _replica_summary(scn, outputs) -> dict:
-    """Per-replica scalar summaries, merged across seeds in seed order."""
+def _replica_summary(outputs) -> dict:
+    """Per-replica scalar summaries, merged across seeds in seed order: each
+    run's ``summary()``. The reserved label ``interference`` holds a table,
+    not a run."""
     summary = {}
     for label, run in outputs["results"].items():
-        if isinstance(run, EstimationRun):
-            err = run.x_true[:, 0] - run.x_upd[:, 0]
-            summary[f"{label}_rms_err_1"] = float(np.sqrt(np.mean(err**2)))
-            summary[f"{label}_trP_final"] = float(run.tr_p[-1])
-        elif isinstance(run, SeparationRun):
-            err_p = run.xp - run.truth_p
-            summary[f"{label}_rms_sep_err"] = float(np.sqrt(np.mean(err_p**2)))
-            summary[f"{label}_rms_interference"] = float(
-                np.sqrt(np.mean(run.interference**2)))
+        if label != "interference":
+            summary.update(run.summary())
     return summary
 
 

@@ -164,8 +164,10 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
         raise ScenarioParseError(line_no, f"unknown descriptor kind {kind!r}")
     low, high, form = _LEAF_ARGS[kind]
     flags = args[3:] if kind == "pulse" else []
+    terms = [a.split(":") for a in args[1:]] if kind == "harmonic-sum" else []
     if (not low <= len(args) <= high or len(set(flags)) < len(flags)
-            or not set(flags) <= {"openstart", "openend"}):
+            or not set(flags) <= {"openstart", "openend"}
+            or any(len(term) != 2 for term in terms)):
         raise ScenarioParseError(line_no, f"bad {kind} descriptor: expected "
                                           f"{kind} {form}, got {' '.join(tokens)!r}")
     try:
@@ -175,12 +177,8 @@ def _leaf_descriptor(tokens: list[str], seed: int, context: str, line_no: int):
             phase = num(args[2]) if len(args) > 2 else 0.0
             return sig.Sinusoid(num(args[0]), num(args[1]), phase)
         if kind == "harmonic-sum":
-            base = num(args[0])
-            terms = []
-            for pair in args[1:]:
-                amp, harm = pair.split(":")
-                terms.append((num(amp), num(harm)))
-            return sig.HarmonicSum(base, tuple(terms))
+            return sig.HarmonicSum(num(args[0]), tuple(
+                (num(amp), num(harm)) for amp, harm in terms))
         if kind == "pulse":
             start, end, level = (num(a) for a in args[:3])
             return sig.Pulse(start, end, level,

@@ -152,7 +152,7 @@ class Scenario:
             # each label names a run's output file, column and result
             raise InvalidArgumentError(
                 f"filter and comb labels must be unique, got {labels}")
-        if "interference" in labels and kind.interference(self):
+        if "interference" in labels:
             raise InvalidArgumentError(
                 "label 'interference' is reserved: it names the interference CSV")
         window = self.interference_window_s
@@ -241,6 +241,10 @@ def _stream_seed(seed: int, stream: int) -> int:
 
 @value
 class EstimationRun:
+    """One filter's estimation or control run. ``interference`` is its
+    interference trace (see ``interference_trace``), set by the kind's runs
+    when the scenario has an interference window and None otherwise."""
+
     scenario: Scenario
     choice: FilterChoice
     t: np.ndarray
@@ -255,6 +259,7 @@ class EstimationRun:
     cmd_p: np.ndarray | None = None
     cmd_a: np.ndarray | None = None
     pre_tail: np.ndarray | None = None  # pre-run truth for the warm start
+    interference: np.ndarray | None = None
 
     @property
     def label(self) -> str:
@@ -272,6 +277,12 @@ class EstimationRun:
         if self.cmd_p is not None:
             cols.update(cmd_p=self.cmd_p, cmd_a=self.cmd_a)
         return cols
+
+    def summary(self) -> dict:
+        """The run's scalars for a replica table: column name -> value."""
+        err = self.x_true[:, 0] - self.x_upd[:, 0]
+        return {f"{self.label}_rms_err_1": float(np.sqrt(np.mean(err**2))),
+                f"{self.label}_trP_final": float(self.tr_p[-1])}
 
 
 def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -414,6 +425,13 @@ class SeparationRun:
                 "x_pa": self.x_pa, "x_p_true": self.truth_p,
                 "x_a_true": self.truth_a, "xp": self.xp, "xa": self.xa}
 
+    def summary(self) -> dict:
+        """The run's scalars for a replica table: column name -> value."""
+        err_p = self.xp - self.truth_p
+        return {f"{self.label}_rms_sep_err": float(np.sqrt(np.mean(err_p**2))),
+                f"{self.label}_rms_interference": float(
+                    np.sqrt(np.mean(self.interference**2)))}
+
 
 def run_separation(scn: Scenario) -> list[SeparationRun]:
     """Separate the scenario's signal with each filter and comb, then pass
@@ -452,12 +470,12 @@ _READS = {"model": ("A", "B", "C", "Q", "R", "P0"), "input": ("input_u",),
 class Kind:
     """What a scenario kind reads, runs, writes and plots. Its functions
     call the runners by their module names, so a caller that replaces
-    ``run_estimation`` or another runner there is followed."""
+    ``run_estimation`` or another runner there is followed. Each run
+    carries its own interference trace, or None, so whether a scenario
+    writes an interference table is not a rule of its kind."""
 
     reads: tuple  # its own sections and [scenario] keys, keys of _READS
     runs: object  # (scenario, seed) -> its runs, one per filter or comb
-    trace: object  # run -> its interference trace
-    interference: object  # scenario -> whether it writes NAME_interference.csv
     one_file: bool  # one run writes NAME.csv, and results["interference"] is set
     panels: object  # (scenario, tables, using) -> its gnuplot plot lines
 
@@ -475,12 +493,17 @@ def _separation_panels(scn, tables, using):
             for fname in tables]
 
 
-_ESTIMATION = Kind(
-    reads=("model", "input"),
-    runs=lambda scn, seed: [run_estimation(scn, choice, seed) for choice in scn.filters],
-    trace=lambda run: interference_trace(run),
-    interference=lambda scn: scn.interference_window_s is not None,
-    one_file=True, panels=_estimate_panels)
+def _estimation_runs(scn, seed):
+    """One run per filter; with an interference window, each then gets its
+    interference trace."""
+    runs = [run_estimation(scn, choice, seed) for choice in scn.filters]
+    if scn.interference_window_s is None:
+        return runs
+    return [replace(run, interference=interference_trace(run)) for run in runs]
+
+
+_ESTIMATION = Kind(reads=("model", "input"), runs=_estimation_runs,
+                   one_file=True, panels=_estimate_panels)
 
 KINDS = {
     "estimation": _ESTIMATION,
@@ -488,7 +511,6 @@ KINDS = {
     "control": replace(_ESTIMATION, reads=(*_ESTIMATION.reads, "controller")),
     "separation": Kind(
         reads=("truth_p", "truth_a", "comb"), runs=lambda scn, seed: run_separation(scn),
-        trace=lambda run: run.interference, interference=lambda scn: True,
         one_file=False, panels=_separation_panels),
 }
 
@@ -508,11 +530,11 @@ def kind_of(name) -> Kind:
 def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
                  plot_script: bool = True) -> dict:
     """Run a Scenario; returns output paths plus in-memory results. Its
-    kind's ``KINDS`` record decides the runs, whether an interference table
-    is written, the file names and the plot panels. The run starts from an
-    empty design memo (see ``design.design_for``), so it designs each
-    distinct pair once: the second passes and the interference trace reuse
-    the first pass's pairs.
+    kind's ``KINDS`` record decides the runs, the file names and the plot
+    panels; the runs whose ``interference`` is set make up
+    ``NAME_interference.csv``. The run starts from an empty design memo
+    (see ``design.design_for``), so it designs each distinct pair once: the
+    second passes and the interference trace reuse the first pass's pairs.
 
     Its tables repeat columns: every filter's table starts with the same
     signal columns, and the interference table with ``t,time_s``. One
@@ -524,8 +546,8 @@ def run_scenario(scn: Scenario, seed: int = 0, out_dir: str = ".",
     forget_designs()
     kind = KINDS[scn.kind]
     runs = kind.runs(scn, seed)
-    traces = ({run.label: kind.trace(run) for run in runs}
-              if kind.interference(scn) else {})
+    traces = {run.label: run.interference for run in runs
+              if run.interference is not None}
     single = kind.one_file and len(runs) == 1
     tables = {(f"{scn.name}.csv" if single else f"{scn.name}_{run.label}.csv"):
               run.columns() for run in runs}

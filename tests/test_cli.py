@@ -1194,11 +1194,13 @@ def test_scenario_malformed_number_is_validation_error(tmp_path, line, bad,
     "constant 1 2 3", "constant", "sinusoid 1 2 0 9", "sinusoid 1",
     "gated-sine 1 20 10 4", "noise 1 0 1 junk", "pulse 1 2 3 opnestart",
     "pulse 1 2 3 openend openend", "pulse 1 2 3 openstart openend 4", "harmonic-sum",
+    "harmonic-sum 1 2", "harmonic-sum 1 1:2:3",
 ])
 def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor):
     """Only the documented arguments parse (a pulse may add openstart and
-    openend): a missing, extra or misspelled token is an error naming its
-    line, not dropped."""
+    openend, and each harmonic-sum term is one amp:harm pair): a missing,
+    extra or misspelled token is an error naming its line and the form, not
+    dropped."""
     lines = NUMBERS_SCENARIO.splitlines()
     no = lines.index("expr = constant 0") + 1
     lines[no - 1] = f"expr = {descriptor}"
@@ -1575,17 +1577,55 @@ def test_unknown_warm_start_is_validation_error(tmp_path, kind):
     assert not out.exists()
 
 
-def test_interference_label_is_reserved(tmp_path):
+@pytest.mark.parametrize("filters", [
+    "filter = iir 1\nfilter = iir 2 interference\ninterference_window = 0.5 2\n",
+    "filter = iir 1\nfilter = iir 2 interference\n",
+    "filter = iir 1 interference\n",
+])
+def test_interference_label_is_reserved(tmp_path, filters):
     """A filter labelled ``interference`` would share its CSV and its result
-    with the interference table of a scenario that writes one."""
+    with the interference table of a scenario that writes one, so every
+    scenario reserves the label, with an interference window or without."""
     path = tmp_path / "two.scn"
-    path.write_text(TWO_STATE_SCENARIO.replace(
-        "filter = iir 1\n",
-        "filter = iir 1\nfilter = iir 2 interference\ninterference_window = 0.5 2\n"))
+    path.write_text(TWO_STATE_SCENARIO.replace("filter = iir 1\n", filters))
     out = tmp_path / "out"
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)
     assert "label 'interference' is reserved" in res.stderr
+    assert not out.exists()
+
+
+def test_fir_design_that_fails_at_a_later_rho_piece_fails_the_run(tmp_path):
+    """An FIR design that fails at a later ``[rho]`` piece passes the parse
+    (only the band-edge rule is checked there) and fails when the run
+    reaches that piece: one error line, a nonzero exit and no output
+    directory. A check at parse would make this a validation error."""
+    path = tmp_path / "firlate.scn"
+    path.write_text("""[scenario]
+name = firlate
+kind = separation
+period = 1000
+sampling_time = 0.001
+duration = 2
+filter = fir 50
+truth_p = @p
+truth_a = @a
+
+[rho]
+0 = 0.5
+1 = 1.0
+
+[signal p]
+expr = sinusoid 1 6.283185307179586
+
+[signal a]
+expr = pulse 0.5 0.6 1
+""")
+    out = tmp_path / "out"
+    res = run_cli("--out-dir", str(out), "scenario", str(path))
+    assert res.returncode != 0
+    assert res.stderr.startswith("error: ")
+    assert len(res.stderr.splitlines()) == 1, res.stderr
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 
@@ -11,7 +12,7 @@ import glob
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pasf import design, scenario_io, scenarios
@@ -834,17 +835,56 @@ def _kind_name_comparisons(tree):
                     yield node.lineno
 
 
-def test_kind_rules_live_only_in_the_kinds_table():
-    """No module of the package compares anything with a scenario kind's
-    name: each kind rule is a field of its ``scenarios.KINDS`` record, so a
-    new rule or kind is one place to change."""
+def _package_lines(find):
+    """``module.py:line`` of each line that ``find`` yields for the parsed
+    modules of the package."""
     found = []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(scenarios.__file__), "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
-        found += [f"{os.path.basename(path)}:{no}" for no in _kind_name_comparisons(tree)]
-    assert found == []
+        found += [f"{os.path.basename(path)}:{no}" for no in find(tree)]
+    return found
+
+
+def test_kind_rules_live_only_in_the_kinds_table():
+    """No module of the package compares anything with a scenario kind's
+    name: each kind rule is a field of its ``scenarios.KINDS`` record, so a
+    new rule or kind is one place to change."""
+    assert _package_lines(_kind_name_comparisons) == []
     assert list(_kind_name_comparisons(ast.parse('if scn.kind == "control": pass'))) == [1]
+
+
+_RUN_CLASSES = frozenset({"EstimationRun", "SeparationRun"})
+
+
+def _run_type_checks(tree):
+    """The line of each ``isinstance`` call or comparison in ``tree`` that
+    names a run class, alone or in a tuple, by name or as an attribute."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"):
+            operands = node.args[1:]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        else:
+            continue
+        for operand in operands:
+            items = operand.elts if isinstance(operand, ast.Tuple) else [operand]
+            if any(getattr(item, "id", getattr(item, "attr", None)) in _RUN_CLASSES
+                   for item in items):
+                yield node.lineno
+
+
+def test_no_module_tells_runs_apart_by_type():
+    """Each run class answers for itself (its ``columns()``, ``summary()``
+    and ``interference``), so no module of the package asks a run its
+    type."""
+    assert _package_lines(_run_type_checks) == []
+    for code in ("isinstance(run, EstimationRun)",
+                 "isinstance(run, (int, scenarios.SeparationRun))",
+                 "type(run) is SeparationRun"):
+        assert list(_run_type_checks(ast.parse(code))) == [1], code
+    assert list(_run_type_checks(ast.parse("isinstance(run, FilterChoice)"))) == []
 
 
 # a valid value of each key the scenario-file fuzz writes ([scenario] kind
@@ -934,3 +974,31 @@ def test_scenario_file_fuzz_parses_or_raises_a_typed_error(tmp_path_factory, dat
             scenario_io.load_scenario(path)
         except PasfError:
             pass
+
+
+@settings(max_examples=24, deadline=None)
+@given(data=_scenario_files())
+@example(data=SCENARIO_TEXT.encode())
+@example(data=SEPARATION_TEXT.encode())
+def test_scenario_file_fuzz_through_the_cli(tmp_path_factory, data):
+    """``pasf scenario`` on each generated file, in its own process with
+    warnings as errors, exits 0 with nothing on stderr, or exits 1 or 2
+    with one ``error: <category>: ...`` line and leaves no output
+    directory. Most drawn files fail to parse, so two valid files are
+    always run too."""
+    work = tmp_path_factory.mktemp("clifuzz")
+    path = work / "fuzz.scn"
+    path.write_bytes(data)
+    out = work / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenarios.__file__)))
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    res = subprocess.run(
+        [sys.executable, "-m", "pasf.cli", "--out-dir", str(out), "scenario", str(path)],
+        capture_output=True, text=True, env=env)
+    if res.returncode == 0:
+        assert res.stderr == ""
+    else:
+        assert res.returncode in (1, 2), res.stderr
+        assert re.fullmatch(r"error: (validation|runtime|io): [^\n]*\n", res.stderr), res.stderr
+        assert not out.exists()
