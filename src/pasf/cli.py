@@ -23,6 +23,7 @@ from .errors import (
     InvalidArgumentError,
     OutOfBandError,
     PasfError,
+    PoisonedStateError,
 )
 from .runtime import PasfState
 from .scenario_io import built_in, load_scenario
@@ -174,9 +175,17 @@ def _bad_value(path, chunk, name, col, bad, rule) -> InvalidArgumentError:
 
 
 def _separated(state, chunks):
-    """The table ``separate`` writes, one chunk per input chunk."""
+    """The table ``separate`` writes, one chunk per input chunk. An output
+    that is not finite (a finite input that overflows the pair) is a
+    ``PoisonedStateError`` naming the first t where either output is, so
+    no table holding it is written."""
     for t, x in chunks:
         xp, xa = state.run(x)
+        if not (np.isfinite(xp).all() and np.isfinite(xa).all()):
+            row = int((~(np.isfinite(xp) & np.isfinite(xa))).argmax())
+            raise PoisonedStateError(
+                f"separated output is not finite at t = {t[row]}: "
+                "the input overflows the filter pair")
         yield {"t": t, "x": x, "xp": xp, "xa": xa}
 
 

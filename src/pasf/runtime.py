@@ -178,18 +178,29 @@ class SeparatorCore:
     def inject(self, in_hist, p_hist, a_hist) -> None:
         """Fill the buffers from oldest-first histories of the last
         ``capacity`` samples before t = 0 (n-vectors, or scalars when n = 1);
-        any other depth or width is an ``InvalidArgumentError``."""
+        any other depth or width is an ``InvalidArgumentError``, as is a
+        history holding a NaN or an infinity. An output history may instead
+        be a finite number: that multiple of the input history, which is
+        multiplied straight into the output's ring, so a warm start holds
+        no history-sized copy of its own (bitwise the ring of
+        ``in_hist * number``)."""
         shape = (self.capacity, self.n)
         hists = [np.asarray(h, dtype=float) for h in (in_hist, p_hist, a_hist)]
         for name, h in zip(("input", "periodic", "aperiodic"), hists):
-            if h.ndim == 0 or len(h) != shape[0] or h.size != math.prod(shape):
+            multiple = h.ndim == 0 and name != "input"
+            if not multiple and (h.ndim == 0 or len(h) != shape[0]
+                                 or h.size != math.prod(shape)):
                 raise InvalidArgumentError(
                     f"{name} history must hold {shape[0]} samples of "
                     f"{shape[1]} channels, got shape {h.shape}")
             if not np.isfinite(h).all():
                 raise InvalidArgumentError(f"{name} history must be finite")
+        x = hists[0].reshape(shape)
         for buf, h in zip((self.in_buf, self.p_buf, self.a_buf), hists):
-            buf[:] = h.reshape(shape)
+            if h.ndim:
+                buf[:] = h.reshape(shape)
+            else:
+                np.multiply(x, h, out=buf)
         self._invalidate()
 
     def reset(self) -> None:
@@ -270,8 +281,10 @@ class PasfState:
     ``dims`` = n; one channel steps in Python floats and returns floats.
 
     ``history`` optionally injects warm-start buffers (oldest-first arrays of
-    the last N*period inputs, periodic outputs, aperiodic outputs); the
-    default zero history matches a cold start.
+    the last N*period inputs, periodic outputs, aperiodic outputs; an
+    output may be a number, that multiple of the inputs, as
+    ``SeparatorCore.inject`` takes it); the default zero history matches a
+    cold start.
     """
 
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None, history=None):
@@ -385,7 +398,10 @@ def periodic_warm_history(p_coeffs, a_coeffs, periodic_tail):
     state: each output sits at its filter's DC-gain multiple of the input.
 
     ``periodic_tail`` holds the last N*period input samples, oldest first
-    (n-vectors for an n-channel separator).
+    (n-vectors for an n-channel separator). Returns ``(tail, p_gain,
+    a_gain)``: the tail as a float array and the two DC gains as numbers,
+    which ``SeparatorCore.inject`` multiplies into the output rings, so no
+    history-sized output copy is made.
     """
-    tail = np.asarray(periodic_tail, dtype=float)
-    return tail, tail * p_coeffs.dc_gain, tail * a_coeffs.dc_gain
+    return (np.asarray(periodic_tail, dtype=float),
+            p_coeffs.dc_gain, a_coeffs.dc_gain)

@@ -1039,6 +1039,28 @@ def test_separate_csv_errors_have_their_category(tmp_path, case, category, code)
     assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
+def test_separate_output_that_overflows_is_a_runtime_error(tmp_path):
+    """2,000 rows of ones with +-1.7e308 at rows 100-162 overflow an IIR1
+    pair at period 7, whose outputs stay non-finite from t = 107 on: one
+    runtime error line naming that t, exit 2, and neither a separated.csv
+    nor the output directory is left (warnings are errors in the CLI)."""
+    design = run_cli("--out-dir", str(tmp_path), "design-iir", "--rho-tilde", "0.05",
+                     "--period", "7", "--sampling-time", "1.0", "--order", "1")
+    assert design.returncode == 0, design.stderr
+    x = np.ones(2000)
+    x[100:163] = 1.7e308 * (-1.0) ** np.arange(100, 163)
+    export_csv(tmp_path / "in.csv", {"t": np.arange(2000), "x": x})
+    out = tmp_path / "out" / "deep"
+    res = run_cli("--out-dir", str(out), "separate",
+                  "--coeffs-p", str(tmp_path / "iir1_p.txt"),
+                  "--coeffs-a", str(tmp_path / "iir1_a.txt"),
+                  "--input", str(tmp_path / "in.csv"))
+    assert res.returncode == 2
+    assert res.stderr == ("error: runtime: separated output is not finite at "
+                          "t = 107: the input overflows the filter pair\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["input", "coeffs-p", "bode coeffs", "scenario"])
 def test_non_utf8_file_is_one_line_validation_error(tmp_path, kind):
     """Every input text file is read as UTF-8 through one reader; other

@@ -41,6 +41,9 @@ def test_wrong_history_depth_rejected():
     # the runtime separator injects through the same check
     with pytest.raises(InvalidArgumentError):
         PasfState(p, a, history=(short, short, short))
+    # only an output history may be a number
+    with pytest.raises(InvalidArgumentError, match="input history must hold"):
+        PasfState(p, a, history=(1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
@@ -54,14 +57,19 @@ def test_non_finite_history_rejected(which, bad):
     p, a = design_iir(SeparationSpec(1.0, 2, 0.5), 1)
     hists = [np.full((2, 1), 1.0 + i) for i in range(3)]
     hists[which][1, 0] = bad
+    forms = [hists]
+    if which:  # an output history given as a multiple of the input's
+        forms.append([hists[0], 2.0, 3.0])
+        forms[1][which] = bad
     message = f"{('input', 'periodic', 'aperiodic')[which]} history must be finite"
-    with pytest.raises(InvalidArgumentError, match=message):
-        KfPasfState(model, p, a, hists, [[0.0]])
-    with pytest.raises(InvalidArgumentError, match=message):
-        PasfState(p, a, history=hists)
     state = PasfState(p, a, history=np.ones((3, 2)))
-    with pytest.raises(InvalidArgumentError, match=message):
-        state.core.inject(*hists)
+    for form in forms:
+        with pytest.raises(InvalidArgumentError, match=message):
+            KfPasfState(model, p, a, form, [[0.0]])
+        with pytest.raises(InvalidArgumentError, match=message):
+            PasfState(p, a, history=form)
+        with pytest.raises(InvalidArgumentError, match=message):
+            state.core.inject(*form)
     assert np.array_equal(state.core._hist, np.ones((3, 2, 1)))
     assert state.step(1.0) == PasfState(p, a, history=np.ones((3, 2))).step(1.0)
 

@@ -638,6 +638,30 @@ def test_copied_separator_steps_like_the_original(dims, how):
         assert np.array_equal(_bits(state.step(x)), _bits(twin.step(x)))
 
 
+@pytest.mark.parametrize("dims", [None, 3])
+@pytest.mark.parametrize("realization, order", [
+    ("iir", 1), ("iir", 2), ("iir", 3), ("fir", 4),
+    ("complementary-of-iir", 2), ("complementary-of-fir", 4)])
+def test_injected_number_is_that_multiple_of_the_input_history(realization, order, dims):
+    """An output history given as a number fills its ring with that
+    multiple of the input history, byte for byte the ring of injecting
+    ``tail * number`` (-0.0 entries of the tail and a -0.0 number
+    included), and both separators then step alike for three periods."""
+    period, T = 5, 0.01
+    p, a = design_for(realization, SeparationSpec(0.3 / (period * T), period, T), order)
+    rng = np.random.default_rng(order)
+    shape = (dims,) if dims else ()
+    tail = rng.standard_normal((order * period, *shape))
+    tail.reshape(-1)[::4] = -0.0
+    for gains in [(p.dc_gain, a.dc_gain), (-0.0, -1.5)]:
+        by_number = PasfState(p, a, dims=dims, history=(tail, *gains))
+        by_array = PasfState(p, a, dims=dims, history=(tail, *(tail * g for g in gains)))
+        assert by_number.core._hist.tobytes() == by_array.core._hist.tobytes()
+        for _ in range(3 * period):
+            x = rng.standard_normal(shape)
+            assert np.array_equal(_bits(by_number.step(x)), _bits(by_array.step(x)))
+
+
 def test_run_rejects_unsorted_or_out_of_range_switches():
     (p, a), spec = _pair()
     state = PasfState(p, a)

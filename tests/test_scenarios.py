@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import ast
@@ -576,6 +577,33 @@ def test_sec52_warm_start_suppresses_initial_transient():
     assert np.max(np.abs(run.xa_upd[:200, 0])) < 0.2
     err0 = abs(run.xp_upd[0, 0] - run.x_true[0, 0])
     assert err0 < 0.2
+
+
+def test_periodic_warm_start_holds_no_history_copies():
+    """A periodic warm start of FIR50 on sec52's 3-state plant at period
+    1000 fills the estimator's rings straight from the pre-run's states:
+    the traced peak of ``run_estimation`` stays under the rings (3.6 MB)
+    plus the pre-run states (1.25 MB) plus a 1.5 MB margin. The margin
+    covers the smaller arrays (noise, outputs, theta rows and build
+    temporaries, about 0.9 MB measured); one more history-sized array
+    (1.2 MB) exceeds it, and the two DC-gain copies that a warm start
+    used to make (2.4 MB) do. The design is made before tracing, so its
+    temporaries do not count."""
+    scn = built_in("sec52", 0)
+    fir = next(f for f in scn.filters if f.realization == "fir")
+    scn = replace(scn, duration_s=0.2, filters=(fir,), interference_window_s=None)
+    depth, n = fir.order * scn.period, scn.A.shape[0]
+    rings = 3 * depth * n * 8
+    prerun = (round(scn.settle_s / scn.sampling_time) + depth) * n * 8
+    run_estimation(scn, fir, seed=0)  # designs the pair
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_estimation(scn, fir, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rings + prerun + 1.5e6, (peak, rings, prerun)
 
 
 def _switching_scenario() -> Scenario:
