@@ -99,7 +99,7 @@ class KfPasfState:
 
 
 def zero_histories(model: SystemModel, order: int, period: int):
-    """All-zero initial expectations of the required depth."""
-    depth = order * period
-    z = np.zeros((depth, model.n))
-    return z, z.copy(), z.copy()
+    """All-zero initial expectations of the required depth: a zero input
+    history and, as ``SeparatorCore.inject`` takes them, output histories
+    that are 0.0 times it."""
+    return np.zeros((order * period, model.n)), 0.0, 0.0

@@ -183,10 +183,18 @@ class SeparatorCore:
         be a finite number: that multiple of the input history, which is
         multiplied straight into the output's ring, so a warm start holds
         no history-sized copy of its own (bitwise the ring of
-        ``in_hist * number``)."""
+        ``in_hist * number``).
+
+        The input history may also be a function that writes it, oldest
+        first, into the (capacity, n) input ring it is given, so a warm
+        start that computes its history (a plant's pre-run) holds no copy
+        of it beside the rings. The ring is checked after the write: a
+        non-finite ring is the same ``InvalidArgumentError``, and then, as
+        when the function raises, all rings are left zero."""
         shape = (self.capacity, self.n)
-        hists = [np.asarray(h, dtype=float) for h in (in_hist, p_hist, a_hist)]
-        for name, h in zip(("input", "periodic", "aperiodic"), hists):
+        writes = callable(in_hist)  # then only the output histories are arrays
+        hists = [np.asarray(h, dtype=float) for h in (in_hist, p_hist, a_hist)[writes:]]
+        for name, h in zip(("input", "periodic", "aperiodic")[writes:], hists):
             multiple = h.ndim == 0 and name != "input"
             if not multiple and (h.ndim == 0 or len(h) != shape[0]
                                  or h.size != math.prod(shape)):
@@ -195,12 +203,22 @@ class SeparatorCore:
                     f"{shape[1]} channels, got shape {h.shape}")
             if not np.isfinite(h).all():
                 raise InvalidArgumentError(f"{name} history must be finite")
-        x = hists[0].reshape(shape)
-        for buf, h in zip((self.in_buf, self.p_buf, self.a_buf), hists):
+        if writes:
+            try:
+                in_hist(self.in_buf)
+                if not np.isfinite(self.in_buf).all():
+                    raise InvalidArgumentError("input history must be finite")
+            except BaseException:
+                self._hist[:] = 0.0
+                self._invalidate()
+                raise
+        else:
+            self.in_buf[:] = hists.pop(0).reshape(shape)
+        for buf, h in zip((self.p_buf, self.a_buf), hists):
             if h.ndim:
                 buf[:] = h.reshape(shape)
             else:
-                np.multiply(x, h, out=buf)
+                np.multiply(self.in_buf, h, out=buf)
         self._invalidate()
 
     def reset(self) -> None:
@@ -281,10 +299,11 @@ class PasfState:
     ``dims`` = n; one channel steps in Python floats and returns floats.
 
     ``history`` optionally injects warm-start buffers (oldest-first arrays of
-    the last N*period inputs, periodic outputs, aperiodic outputs; an
+    the last N*period inputs, periodic outputs, aperiodic outputs; the
+    inputs may be a function that writes them into the input ring, and an
     output may be a number, that multiple of the inputs, as
-    ``SeparatorCore.inject`` takes it); the default zero history matches a
-    cold start.
+    ``SeparatorCore.inject`` takes them); the default zero history matches
+    a cold start.
     """
 
     def __init__(self, p_coeffs, a_coeffs, dims: int | None = None, history=None):
@@ -398,10 +417,10 @@ def periodic_warm_history(p_coeffs, a_coeffs, periodic_tail):
     state: each output sits at its filter's DC-gain multiple of the input.
 
     ``periodic_tail`` holds the last N*period input samples, oldest first
-    (n-vectors for an n-channel separator). Returns ``(tail, p_gain,
-    a_gain)``: the tail as a float array and the two DC gains as numbers,
-    which ``SeparatorCore.inject`` multiplies into the output rings, so no
-    history-sized output copy is made.
+    (n-vectors for an n-channel separator), or is a function that writes
+    them into the input ring it is given. Returns ``(periodic_tail, p_gain,
+    a_gain)``, the two DC gains as numbers: ``SeparatorCore.inject`` takes
+    the tail as either, and multiplies the input ring by each gain into
+    its output ring, so no history-sized copy is made beside the rings.
     """
-    return (np.asarray(periodic_tail, dtype=float),
-            p_coeffs.dc_gain, a_coeffs.dc_gain)
+    return periodic_tail, p_coeffs.dc_gain, a_coeffs.dc_gain

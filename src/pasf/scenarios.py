@@ -243,7 +243,10 @@ def _stream_seed(seed: int, stream: int) -> int:
 class EstimationRun:
     """One filter's estimation or control run. ``interference`` is its
     interference trace (see ``interference_trace``), set by the kind's runs
-    when the scenario has an interference window and None otherwise."""
+    when the scenario has an interference window and None otherwise.
+    ``pre_tail`` is what that trace's warm start reads of a periodic
+    pre-run: the first state at times -(depth-1)..0, oldest first, shape
+    (depth,); None after a zero start."""
 
     scenario: Scenario
     choice: FilterChoice
@@ -258,7 +261,7 @@ class EstimationRun:
     tr_p: np.ndarray
     cmd_p: np.ndarray | None = None
     cmd_a: np.ndarray | None = None
-    pre_tail: np.ndarray | None = None  # pre-run truth for the warm start
+    pre_tail: np.ndarray | None = None
     interference: np.ndarray | None = None
 
     @property
@@ -285,10 +288,14 @@ class EstimationRun:
                 f"{self.label}_trP_final": float(self.tr_p[-1])}
 
 
-def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """States x(1..steps) of x(t+1) = A x(t) + B u'(t) from x(0) = x0."""
-    out = np.empty((len(u_plus_v), A.shape[0]))
-    x = np.asarray(x0, dtype=float)
+def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """States x(1..steps) of x(t+1) = A x(t) + B u'(t) from x(0) = x0,
+    written into ``out`` ((steps, n), which may hold x0) when it is given
+    and returned."""
+    if out is None:
+        out = np.empty((len(u_plus_v), A.shape[0]))
+    x = np.array(x0, dtype=float)  # a copy: out may be x0's array
     # each row is the single-rounded B u'(i) the per-step form computes
     Bu = np.multiply.outer(u_plus_v, B.reshape(-1))
     by_n = product(A.shape[1])
@@ -299,15 +306,30 @@ def simulate_plant(A, B, u_plus_v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _periodic_prerun(scn: Scenario, depth: int) -> np.ndarray:
-    """Noise-free settle run ending at t = 0; returns states for times
-    -(depth-1)..0 oldest first (the final row is x(0))."""
+# Samples per block of a periodic warm start's pre-run: bounds its
+# temporaries and its reused buffer of settle states.
+_PRERUN_BLOCK = 8192
+
+
+def _periodic_prerun(scn: Scenario, ring: np.ndarray) -> None:
+    """Noise-free settle run ending at t = 0, written into ``ring``
+    ((depth, n)): the states for times -(depth-1)..0, oldest first, so the
+    last row is x(0). The input is evaluated and the plant stepped one
+    block of at most ``_PRERUN_BLOCK`` samples at a time; the settle
+    states go through one reused block buffer, the last depth states
+    straight into ``ring``, so no array as long as the pre-run is made."""
+    depth, n = ring.shape
     settle = int(round(scn.settle_s / scn.sampling_time))
-    pre = settle + depth
-    t_idx = np.arange(-pre, 0)
-    u_pre = eval_signal_array(scn.input_u, t_idx, scn.sampling_time)
-    states = simulate_plant(scn.A, scn.B, u_pre, np.zeros(scn.A.shape[0]))
-    return states[-depth:]
+    block = np.empty((min(settle, _PRERUN_BLOCK), n))
+    x = np.zeros(n)
+    # state row k of a part starting at time `first` is x(first + k + 1)
+    for first, rows, dest in ((-settle - depth, settle, None), (-depth, depth, ring)):
+        for lo in range(0, rows, _PRERUN_BLOCK):
+            hi = min(lo + _PRERUN_BLOCK, rows)
+            u = eval_signal_array(scn.input_u, np.arange(first + lo, first + hi),
+                                  scn.sampling_time)
+            out = block[:hi - lo] if dest is None else dest[lo:hi]
+            x = simulate_plant(scn.A, scn.B, u, x, out=out)[-1]
 
 
 def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> EstimationRun:
@@ -323,16 +345,15 @@ def run_estimation(scn: Scenario, choice: FilterChoice, seed: int) -> Estimation
             for stream, variance in ((1, scn.process_noise_variance),
                                      (2, scn.observation_noise_variance)))
 
-    pre_tail = None
     if scn.warm_start == "periodic":
-        pre_tail = _periodic_prerun(scn, choice.order * scn.period)
-        hist = periodic_warm_history(p, a, pre_tail)
-        x = pre_tail[-1].copy()
+        hist = periodic_warm_history(p, a, partial(_periodic_prerun, scn))
     else:
         hist = zero_histories(model, choice.order, scn.period)
-        x = np.zeros(n)
-
     est = KfPasfState(model, p, a, hist, scn.P0)
+    # the pre-run's last state, or zero, is the plant's x(0)
+    ring = est.core.in_buf
+    x = ring[-1].copy()
+    pre_tail = ring[:, 0].copy() if scn.warm_start == "periodic" else None
 
     Bf = scn.B.reshape(-1)
     ctl = scn.controller  # set for the kinds that close the loop
@@ -396,7 +417,10 @@ def interference_trace(run: EstimationRun) -> np.ndarray:
     (p, a), switches = _scheduled_pair(scn, run.choice, scn.steps)
     history = None
     if run.pre_tail is not None:
-        history = periodic_warm_history(p, a, run.pre_tail[:, 0] * p.dc_gain)
+        # the settled periodic estimate, multiplied straight into the ring
+        tail = run.pre_tail[:, None]
+        history = periodic_warm_history(
+            p, a, lambda ring: np.multiply(tail, p.dc_gain, out=ring))
     _, out = PasfState(p, a, history=history).run(
         run.xp_upd[:, 0], switches, allow_out_of_band=True)
     return out

@@ -1061,6 +1061,27 @@ def test_separate_output_that_overflows_is_a_runtime_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_pre_run_that_diverges_is_one_validation_error(tmp_path, capsys):
+    """x(t+1) = 2 x(t) + 1 overflows within its 20 s settle: the block
+    pre-run's states in the estimator's input ring are not finite, which
+    is one validation error line, exit 1, and no output directory. The
+    overflow's own floating-point warnings are silenced here, as they are
+    not error lines."""
+    scn = tmp_path / "diverges.scn"
+    scn.write_text("\n".join([
+        "[scenario]", "name = diverges", "kind = estimation", "period = 50",
+        "sampling_time = 0.01", "duration = 1", "filter = iir 1",
+        "warm_start = periodic", "settle = 20", "input = @u",
+        "[model]", "A = 2", "B = 1", "C = 1", "Q = 0", "R = 0.25", "P0 = zeros",
+        "[rho]", "0 = 1.0", "[signal u]", "expr = constant 1", ""]))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["--out-dir", str(out), "scenario", str(scn)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: validation: input history must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["input", "coeffs-p", "bode coeffs", "scenario"])
 def test_non_utf8_file_is_one_line_validation_error(tmp_path, kind):
     """Every input text file is read as UTF-8 through one reader; other

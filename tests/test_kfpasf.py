@@ -94,6 +94,19 @@ def test_explicit_histories_accepted_verbatim():
     assert ta == pytest.approx(exp_ta, abs=1e-15)
 
 
+def test_zero_histories_are_a_zero_input_and_two_zero_multiples():
+    """A zero start holds one zero history: the outputs' are 0.0 times it,
+    and +0.0 * +0.0 is +0.0, so every ring holds the +0.0 bytes that three
+    zero arrays gave."""
+    model = SystemModel(A=np.eye(3) * 0.5, B=[0.0, 0.0, 1.0], C=np.eye(3),
+                        Q=np.eye(3), R=np.eye(3))
+    p, a = design_iir(SeparationSpec(1.0, 5, 0.1), 2)
+    z, p_hist, a_hist = zero_histories(model, 2, 5)
+    assert (p_hist, a_hist) == (0.0, 0.0) and z.shape == (10, 3)
+    state = KfPasfState(model, p, a, (z, p_hist, a_hist), np.eye(3))
+    assert state.core._hist.tobytes() == bytes(3 * 10 * 3 * 8)
+
+
 def test_hand_computed_single_step():
     model, p, a, state = _scalar_setup(P0=1.0)
     rec = state.step([1.0], [1.0])

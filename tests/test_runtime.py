@@ -662,6 +662,60 @@ def test_injected_number_is_that_multiple_of_the_input_history(realization, orde
             assert np.array_equal(_bits(by_number.step(x)), _bits(by_array.step(x)))
 
 
+@pytest.mark.parametrize("dims", [None, 3])
+def test_injected_writer_is_the_history_it_writes(dims):
+    """An input history given as a function that writes the input ring
+    fills every ring byte for byte as the array it writes, with output
+    histories given as numbers or arrays, and both separators then step
+    alike. A bad output history is refused before the function is called;
+    a written history holding a NaN is the array form's error, and a
+    function that raises passes its error on: both leave the rings zero,
+    and the next step reads them so."""
+    period, order, T = 5, 2, 0.01
+    p, a = design_for("iir", SeparationSpec(0.3 / (period * T), period, T), order)
+    rng = np.random.default_rng(4)
+    shape = (dims,) if dims else ()
+    tail = rng.standard_normal((order * period, *shape))
+    tail.reshape(-1)[::3] = -0.0
+
+    def write(ring):
+        ring[:] = tail.reshape(ring.shape)
+
+    for outputs in [(p.dc_gain, a.dc_gain), (tail * 2.0, tail * -0.0)]:
+        by_writer = PasfState(p, a, dims=dims, history=(write, *outputs))
+        by_array = PasfState(p, a, dims=dims, history=(tail, *outputs))
+        assert by_writer.core._hist.tobytes() == by_array.core._hist.tobytes()
+        for _ in range(2 * period):
+            x = rng.standard_normal(shape)
+            assert np.array_equal(_bits(by_writer.step(x)), _bits(by_array.step(x)))
+
+    def never(ring):
+        raise AssertionError("called")
+
+    def nan_at_3(ring):
+        ring[:] = 1.0
+        ring[3] = np.nan
+
+    def raises(ring):
+        ring[:2] = 5.0
+        raise RuntimeError("writer failed")
+
+    state = PasfState(p, a, dims=dims, history=(tail, 1.0, 1.0))
+    state.step(np.ones(shape))  # builds the period's rows from those rings
+    kept = state.core._hist.copy()
+    with pytest.raises(InvalidArgumentError, match="periodic history must be finite"):
+        state.core.inject(never, np.inf, 1.0)
+    assert state.core._hist.tobytes() == kept.tobytes()
+    for writer, error, message in [
+            (nan_at_3, InvalidArgumentError, "input history must be finite"),
+            (raises, RuntimeError, "writer failed")]:
+        with pytest.raises(error, match=message):
+            state.core.inject(writer, 1.0, 1.0)
+        assert state.core._hist.tobytes() == np.zeros_like(kept).tobytes()
+        x = rng.standard_normal(shape)
+        assert np.array_equal(_bits(state.step(x)), _bits(PasfState(p, a, dims=dims).step(x)))
+
+
 def test_run_rejects_unsorted_or_out_of_range_switches():
     (p, a), spec = _pair()
     state = PasfState(p, a)

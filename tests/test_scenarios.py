@@ -294,11 +294,106 @@ def test_estimation_run_equals_the_per_tick_form_bitwise(monkeypatch):
     v = sig.GaussianStream(sig.NoiseSpec(
         0.0, scn.process_noise_variance, scenarios._stream_seed(3, 1))).draw(scn.steps)
     Bf = scn.B.reshape(-1)
-    x = run.pre_tail[-1]
+    # x(0) is the last state of the pre-run, whose first state the run keeps
+    pre = np.empty((scn.period, scn.A.shape[0]))
+    scenarios._periodic_prerun(scn, pre)
+    assert pre[:, 0].tobytes() == run.pre_tail.tobytes()
+    x = pre[-1]
     for i in range(scn.steps):
         x = scn.A @ x + Bf * (run.u[i] + v[i])
         assert x.tobytes() == run.x_true[i].tobytes()
     assert np.array(traces).tobytes() == run.tr_p.tobytes()
+
+
+def _whole_prerun(scn, depth):
+    """The pre-run as one array of settle + depth states, its input
+    evaluated in one call: the form the block pre-run replaces, kept as
+    its oracle."""
+    settle = int(round(scn.settle_s / scn.sampling_time))
+    u = sig.eval_signal_array(scn.input_u, np.arange(-settle - depth, 0),
+                              scn.sampling_time)
+    return scenarios.simulate_plant(scn.A, scn.B, u, np.zeros(scn.A.shape[0]))[-depth:]
+
+
+def _prerun_scenario(desc, A, B, settle, T=0.01):
+    n = len(A)
+    return Scenario(
+        name="prerun", kind="estimation", period=5, sampling_time=T, duration_s=0.1,
+        rho_schedule=((0.0, 1.0),), filters=(FilterChoice("iir", 1),),
+        A=A, B=B, C=np.eye(1, n), Q=np.eye(n), R=np.eye(1), P0=np.eye(n),
+        input_u=desc, warm_start="periodic", settle_s=settle * T)
+
+
+# the pre-run's times are negative: sample k of it is at k * 0.01 s, and a
+# boundary on a sample time tests a pulse's open and closed ends
+_at = st.integers(-60, 3).map(lambda k: k * 0.01)
+_level = st.floats(-10, 10, allow_nan=False)
+_omega = st.floats(0, 200, allow_nan=False)
+
+
+@st.composite
+def _schedules(draw, inner):
+    starts = sorted(draw(st.sets(st.integers(-60, 3), min_size=1, max_size=3)))
+    ends = [*starts[1:], draw(st.sampled_from([None, 5]))]
+    return sig.Schedule(tuple((s * 0.01, e if e is None else e * 0.01, draw(inner))
+                              for s, e in zip(starts, ends)))
+
+
+_DESCRIPTORS = st.recursive(
+    st.one_of(
+        st.builds(sig.Constant, _level),
+        st.builds(sig.Sinusoid, _level, _omega, _level),
+        st.builds(sig.HarmonicSum, st.floats(0.1, 20),
+                  st.lists(st.tuples(_level, st.integers(1, 5)), min_size=1, max_size=3)),
+        st.builds(sig.Pulse, _at, _at, _level, st.booleans(), st.booleans()),
+        st.integers(1, 9).flatmap(lambda g: st.builds(
+            sig.GatedSine, _omega, st.just(g), st.integers(1, g))),
+        st.builds(sig.NoiseSegment, st.builds(sig.NoiseSpec, st.just(0.0), st.just(1.0),
+                                              st.integers(0, 99)),
+                  st.just(0.0), st.just(0.05)),
+    ),
+    lambda inner: st.one_of(
+        _schedules(inner),
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: sig.Sum(tuple(parts))),
+        st.builds(sig.Scaled, _level, inner)),
+    max_leaves=4)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(desc=_DESCRIPTORS, n=st.sampled_from([1, 3]), block=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_block_prerun_equals_the_whole_array_form_bitwise(desc, n, block, seed, data):
+    """The pre-run evaluates the input and steps the plant one block at a
+    time, the settle through a reused buffer and the last depth states
+    straight into the ring: every descriptor kind, at depth 1 and one
+    block +- 1, with no settle or one that straddles a block edge, gives
+    the states of the whole-array form byte for byte."""
+    depth = data.draw(st.sampled_from([1, max(1, block - 1), block + 1, 2 * block + 1]),
+                      label="depth")
+    settle = data.draw(st.sampled_from([0, 1, block + 1, 2 * block + 1]), label="settle")
+    rng = np.random.default_rng(seed)
+    scn = _prerun_scenario(desc, rng.uniform(-1, 1, (n, n)), rng.standard_normal((n, 1)),
+                           settle)
+    ring = np.full((depth, n), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_PRERUN_BLOCK", block)
+        scenarios._periodic_prerun(scn, ring)
+    assert ring.tobytes() == _whole_prerun(scn, depth).tobytes()
+
+
+@pytest.mark.parametrize("depth, settle", [
+    ((1, -1), (0, 0)), ((1, 1), (0, 0)), ((1, 1), (1, 1)), ((1, -1), (2, -1)),
+    ((0, 1), (1, 1))])
+def test_block_prerun_at_its_block_size(depth, settle):
+    """sec52's plant and input at depths of one block +- 1 of the module's
+    block size (and depth 1), with no settle or one that straddles a
+    block edge; each size is (blocks, samples more)."""
+    block = scenarios._PRERUN_BLOCK
+    depth, settle = (k * block + extra for k, extra in (depth, settle))
+    scn = replace(built_in("sec52", 0), settle_s=settle * 0.001)
+    ring = np.empty((depth, 3))
+    scenarios._periodic_prerun(scn, ring)
+    assert ring.tobytes() == _whole_prerun(scn, depth).tobytes()
 
 
 SCENARIO_TEXT = """
@@ -579,22 +674,16 @@ def test_sec52_warm_start_suppresses_initial_transient():
     assert err0 < 0.2
 
 
-def test_periodic_warm_start_holds_no_history_copies():
-    """A periodic warm start of FIR50 on sec52's 3-state plant at period
-    1000 fills the estimator's rings straight from the pre-run's states:
-    the traced peak of ``run_estimation`` stays under the rings (3.6 MB)
-    plus the pre-run states (1.25 MB) plus a 1.5 MB margin. The margin
-    covers the smaller arrays (noise, outputs, theta rows and build
-    temporaries, about 0.9 MB measured); one more history-sized array
-    (1.2 MB) exceeds it, and the two DC-gain copies that a warm start
-    used to make (2.4 MB) do. The design is made before tracing, so its
-    temporaries do not count."""
+def _fir50_traced_peak(**changes):
+    """The traced peak of one FIR50 ``run_estimation`` on sec52's 3-state
+    plant at period 1000 (0.2 s, ``changes`` applied), with its rings'
+    and its first-state tail's sizes. The design is made before tracing,
+    so its temporaries do not count."""
     scn = built_in("sec52", 0)
     fir = next(f for f in scn.filters if f.realization == "fir")
-    scn = replace(scn, duration_s=0.2, filters=(fir,), interference_window_s=None)
+    scn = replace(scn, duration_s=0.2, filters=(fir,), interference_window_s=None,
+                  **changes)
     depth, n = fir.order * scn.period, scn.A.shape[0]
-    rings = 3 * depth * n * 8
-    prerun = (round(scn.settle_s / scn.sampling_time) + depth) * n * 8
     run_estimation(scn, fir, seed=0)  # designs the pair
     tracemalloc.start()
     try:
@@ -603,7 +692,29 @@ def test_periodic_warm_start_holds_no_history_copies():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < rings + prerun + 1.5e6, (peak, rings, prerun)
+    return peak, 3 * depth * n * 8, depth * 8
+
+
+def test_periodic_warm_start_holds_no_history_copies():
+    """A periodic warm start of FIR50 steps its pre-run in blocks straight
+    into the estimator's input ring: the traced peak of ``run_estimation``
+    stays under the rings (3.6 MB) plus the first-state tail the run keeps
+    (0.4 MB) plus a 1.2 MB margin. The margin covers the smaller arrays
+    (noise, outputs, theta rows and build temporaries, the pre-run's
+    blocks; about 0.76 MB measured); the whole pre-run's states (1.25 MB)
+    exceed it, and so do the two DC-gain copies a warm start once made
+    (2.4 MB)."""
+    peak, rings, tail = _fir50_traced_peak()
+    assert peak < rings + tail + 1.2e6, (peak, rings, tail)
+
+
+def test_periodic_warm_start_memory_does_not_grow_with_the_settle():
+    """The pre-run reuses one block buffer for its settle states, so a
+    60 s settle (60,000 more plant steps, 1.44 MB of states) peaks within
+    100 KB of a 2 s one."""
+    short, _, _ = _fir50_traced_peak(settle_s=2.0)
+    long, _, _ = _fir50_traced_peak(settle_s=60.0)
+    assert abs(long - short) < 100e3, (short, long)
 
 
 def _switching_scenario() -> Scenario:
