@@ -268,10 +268,13 @@ def iter_csv(path):
     translation, blank ones included. Lines are stripped; the first one
     not blank is the header, and the other lines not blank are rows. The
     complete lines of each read after the header make one chunk, so a file
-    with a header has a chunk even without rows. A chunk is parsed in one pass: a check of every
-    row's comma count, then one ``float()`` per field of the rows joined
-    by commas (the fields of each row in order, so the same values as
-    parsing row by row), reshaped to the header's width.
+    with a header has a chunk even without rows. A chunk is parsed by
+    NumPy's C text reader (``np.loadtxt``), which gives the values of
+    ``float()``; a chunk it refuses, or reads at another width than the
+    header's, is parsed again in one pass: a check of every row's comma
+    count, then one ``float()`` per field of the rows joined by commas
+    (the fields of each row in order, so the same values as parsing row by
+    row), reshaped to the header's width.
 
     Errors come in the order of reading the whole file first: bytes that
     are not UTF-8 anywhere in the file (named by their byte position in the
@@ -345,7 +348,23 @@ def _whole_file_error(path) -> UnicodeDecodeError | None:
 def _parse(text, width):
     """The values of the rows among the lines of ``text`` as a (rows,
     width) array, or None when a row's field count differs from ``width``
-    or a field is not a number."""
+    or a field is not a number.
+
+    NumPy's C text reader parses the lines first. It calls the parser that
+    ``float()`` calls on each field stripped of whitespace, so a result of
+    ``width`` columns holds the values of ``float()``. It refuses some
+    spellings that ``float()`` accepts (``1_0``, non-ASCII digits, a line
+    of whitespace only); then, as on any refusal or another width, one
+    ``float()`` per field decides. A text without a row never reaches the
+    reader, which warns on no data."""
+    if text and not text.isspace():
+        try:
+            data = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == width:
+                return data
     rows = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if set(map(str.count, rows, repeat(","))) <= {width - 1}:
         joined = ",".join(rows)

@@ -79,15 +79,21 @@ def synthesize_banded(length: int, bins, coeffs=None) -> np.ndarray:
 
 
 def orthogonality_defect(x_p, x_a) -> float:
-    """|<x_p, x_a>| / (||x_p|| ||x_a||), with 0/0 defined as 0."""
+    """|<x_p, x_a>| / (||x_p|| ||x_a||), with 0/0 defined as 0.
+
+    Each sequence is divided by its largest magnitude first, so the ratio
+    is the same at any scale: the norms' product neither underflows to 0
+    nor overflows to infinity."""
     xp = np.asarray(x_p, dtype=float)
     xa = np.asarray(x_a, dtype=float)
     if xp.shape != xa.shape or xp.ndim != 1:
         raise InvalidArgumentError("sequences must be 1-D with equal lengths")
-    denom = np.linalg.norm(xp) * np.linalg.norm(xa)
-    if denom == 0.0:
+    scale_p = np.max(np.abs(xp), initial=0.0)
+    scale_a = np.max(np.abs(xa), initial=0.0)
+    if scale_p == 0.0 or scale_a == 0.0:
         return 0.0
-    return float(abs(np.dot(xp, xa)) / denom)
+    xp, xa = xp / scale_p, xa / scale_a
+    return float(abs(np.dot(xp, xa)) / (np.linalg.norm(xp) * np.linalg.norm(xa)))
 
 
 def interference_rms(separated, truth, window: tuple[int, int]) -> float:

@@ -249,11 +249,15 @@ def _read_csv_per_field(path):
     return header, np.array(data, dtype=float).reshape(len(data), len(header))
 
 
-# field spellings: float() accepts every one in the first list
+# field spellings: float() accepts every one in the first list; NumPy's C
+# text reader, which csvio tries first, refuses underscores and non-ASCII
+# digits, so a chunk holding one is parsed by the per-field float() pass
 _GOOD_FIELDS = ["0", "-0.0", "+0", "0e5", "-0E-3", "nan", "NaN", "-nan", "+NAN",
                 "inf", "-Infinity", "+INF", "infinity", "1e-320", "-4.9e-324",
                 "1.7976931348623157e308", "1.5E+3", ".5", "5.", " 2.5 ", "\t3",
-                "1_0", "-1_000.5", "0.1", "-123456789.123456789"]
+                "1_0", "-1_000.5", "0.1", "-123456789.123456789",
+                "\u0661", "-\u0663.\u0665e\u0662", "\U0001d7cf", "\uff12\uff15",
+                "\xa02.5\xa0", "\u2003-0\u2003", "\xa0\u2003nan"]
 _BAD_FIELDS = ["", " ", "abc", "1__0", "_1", "0x10", "1e", "--1", "1.2.3", "nan1",
                "in f", "1 2"]
 _field = st.one_of(st.sampled_from(_GOOD_FIELDS),
@@ -271,13 +275,13 @@ def _csv_texts(draw):
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["row"] * 12 + ["blank", "ragged", "bad"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\xa0", " \u2003 "])))
             continue
         n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
         fields = [draw(_field) for _ in range(n)]
         if kind == "bad" and fields:
             fields[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_FIELDS))
-        pad = draw(st.sampled_from(["", " ", "\t "]))
+        pad = draw(st.sampled_from(["", " ", "\t ", "\xa0", "\u2003"]))
         lines.append(pad + ",".join(fields) + pad)
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
@@ -290,6 +294,12 @@ def _csv_texts(draw):
 @example(text="t,x\n0,1\n2\n3,4,5\n")
 @example(text="t,x\n")
 @example(text="\n \r\n")
+# spellings that float() accepts and the C text reader refuses
+@example(text="t,x\n0,1_0\n1,2\n")
+@example(text="t,x\n0,\u0661\n1,2\n")
+@example(text="t,x\n0,\U0001d7cf\n1,2\n")
+@example(text="t,x\n0,1\n \t\n1,2\n")
+@example(text="t,x\n0,1\n\xa0\n1,2\n")
 def test_read_csv_bitwise_equals_per_field_parse(tmp_path_factory, text):
     """``read_csv`` returns the per-field ``float`` parse, raw bits included
     (signed zeros, NaN payloads' signs), and for a bad file the same error
@@ -898,6 +908,20 @@ def test_separate_memory_is_bounded_by_a_chunk(tmp_path, rows):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("body", ["", "\n\n\n", "\n\n  \n\t\n\xa0\n"])
+def test_separate_of_no_rows_writes_a_header(tmp_path, body):
+    """A header-only input and one whose body is blank lines write no row
+    and exit 0 under warnings as errors: no text without a row reaches the
+    C text reader, which warns that it contained no data."""
+    args = _separate_inputs(tmp_path, [])
+    (tmp_path / "in.csv").write_text("t,x\n" + body, encoding="utf-8")
+    res = run_cli("--out-dir", str(tmp_path / "out"), *args)
+    assert (res.returncode, res.stderr) == (0, "")
+    out = tmp_path / "out" / "separated.csv"
+    assert res.stdout == f"wrote {out} (0 rows)\n"
+    assert out.read_text() == "t,x,xp,xa\n"
 
 
 def test_separate_out_may_be_its_input(tmp_path):

@@ -111,6 +111,21 @@ def test_orthogonality_symmetry_and_scale_invariance():
     assert orthogonality_defect(2.5 * x, -3.0 * z) == pytest.approx(d, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("x, z, want", [
+    ([1.0, 2.0], [1.0, 2.0], 1.0),
+    ([1.0, 1.0], [1.0, 1.0], 1.0),
+    ([1.0, 2.0], [2.0, -1.0], 0.0),
+])
+def test_orthogonality_is_scale_invariant_at_the_extremes(scale, x, z, want):
+    """A parallel pair reads 1 and an orthogonal pair 0 at any scale: the
+    norms' product neither underflows to a defect of 0 at 1e-200 nor
+    overflows to NaN (with a warning) at 1e200."""
+    x, z = scale * np.array(x), scale * np.array(z)
+    assert orthogonality_defect(x, z) == pytest.approx(want, abs=1e-15)
+    assert orthogonality_defect(x, np.zeros(2)) == 0.0
+
+
 def test_orthogonality_validation():
     with pytest.raises(InvalidArgumentError):
         orthogonality_defect(np.zeros(3), np.zeros(4))
