@@ -3,6 +3,23 @@
 All filters live in the lifted delay variable: a tap of order i delays by
 i*period fast-time samples. ``feedback`` holds a_1..a_N (a_0 = 1 implicit),
 ``feedforward`` holds the N+1 numerator taps.
+
+A design returns its pair or raises a typed error, and never warns. A
+period or order that is not an integer by the ``operator.index`` rule
+(``check_integer``: ``2.0`` is refused), a sampling time that
+``check_sampling_time`` refuses and a bad ``weight_ratio`` are
+``InvalidArgumentError``s. A design that cannot be carried out in binary64
+(a lifted rho that overflows, IIR taps that overflow or lose their unit DC
+gain, an FIR passband edge whose cosine rounds to 1) is a
+``DegenerateDesignError``, and a Remez exchange that breaks down a
+``DesignFailureError`` (see ``design_fir_equiripple``). The complementary
+realizations inherit the rules of the design they complement.
+
+In the Remez exchange, the extremum search, the barycentric weights and
+the exact-node test are NumPy array operations, bitwise equal to the
+per-node loops they replaced. ``tests/test_design.py`` keeps those loops as
+oracles, and a digest of a 122-design sweep pins every tap and failure
+message.
 """
 
 from __future__ import annotations
@@ -140,7 +157,9 @@ def check_integer(name: str, number) -> None:
 
 def check_period(period) -> None:
     """Raise ``InvalidArgumentError`` unless ``period`` is an integer by
-    the ``operator.index`` rule and at least 1."""
+    the ``operator.index`` rule and at least 1. Every period check, that of
+    ``lift`` and ``unlift`` included, is this one, so ``lift(x, 2.5)`` is
+    this error and not NumPy's ``TypeError``."""
     check_integer("period", period)
     if period < 1:
         raise InvalidArgumentError(f"period must be >= 1, got {period}")
@@ -148,7 +167,10 @@ def check_period(period) -> None:
 
 def check_sampling_time(sampling_time) -> None:
     """Raise ``InvalidArgumentError`` unless the sampling time T is positive
-    and finite, and large enough that the Nyquist rate pi/T is finite."""
+    and finite, and large enough that the Nyquist rate pi/T is finite (T of
+    at least about 1.75e-308, so no subnormal T). It is the one rule of
+    every sampling time: a ``SeparationSpec``'s, a ``FilterCoefficients``'
+    and a ``Scenario``'s."""
     T = float(sampling_time)
     if not 0.0 < T < math.inf or math.isinf(math.pi / T):
         raise InvalidArgumentError(
@@ -191,7 +213,8 @@ def design_iir(
     conditioned only for small orders; N > 8 is rejected. At small r the
     rounded taps scatter the N-fold pole (2 - r)/(2 + r) next to 1: a pair
     whose stored DC gain, sum(b) / (1 + sum(a)), misses 1 by more than 1e-6
-    raises ``DegenerateDesignError`` (see ``iir_taps``).
+    raises ``DegenerateDesignError`` (see ``iir_taps``). IIR5 at r = 1e-3,
+    for one, would store a gain of -1.797 and be unstable.
     """
     check_order("iir", order)
     spec.validate(allow_out_of_band=allow_out_of_band)
@@ -381,10 +404,18 @@ def design_fir_equiripple(
     passband weight relative to a unit stopband weight. A ratio whose
     reciprocal overflows (below 1/DBL_MAX, about 5.6e-309), or one that
     overflows the weighted passband error during the exchange, is an
-    ``InvalidArgumentError``; an exchange whose levelled system overflows
-    raises ``DesignFailureError``, as does one whose interpolant overflows
-    to inf, one whose reference holds two nodes of equal cosine, and one
-    whose final Chebyshev fit is rank-deficient, with no warning before it.
+    ``InvalidArgumentError`` (1e308 does at order 50); an exchange whose
+    levelled system overflows raises ``DesignFailureError``, as does one
+    whose interpolant overflows to inf, one whose reference holds two nodes
+    of equal cosine, and one whose final Chebyshev fit is rank-deficient,
+    with no warning before it. Where each occurs: the levelled system at a
+    passband weight of 1e-308, or with huge barycentric weights at a tiny
+    passband edge or a stopband edge within about 1e-6 of pi; the
+    interpolant in some designs at passband weights of 1e-30 to 1e-300 and
+    in two at weight 1; equal cosines at high orders with passband edges
+    near 1e-8 or stopband edges within 1e-8 of pi; a rank-deficient fit in
+    some designs at passband edges of 1.5e-8 to 4e-8 or passband weights of
+    1e-16 to 1e-25.
     """
     check_order("fir", order)
     spec.validate()

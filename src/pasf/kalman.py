@@ -29,6 +29,10 @@ x + g(y - C x) as written here. A model's matrices are read-only copies.
 A belief built through the public constructor carries no fixed point and no
 record of its source, so a chain rebuilt through ``KalmanBelief`` each step
 never freezes: it is the per-step oracle the freeze is tested against.
+The built-in scenarios sec51 and sec52 freeze at step 450 of their 120,000
+and 30,000 (the benchmark's ``kalman.fixed_point_step`` counts 451, the
+first step whose gain repeats); the marginally stable sec54 plant never
+freezes.
 
 Every matrix product here, and in the plant loops of ``pasf.scenarios``,
 is formed by ``product(k)`` for its contracted dimension k: ``ndarray.dot``
@@ -38,10 +42,12 @@ zeros, NaN and infinities included (a property test holds it to that);
 else ``np.matmul``, the ufunc ``@`` calls, since there ``dot`` scales by
 the one-element operand, which turns 0 * NaN and 0 * Inf into 0 (hiding a
 poisoned state) and gives other signs of zero. Both take ``out=``. A
-``SystemModel`` resolves one product per contracted dimension (n, m and p)
-when it is built, so ``kf_predict`` and ``kf_update`` make no per-product
-dispatch: the same NumPy operations in the same order, so the same bytes,
-with fewer Python calls around them.
+``SystemModel`` resolves one product per contracted dimension when it is
+built: by n for A x, A P, (AP) A', C x, C P, CP C' and (I - gC) P; by m for
+g r and g C; by p for B u. So ``kf_predict`` and ``kf_update`` make no
+per-product dispatch: the same NumPy operations in the same order, so the
+same bytes, with fewer Python calls around them. With one output, m = 1,
+so g (y - C x) and g C keep ``@``, as B u does with one input.
 
 Both re-symmetrize a covariance as ``(M + M.T.copy()) * model._half``,
 with ``_half`` the model's read-only (n, n) array of 0.5: the additions and
@@ -204,7 +210,9 @@ def _belief(x_hat: np.ndarray, P: np.ndarray, t: int, phase: str,
 
 
 def kf_predict(belief: KalmanBelief, model: SystemModel, u) -> KalmanBelief:
-    """Time update: x <- A x + B u, P <- A P A' + Q."""
+    """Time update: x <- A x + B u, P <- A P A' + Q. ``u`` (p values) is
+    given on every call, zeros for no input; a belief whose dimension is
+    not the model's is an ``InvalidArgumentError``, as in ``kf_update``."""
     if belief.phase != UPDATED:
         raise InvalidArgumentError("kf_predict expects an updated belief")
     u = np.asarray(u, dtype=float)

@@ -44,7 +44,9 @@ class KfPasfStep:
 
 class KfPasfState:
     """Estimator state: Kalman belief plus separator histories of updated
-    estimates. Instances are single-threaded."""
+    estimates. Instances are single-threaded. A ``P0`` that is not n x n,
+    not symmetric or not positive semidefinite is an
+    ``InvalidArgumentError``; a non-finite one poisons the first step."""
 
     def __init__(self, model: SystemModel, p_coeffs, a_coeffs,
                  initial_expectations, P0):
@@ -71,7 +73,8 @@ class KfPasfState:
     @property
     def gain_frozen_at(self) -> int | None:
         """The step whose update froze the covariance and gain at their
-        bitwise fixed point (see ``pasf.kalman``); None until then."""
+        bitwise fixed point (see ``pasf.kalman``); None until then. It
+        reaches no CSV."""
         fixed = self.belief._fixed
         return None if fixed is None else fixed.t
 

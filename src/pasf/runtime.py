@@ -61,7 +61,9 @@ one into a NumPy array) and advances the core's t itself; ``run`` stores
 the returned floats through memoryviews of its outputs. That is bitwise
 equal to the NumPy form, because ``tolist()`` keeps every binary64 value
 (the sign of zero included) and CPython and NumPy both round each ``*``
-and ``+`` on its own, neither fusing them into one multiply-add. n > 1 takes the NumPy form on n-vectors:
+and ``+`` on its own, neither fusing them into one multiply-add. A
+separator copied with ``copy.deepcopy`` or ``pickle`` makes these views
+anew over its own rings. n > 1 takes the NumPy form on n-vectors:
 ``SeparatorCore.split(x)`` is the n-channel step, shared by ``PasfState``
 and the KF-PASF estimator (whose core has n = 1 for a one-state model and
 then splits (1,) arrays).
@@ -399,7 +401,9 @@ class PasfState:
     def reconfigure(self, new_spec: SeparationSpec, allow_out_of_band: bool = False):
         """Redesign coefficients for a new separation frequency; buffers are
         preserved so the output stays continuous across the switch. Comb
-        pairs and period changes raise UnsupportedReconfigurationError."""
+        pairs and period changes raise UnsupportedReconfigurationError: a
+        comb's new coefficients go in with ``swap_coefficients``, and a new
+        period needs a fresh state."""
         self.core.redesign(new_spec, allow_out_of_band)
 
     def swap_coefficients(self, p_coeffs, a_coeffs) -> None:

@@ -19,7 +19,7 @@ from .baselines import CombSpec
 from .csvio import read_text
 from .errors import InvalidArgumentError
 from .scenarios import (_READS, CombBaseline, ControllerSpec, FilterChoice, Scenario,
-                        _stream_seed, kind_of)
+                        _check_seed, _stream_seed, kind_of)
 from .signals import NoiseSpec
 
 
@@ -277,7 +277,8 @@ def parse_scenario(text: str, seed: int = 0) -> Scenario:
     """The Scenario that ``text`` describes. Its kind's ``KINDS`` record
     says which sections and ``[scenario]`` keys it reads beyond those every
     kind reads; any that only another kind reads is an error naming its
-    line."""
+    line. A negative ``seed`` is refused before any section is read."""
+    _check_seed(seed)
     sections, headers = _sections(text)
     # a missing section fails on its first required key; filter is the one
     # repeatable key, read in file order below

@@ -2,6 +2,32 @@
 
 A Scenario is parsed from a scenario file (see scenario_io); the paper's
 four scenarios, sec51..sec54, are such files shipped with the package.
+
+The runners only orchestrate. One rule, ``_in_force``, decides which
+``[rho]`` or comb piece is in force at a sample: ``rho_at``,
+``rho_series``, the estimator's reconfigurations and every separation pass
+read it. One builder, ``_scheduled_pair``, turns a filter choice or a comb
+baseline into its starting coefficient pair and its switch list, which
+both passes of a separation source share.
+
+The plant simulations form ``B u'`` as one array before their loops: the
+estimation kind for all steps, the warm-start pre-run for each block (the
+control kind's u depends on the estimate, so it keeps the per-tick
+product). These are the same single-rounded products, so the states are
+bitwise those of the per-step form. ``simulate_plant`` writes each state
+straight into its output row, ``product(n)(A, x, out=row)`` and then
+``row += B u'``, with no per-step temporary; the estimation runner steps
+the plant and forms the measurement with the same ``product(n)``.
+
+A periodic warm start passes its pre-run (``_periodic_prerun``) to the
+estimator as the function that writes its input history: the pre-run
+evaluates the input and steps the plant in blocks of ``_PRERUN_BLOCK``
+samples, the settle through one reused block buffer and the last
+order*period states straight into the estimator's input ring, whose last
+row is then x(0). So it holds no array as long as the pre-run or its
+history beside the rings. The run keeps only the first state's tail
+(``EstimationRun.pre_tail``), which the interference pass multiplies by the
+DC gain straight into its own ring.
 """
 
 from __future__ import annotations
@@ -115,6 +141,11 @@ class Scenario:
                 f"duration must hold at least one sample, got {self.duration_s}")
         if self.settle_s < 0:
             raise InvalidArgumentError(f"settle must be >= 0, got {self.settle_s}")
+        if not np.isfinite(self.settle_s / self.sampling_time):
+            # the warm-start pre-run rounds this ratio to its sample count
+            raise InvalidArgumentError(
+                f"settle / sampling_time must be finite, got {self.settle_s} / "
+                f"{self.sampling_time}")
         if not self.rho_schedule or self.rho_schedule[0][0] > 0:
             raise InvalidArgumentError("rho schedule must start at time 0")
         starts = [s for s, _ in self.rho_schedule]
@@ -230,8 +261,16 @@ def _scheduled_pair(scn, source, steps: int):
     return start(schedule[pieces[0]][1]), switches
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` if it can seed a run: the one rule of every run seed. A
+    negative one is an ``InvalidArgumentError`` that names it."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _stream_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
+    return int(np.random.SeedSequence([_check_seed(seed), stream]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

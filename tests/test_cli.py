@@ -1300,6 +1300,8 @@ def test_leaf_descriptor_of_wrong_arity_is_validation_error(tmp_path, descriptor
     ("duration = 1", "duration = 1\ninterference_window = 0.5 2",
      "interference window must satisfy 0 <= START < END <= duration 1, got 0.5 2"),
     ("filter = iir 1", "filter = iir 1\nfilter = iir 9 bad", "IIR order 9 > 8"),
+    ("duration = 1", "duration = 1\nsettle = 1e308\nwarm_start = periodic",
+     "settle / sampling_time must be finite"),
 ])
 def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
                                                         message):
@@ -1309,6 +1311,18 @@ def test_scenario_time_out_of_range_is_validation_error(tmp_path, line, bad,
     res = run_cli("--out-dir", str(out), "scenario", str(path))
     _assert_validation_error(res)
     assert res.stderr.startswith(f"error: validation: {message}"), res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("kfpasf", "sec54"), ("scenario", "sec53")])
+def test_negative_seed_is_one_validation_line_naming_the_seed(tmp_path, args):
+    """A negative ``--seed`` is refused by the one seed rule before any run:
+    one line that names the seed, not a traceback and not a file line."""
+    out = tmp_path / "out"
+    res = run_cli("--seed=-1", "--out-dir", str(out), *args)
+    _assert_validation_error(res)
+    assert res.stderr == ("error: validation: seed must be a non-negative integer, "
+                          "got -1\n"), res.stderr
     assert not out.exists()
 
 

@@ -62,6 +62,19 @@ def test_built_in_names(monkeypatch):
             built_in(name)
 
 
+def test_negative_seed_is_refused_by_the_one_seed_rule():
+    """A negative seed is an ``InvalidArgumentError`` that names the seed,
+    from the parser before any section (not a file line's error) and from
+    ``run_estimation`` (not NumPy's bare ``ValueError``)."""
+    message = "seed must be a non-negative integer, got -"
+    with pytest.raises(InvalidArgumentError, match=message + "1$") as info:
+        built_in("sec53", -1)
+    assert not isinstance(info.value, scenario_io.ScenarioParseError)
+    scn = built_in("sec54", 0)
+    with pytest.raises(InvalidArgumentError, match=message + "3$"):
+        run_estimation(scn, scn.filters[0], -3)
+
+
 # each value token of a packaged file is replaced in turn by each of these
 _MUTANT_TOKENS = ("nan", "inf", "1e309", "1e-320", "5e-324", "-0", "", "x", "@nope")
 
@@ -1038,7 +1051,7 @@ _VALID = {
                        cmd_p="@u", cmd_a="@v"),
     "comb": dict(variant="3", gain="0.7", q="0:1.7 0.5:50", b="0.5", g="0"),
 }
-_BAD_VALUES = ("nan", "inf", "1e309", "1e-320", "-1", "0", "", "x", "1 2 ; 3", "1 ; 2 3",
+_BAD_VALUES = ("nan", "inf", "1e309", "1e308", "1e-320", "-1", "0", "", "x", "1 2 ; 3", "1 ; 2 3",
                "diag", "zeros", "@nope", "@u @v", "u", "0:nan", "iir 9", "fir 3")
 _LEAF_TOKENS = ("0", "1", "2", "10", "0.5", "-1", "1:2", "openstart", "openend")
 
@@ -1119,6 +1132,8 @@ def test_scenario_file_fuzz_parses_or_raises_a_typed_error(tmp_path_factory, dat
 @given(data=_scenario_files())
 @example(data=SCENARIO_TEXT.encode())
 @example(data=SEPARATION_TEXT.encode())
+@example(data=SCENARIO_TEXT.replace(
+    "duration = 3", "duration = 3\nsettle = 1e308\nwarm_start = periodic").encode())
 def test_scenario_file_fuzz_through_the_cli(tmp_path_factory, data):
     """``pasf scenario`` on each generated file, in its own process with
     warnings as errors, exits 0 with nothing on stderr, or exits 1 or 2
